@@ -13,10 +13,10 @@ from .bounds import (BoundReport, check_bound, corC_rhs, thm1_hypothesis,
                      thm2_threshold, thmA_heuristic_nontrivial, thmA_rhs,
                      thmB_C, thmB_rhs)
 from .characters import (CycloSum, MultChar, char_sum, field_generator,
-                         make_char, quad_char)
+                         make_char, quad_char_coords)
 from .counting import (FractionEstimate, SquareCountReport, count_squares,
                        estimate_square_fraction)
-from .errors import BudgetExceeded, HypothesisNotMet
+from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, conjugates, element_degree,
                      frobenius, is_generator, make_field)
 from .oracles import (DeltaReport, EnergyReport, LemmaReport, delta_H,
@@ -28,13 +28,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "BudgetExceeded", "CycloSum", "DeltaReport", "DigitBox",
     "EnergyReport", "FieldCtx", "FieldElem", "FractionEstimate",
-    "HypothesisNotMet", "IntervalBox", "LemmaReport", "MultChar",
+    "HypothesisNotMet", "IntervalBox", "InvariantViolation", "LemmaReport",
+    "MultChar",
     "SquareCountReport", "char_sum", "check_bound", "conjugates", "corC_rhs",
     "count_squares", "delta_H", "element_degree", "energy_count",
     "enumerate_box", "estimate_square_fraction", "field_generator",
     "format_digit_set", "frobenius", "is_generator", "lemma1_check",
     "lemmaD_check", "lemmaE_check", "make_char", "make_field", "parse_digit_spec",
-    "quad_char", "sample_uniform", "split_box", "subfield_partition",
+    "quad_char_coords", "sample_uniform", "split_box", "subfield_partition",
     "thm1_hypothesis", "thm1_rhs", "thm1_threshold", "thm2_Cr", "thm2_best",
     "thm2_rhs", "thm2_threshold", "thmA_heuristic_nontrivial", "thmA_rhs",
     "thmB_C", "thmB_rhs",

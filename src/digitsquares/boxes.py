@@ -190,7 +190,11 @@ def check_budget(box: Box, budget: int | None = None, what="enumeration of the b
 
 
 def coords_blocks(box: Box, block: int = BLOCK, prefix=None):
-    """Yield (n, r) arrays of installed-basis coordinates in lex order."""
+    """Yield (n, r) arrays of installed-basis coordinates in lex order.
+
+    The blocks and their scratch are allocated once per walk, so each block
+    overwrites the previous one: consume (or copy) it before advancing.
+    """
     sets = [np.asarray(s, dtype=np.int64) for s in box.coordinate_sets()]
     if prefix is not None:
         for i, c in enumerate(prefix):
@@ -207,20 +211,40 @@ def coords_blocks(box: Box, block: int = BLOCK, prefix=None):
         strides[i] = acc
         acc *= sizes[i]
     r = box.ctx.r
+    k = np.arange(min(block, total), dtype=np.int64)
+    quot = np.empty_like(k)
+    buf = np.empty((k.shape[0], r), dtype=np.int64)
     for lo in range(0, total, block):
-        k = np.arange(lo, min(lo + block, total), dtype=np.int64)
-        out = np.empty((k.shape[0], r), dtype=np.int64)
+        n = min(block, total - lo)
+        out = buf[:n]
         for i in range(r):
-            out[:, i] = sets[i][(k // strides[i]) % sizes[i]]
+            np.floor_divide(k[:n], strides[i], out=quot[:n])
+            quot[:n] %= sizes[i]
+            out[:, i] = sets[i][quot[:n]]
         yield out
+        k += block
+
+
+def poly_blocks(box: Box, block: int = BLOCK, prefix=None):
+    """Yield (n, r) poly-coordinate rows in lex coordinate order.
+
+    Like coords_blocks, each block overwrites the previous one.
+    """
+    ctx = box.ctx
+    buf = None
+    for coords in coords_blocks(box, block, prefix):
+        if buf is None:
+            buf = np.empty_like(coords)
+        poly = buf[:coords.shape[0]]
+        np.matmul(coords, ctx.basis_matrix.T, out=poly)
+        poly %= ctx.p
+        yield poly
 
 
 def index_blocks(box: Box, block: int = BLOCK, prefix=None):
-    """Yield int64 arrays of element indices in lex coordinate order."""
-    ctx = box.ctx
-    for coords in coords_blocks(box, block, prefix):
-        poly = (coords @ ctx.basis_matrix.T) % ctx.p
-        yield vec_encode(ctx, poly)
+    """Yield fresh int64 arrays of element indices in lex coordinate order."""
+    for poly in poly_blocks(box, block, prefix):
+        yield vec_encode(box.ctx, poly)
 
 
 def enumerate_box(box: Box, budget: int | None = None, prefix=None):

@@ -1,9 +1,17 @@
 """Multiplicative characters on F_q and exact character-sum accumulation.
 
+The quadratic character eta has one entry point, quad_char_coords.  For
+q <= DLOG_CAP it looks up a table built from the squaring image
+Q = {x^2 : x != 0}; above the cap it evaluates eta(x) = (N(x) / p), the
+Legendre symbol of the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies
+in F_p and costs O(log r) field multiplications per element.
+
 A character of root order s (s | q-1) with index j sends x != 0 to
-zeta_s^{j * dlog(x) mod s} and 0 to 0.  Discrete logs are taken against a
-deterministic generator: the first element of multiplicative order q-1 in
-lexicographic order of installed-basis coordinates.
+zeta_s^{j * dlog(x) mod s} and 0 to 0.  Root orders 1 and 2 are powers of
+eta and need no discrete logs; only orders above 2 build the discrete-log
+table, taken against a deterministic generator: the first element of
+multiplicative order q-1 in lexicographic order of installed-basis
+coordinates.
 
 Sums of character values are held exactly as CycloSum: integer
 multiplicities of the s-th roots of unity.  Magnitudes are only converted
@@ -21,9 +29,10 @@ import numpy as np
 from mpmath import iv
 
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
-                     vec_encode, vec_mul, vec_pow)
+                     vec_encode, vec_mul, vec_norm)
 
 DLOG_CAP = 1 << 20
+SQUARE_BLOCK = 1 << 15
 
 iv.dps = 40
 
@@ -177,8 +186,11 @@ def dlog_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
 def quad_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
     """int8 table of the quadratic character over all element indices.
 
-    Only for table-sized fields; callers on larger fields should evaluate
-    blocks with quad_char_coords instead of materialising q entries.
+    Built from the squaring map: Q = {x^2 : x != 0} and (-x)^2 = x^2, so
+    only the indices whose top poly coordinate lies in 0..(p-1)/2 (a prefix
+    of the index range that meets every pair {x, -x}) are squared, in
+    blocks.  Only for table-sized fields; larger ones go through the norm
+    in quad_char_coords.
     """
     tab = ctx._cache.get("quad")
     if tab is not None:
@@ -186,50 +198,52 @@ def quad_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
     if ctx.q > cap:
         raise ValueError(f"q = {ctx.q} above the table cap {cap}; "
                          f"use quad_char_coords on element blocks instead")
-    dl = dlog_table(ctx, cap)
-    tab = np.where(dl % 2 == 0, 1, -1).astype(np.int8)
+    tab = np.full(ctx.q, -1, dtype=np.int8)
+    half = (ctx.p + 1) // 2 * (ctx.q // ctx.p)
+    for lo in range(1, half, SQUARE_BLOCK):
+        x = vec_decode(ctx, np.arange(lo, min(lo + SQUARE_BLOCK, half), dtype=np.int64))
+        tab[vec_encode(ctx, vec_mul(ctx, x, x))] = 1
     tab[0] = 0
     ctx._cache["quad"] = tab
+    return tab
+
+
+def legendre_table(ctx: FieldCtx) -> np.ndarray:
+    """int8 Legendre symbol (a / p) for a = 0..p-1, cached on the ctx."""
+    tab = ctx._cache.get("legendre")
+    if tab is None:
+        p = ctx.p
+        tab = np.full(p, -1, dtype=np.int8)
+        tab[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+        tab[0] = 0
+        ctx._cache["legendre"] = tab
     return tab
 
 
 # ---------------------------------------------------------------------------
 # quadratic character
 
-def quad_char(ctx: FieldCtx, x) -> int:
-    """Euler criterion: 0 at zero, +1 on nonzero squares, -1 otherwise."""
-    idx = x.idx if isinstance(x, FieldElem) else int(x)
-    if idx == 0:
-        return 0
-    tab = ctx._cache.get("quad")
-    if tab is not None:
-        return int(tab[idx])
-    y = ctx.pow_idx(idx, (ctx.q - 1) // 2)
-    if y == 1:
-        return 1
-    if y == ctx.p - 1:  # the embedded -1
-        return -1
-    raise AssertionError("x^{(q-1)/2} must land in {1, -1}")
-
-
 def quad_char_coords(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    """Vectorised Euler criterion on poly-coordinate rows; int8 in {-1, 0, 1}."""
-    res = vec_pow(ctx, coords, (ctx.q - 1) // 2)
-    # x^{(q-1)/2} lies in the prime subfield: constant coord 1, 0, or p-1
-    out = np.full(res.shape[0], -1, dtype=np.int8)
-    out[res[:, 0] == 1] = 1
-    out[res[:, 0] == 0] = 0
-    return out
+    """Quadratic character of reduced poly-coordinate rows; int8 in {-1, 0, 1}.
+
+    The single entry point: the squaring-image table for q <= DLOG_CAP,
+    the Legendre symbol of the norm above it.
+    """
+    if ctx.q <= DLOG_CAP:
+        return quad_table(ctx)[vec_encode(ctx, coords)]
+    return legendre_table(ctx)[vec_norm(ctx, coords)]
 
 
 # ---------------------------------------------------------------------------
 # general multiplicative characters
 
 class MultChar:
-    """Multiplicative character backed by the field's discrete-log table.
+    """Multiplicative character chi(x) = zeta_s^{j * dlog(x) mod s}.
 
-    order s and index j define chi(x) = zeta_s^{j * dlog(x) mod s}; the
-    exact order of chi in the character group is s / gcd(s, j).
+    order s and index j define chi; its exact order in the character group
+    is s / gcd(s, j).  Root orders 1 and 2 are evaluated as eta^j through
+    quad_char_coords; higher orders carry an exponent table built from the
+    field's discrete-log table.
     """
 
     def __init__(self, ctx: FieldCtx, order: int, index: int, exp_table=None):
@@ -245,14 +259,8 @@ class MultChar:
     def root_exponent(self, x) -> int | None:
         """k with chi(x) = zeta_s^k, or None when chi(x) = 0."""
         idx = x.idx if isinstance(x, FieldElem) else int(x)
-        if idx == 0:
-            return None
-        if self._exp is not None:
-            return int(self._exp[idx])
-        # tableless fallback exists only for root order 2
-        if self.index % 2 == 0:
-            return 0
-        return 0 if quad_char(self.ctx, idx) == 1 else 1
+        k = int(self.exponents_for_indices(np.asarray([idx], dtype=np.int64))[0])
+        return None if k < 0 else k
 
     def value(self, x) -> complex:
         k = self.root_exponent(x)
@@ -266,14 +274,12 @@ class MultChar:
         """Vectorised root_exponent over an element-index array (-1 at zeros)."""
         if self._exp is not None:
             return self._exp[idx]
-        if self.index % 2 == 0:
-            out = np.zeros(idx.shape[0], dtype=np.int64)
-            out[idx == 0] = -1
-            return out
-        # tableless quadratic character: Euler criterion on just these elements
-        vals = quad_char_coords(self.ctx, vec_decode(self.ctx, idx)).astype(np.int64)
-        out = np.where(vals == 1, 0, 1)
-        out[vals == 0] = -1
+        if self.is_principal:
+            return np.where(idx == 0, -1, 0)
+        # chi = eta: exponent 1 on nonsquares, 0 on squares
+        eta = quad_char_coords(self.ctx, vec_decode(self.ctx, idx))
+        out = (eta == -1).astype(np.int64)
+        out[eta == 0] = -1
         return out
 
     def __repr__(self):
@@ -287,12 +293,12 @@ def make_char(ctx: FieldCtx, order: int, index: int, cap: int = DLOG_CAP) -> Mul
         raise ValueError(f"order {order} does not divide q - 1 = {ctx.q - 1}")
     if not 0 <= index < order:
         raise ValueError(f"index {index} outside [0, {order})")
+    if order <= 2:
+        return MultChar(ctx, order, index)
     if ctx.q > cap:
-        if order == 2:
-            return MultChar(ctx, order, index, exp_table=None)
         raise ValueError(
-            f"q = {ctx.q} above the dlog cap {cap}; only the quadratic character "
-            f"is available for large fields")
+            f"q = {ctx.q} above the dlog cap {cap}; only root orders 1 and 2 "
+            f"are available for large fields")
     dl = dlog_table(ctx, cap)
     exp = (index * (dl % order)) % order
     exp[0] = -1

@@ -5,8 +5,12 @@ quadratic character, and verifies the linking identity
 
     |W ∩ Q| = (|W| - [0 in W]) / 2 + (1/2) * sum_{x in W} chi(x)
 
-before returning.  Deviations from |W|/2 are kept as exact rationals
-(half-integers); nothing in this module ever compares floats.
+before returning.  The exact and the sampled path both evaluate chi through
+quad_char_coords: a squaring-image table for q <= 2^20, the Legendre symbol
+of the norm N(x) above it.  Neither builds a discrete-log table; those
+serve only characters of order above 2.  Deviations from |W|/2 are kept
+as exact rationals (half-integers); nothing in this module ever compares
+floats.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import Box, check_budget, index_blocks, coords_blocks, sample_coords
-from .characters import DLOG_CAP, quad_char_coords, quad_table
+from .boxes import Box, check_budget, poly_blocks, sample_coords
+from .characters import quad_char_coords
+from .errors import InvariantViolation
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -48,20 +53,14 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     zero_in = box.contains_zero()
     count_q = 0
     char_sum = 0
-    if ctx.q <= DLOG_CAP:
-        tab = quad_table(ctx)
-        for idx in index_blocks(box):
-            vals = tab[idx]
-            count_q += int(np.count_nonzero(vals == 1))
-            char_sum += int(vals.sum())
-    else:
-        for coords in coords_blocks(box):
-            poly = (coords @ ctx.basis_matrix.T) % ctx.p
-            vals = quad_char_coords(ctx, poly)
-            count_q += int(np.count_nonzero(vals == 1))
-            char_sum += int(vals.sum())
+    for poly in poly_blocks(box):
+        vals = quad_char_coords(ctx, poly)
+        count_q += int(np.count_nonzero(vals == 1))
+        char_sum += int(vals.sum())
     z = 1 if zero_in else 0
-    assert 2 * count_q == size - z + char_sum, "square-count identity violated"
+    if 2 * count_q != size - z + char_sum:
+        raise InvariantViolation(
+            f"square-count identity violated: 2 * {count_q} != {size} - {z} + {char_sum}")
     return SquareCountReport(
         size_w=size,
         count_q=count_q,

@@ -24,3 +24,12 @@ class HypothesisNotMet(ValueError):
     Report generators map this to a 'skip-hypothesis' verdict rather than a
     bound failure.
     """
+
+
+class InvariantViolation(ArithmeticError):
+    """A fact the mathematics guarantees failed on computed data.
+
+    Raised explicitly (never via `assert`, which `python -O` strips): it
+    means a corrupted table or a bug, so no verdict may be drawn from the
+    computation that tripped it.
+    """

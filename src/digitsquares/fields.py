@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 P_CAP = 1 << 20
 
 
@@ -541,6 +543,59 @@ def vec_pow(ctx: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
         base = vec_mul(ctx, base, base)
         e >>= 1
     return result
+
+
+def frobenius_matrix(ctx: FieldCtx, k: int = 1) -> np.ndarray:
+    """(r, r) matrix of a -> a^{p^k} on poly coords, cached on the ctx per k.
+
+    Frobenius is F_p-linear, so rows A map to (A @ M) % p; row j of M holds
+    the poly coords of x^{j p^k}.
+    """
+    mats = ctx._cache.setdefault("frobenius", {})
+    if k not in mats:
+        p, r = ctx.p, ctx.r
+        if k == 1:
+            m = np.zeros((r, r), dtype=np.int64)
+            xp = ctx.pow_idx(p, p) if r > 1 else 1  # x^p; F_p is fixed pointwise
+            cur = 1
+            for j in range(r):
+                m[j] = ctx.index_to_poly_coords(cur)
+                cur = ctx.mul_idx(cur, xp)
+        else:
+            half = frobenius_matrix(ctx, k // 2)
+            m = (half @ half) % p
+            if k % 2:
+                m = (m @ frobenius_matrix(ctx, 1)) % p
+        mats[k] = m
+    return mats[k]
+
+
+def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Row-wise norm N(a) = a * a^p * ... * a^{p^{r-1}} of reduced
+    poly-coordinate rows, an int64 in [0, p).
+
+    Doubling along the Frobenius orbit: with y_k = a * a^p * ... * a^{p^{k-1}},
+    y_{2k} = y_k * Frob^k(y_k) and y_{k+1} = a * Frob(y_k), so the product
+    costs O(log r) field multiplications.  Raises InvariantViolation if a
+    result leaves the prime field.
+    """
+    p = ctx.p
+    y = A
+    conj = np.empty_like(A)
+    k = 1
+    for bit in bin(ctx.r)[3:]:
+        np.matmul(y, frobenius_matrix(ctx, k), out=conj)
+        conj %= p
+        y = vec_mul(ctx, y, conj)
+        k *= 2
+        if bit == "1":
+            np.matmul(y, frobenius_matrix(ctx, 1), out=conj)
+            conj %= p
+            y = vec_mul(ctx, A, conj)
+            k += 1
+    if y[:, 1:].any():
+        raise InvariantViolation("a norm N(x) landed outside the prime field F_p")
+    return y[:, 0]
 
 
 def vec_encode(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:

@@ -24,10 +24,10 @@ from mpmath import iv
 from .boxes import Box, IntervalBox, default_budget, index_blocks
 from .bounds import _upper
 from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
-                         dlog_table, make_char, quad_char_coords, quad_table)
-from .errors import BudgetExceeded, HypothesisNotMet
+                         dlog_table, make_char, quad_char_coords)
+from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, all_poly_coords, conjugates,
-                     element_degree, vec_decode, vec_encode, vec_pow)
+                     element_degree, frobenius_matrix, vec_decode, vec_encode)
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,11 @@ def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
     if beta in conjugates(alpha):
         raise HypothesisNotMet("alpha and beta must not be conjugate")
     chi = make_char(ctx, s, index)
-    dl = dlog_table(ctx)
-    a_idx = _subfield_shift_indices(ctx, alpha.idx)
-    b_idx = _subfield_shift_indices(ctx, beta.idx)
-    da, db = dl[a_idx], dl[b_idx]
-    live = (da >= 0) & (db >= 0)  # chi(0) = 0 kills terms with a vanished factor
-    # chi(a b^{s-1}) = zeta_s^{ j (dlog a + (s-1) dlog b) mod s }
-    exps = (index * (da[live] + (s - 1) * db[live])) % s
+    ka = chi.exponents_for_indices(_subfield_shift_indices(ctx, alpha.idx))
+    kb = chi.exponents_for_indices(_subfield_shift_indices(ctx, beta.idx))
+    live = (ka >= 0) & (kb >= 0)  # chi(0) = 0 kills terms with a vanished factor
+    # chi(a b^{s-1}) = zeta_s^{ k_a + (s-1) k_b mod s }
+    exps = (ka[live] + (s - 1) * kb[live]) % s
     total = CycloSum(s, [int(c) for c in np.bincount(exps, minlength=s)])
     rhs = _upper((2 * ctx.r - 1) * iv.sqrt(iv.mpf(ctx.p)))
     params = {"s": s, "j": index, "alpha": alpha.coords, "beta": beta.coords,
@@ -154,11 +152,7 @@ def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:
     cu = vec_decode(ctx, u_idx)
     cv = vec_decode(ctx, v_idx)
     sums = ((cu[:, None, :] + cv[None, :, :]) % ctx.p).reshape(-1, ctx.r)
-    if ctx.q <= DLOG_CAP:
-        vals = quad_table(ctx)[vec_encode(ctx, sums)]
-    else:
-        vals = quad_char_coords(ctx, sums)
-    lhs = abs(int(vals.sum()))
+    lhs = abs(int(quad_char_coords(ctx, sums).sum()))
     rhs = lemma1_rhs(ctx.q, nu, u_idx.size, v_idx.size)
     params = {"nu": nu, "size_u": int(u_idx.size), "size_v": int(v_idx.size),
               "p": ctx.p, "r": ctx.r}
@@ -200,9 +194,10 @@ def subfield_partition(ctx: FieldCtx, digits, basis=None,
         stride *= len(ds)
     y = (tuples @ b_rows) % ctx.p   # poly coords of c_2 b_2 + ... + c_r b_r
     degrees = np.zeros(m, dtype=np.int64)
+    frob = frobenius_matrix(ctx)
     cur = y.copy()
     for d in range(1, ctx.r + 1):
-        cur = vec_pow(ctx, cur, ctx.p)
+        cur = (cur @ frob) % ctx.p
         if ctx.r % d == 0:
             hit = (degrees == 0) & (cur == y).all(axis=1)
             degrees[hit] = d
@@ -259,7 +254,9 @@ def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
     if has_zero:
         f0 = 2 * n - 1  # pairs with x = 0 or y = 0
         energy += f0 * f0
-    assert energy >= n * n, "diagonal solutions alone give |B|^2"
+    if energy < n * n:
+        raise InvariantViolation(
+            f"energy {energy} below |B|^2 = {n * n}, which the diagonal alone gives")
     hyp = (isinstance(box, IntervalBox)
            and len(set(box.lengths)) == 1
            and box.lengths[0] ** 2 <= ctx.p)

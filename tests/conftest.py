@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from digitsquares import make_field
+from digitsquares.fields import FieldElem, vec_pow
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +16,38 @@ def field():
         return cache[(p, r)]
 
     return get
+
+
+def _euler_char(ctx, x) -> int:
+    """Euler criterion x^{(q-1)/2} on one element (FieldElem or index)."""
+    idx = x.idx if isinstance(x, FieldElem) else int(x)
+    if idx == 0:
+        return 0
+    y = ctx.pow_idx(idx, (ctx.q - 1) // 2)
+    if y == 1:
+        return 1
+    if y == ctx.p - 1:  # the embedded -1
+        return -1
+    raise AssertionError("x^{(q-1)/2} must land in {1, -1}")
+
+
+def _euler_rows(ctx, poly) -> np.ndarray:
+    """Euler criterion on reduced poly-coordinate rows, vectorised."""
+    res = vec_pow(ctx, np.asarray(poly, dtype=np.int64), (ctx.q - 1) // 2)
+    assert not res[:, 1:].any(), "x^{(q-1)/2} must lie in the prime field"
+    out = np.full(res.shape[0], -1, dtype=np.int8)
+    out[res[:, 0] == 1] = 1
+    out[res[:, 0] == 0] = 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def euler():
+    """Independent oracle for the quadratic character, scalar: euler(ctx, x)."""
+    return _euler_char
+
+
+@pytest.fixture(scope="session")
+def euler_rows():
+    """Independent oracle for the quadratic character on poly-coordinate rows."""
+    return _euler_rows

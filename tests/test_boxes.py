@@ -1,5 +1,8 @@
 """Digit boxes, interval boxes, enumeration, sampling, splitting."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +91,15 @@ class TestEnumeration:
         for c in (0, 2, 3):
             shards.extend(e.idx for e in enumerate_box(box, prefix=(c,)))
         assert shards == whole
+
+    def test_index_blocks_are_fresh_arrays(self, field):
+        from digitsquares.boxes import index_blocks
+        ctx = field(5, 3)
+        box = DigitBox(ctx, ((0, 2, 4), (1, 3), (0, 1, 2, 3)))
+        blocks = list(index_blocks(box, block=5))  # kept past the next block
+        assert [len(b) for b in blocks] == [5, 5, 5, 5, 4]
+        lex = [ctx.coords_to_index(c) for c in itertools.product(*box.digits)]
+        assert np.concatenate(blocks).tolist() == lex
 
     def test_budget_refusal_names_monte_carlo(self, field):
         ctx = field(5, 3)

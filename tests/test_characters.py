@@ -2,18 +2,47 @@
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares import (CycloSum, DigitBox, char_sum, enumerate_box,
-                          field_generator, make_char, quad_char)
-from digitsquares.fields import divisors
+                          field_generator, make_char, make_field,
+                          quad_char_coords)
+from digitsquares.characters import (DLOG_CAP, dlog_table, legendre_table,
+                                     quad_table)
+from digitsquares.errors import InvariantViolation
+from digitsquares.fields import divisors, vec_norm
+
+GRID_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
+# r = 1; a tall tower; two fields just above the 2^20 table cap; large r; p near the cap
+ORACLE_FIELDS = [(13, 1), (1048573, 1), (3, 13), (37, 4), (101, 20),
+                 (1031, 2), (1048573, 2)]
 
 
 def brute_square_set(ctx):
     """Independent oracle: square every element."""
     return {(a * a).idx for a in ctx.elements() if not a.is_zero()}
+
+
+def quad_char(ctx, x) -> int:
+    """quad_char_coords on a single element."""
+    return int(quad_char_coords(ctx, np.asarray([x.poly_coords], dtype=np.int64))[0])
+
+
+def norm_char(ctx, poly):
+    """The above-cap path, forced on any field: Legendre symbol of the norm."""
+    return legendre_table(ctx)[vec_norm(ctx, poly)]
+
+
+def oracle_rows(ctx, n, seed):
+    """Seeded random rows plus 0, 1, -1 and a prime-subfield element."""
+    rng = np.random.default_rng([seed, ctx.p, ctx.r])
+    rows = rng.integers(0, ctx.p, size=(n, ctx.r), dtype=np.int64)
+    rows[:4] = 0
+    rows[1, 0], rows[2, 0], rows[3, 0] = 1, ctx.p - 1, min(2, ctx.p - 1)
+    return rows
 
 
 class TestQuadChar:
@@ -48,6 +77,54 @@ class TestQuadChar:
         assert vals.count(-1) == (ctx.q - 1) // 2
 
 
+class TestQuadCharOracle:
+    """The norm-based character and the squaring-image table against
+    independent oracles: the Euler criterion and the dlog parity."""
+
+    @pytest.mark.parametrize("p,r", ORACLE_FIELDS)
+    def test_entry_point_matches_euler_seeded(self, field, euler_rows, p, r):
+        ctx = field(p, r)
+        rows = oracle_rows(ctx, 200, seed=41)
+        expected = euler_rows(ctx, rows)
+        assert quad_char_coords(ctx, rows).tolist() == expected.tolist()
+        assert norm_char(ctx, rows).tolist() == expected.tolist()
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_entry_point_matches_euler_generated(self, field, euler_rows, data):
+        p, r = data.draw(st.sampled_from(ORACLE_FIELDS))
+        ctx = field(p, r)
+        row = st.lists(st.integers(0, p - 1), min_size=r, max_size=r)
+        rows = np.asarray(data.draw(st.lists(row, min_size=1, max_size=8)),
+                          dtype=np.int64)
+        expected = euler_rows(ctx, rows).tolist()
+        assert quad_char_coords(ctx, rows).tolist() == expected
+        assert norm_char(ctx, rows).tolist() == expected
+
+    @pytest.mark.parametrize("p,r", GRID_FIELDS)
+    def test_norm_matches_table_exhaustively(self, field, p, r):
+        ctx = field(p, r)
+        every = np.asarray([a.poly_coords for a in ctx.elements()], dtype=np.int64)
+        assert norm_char(ctx, every).tolist() == quad_table(ctx).tolist()
+
+    @pytest.mark.parametrize("p,r", GRID_FIELDS + [(101, 3), (1009, 2)])
+    def test_quad_table_matches_dlog_parity(self, p, r):
+        ctx = make_field(p, r)  # fresh: the dlog table stays out of the shared fields
+        assert ctx.q <= DLOG_CAP
+        dl = dlog_table(ctx)
+        expected = np.where(dl % 2 == 0, 1, -1)
+        expected[0] = 0
+        assert np.array_equal(quad_table(ctx), expected)
+
+    def test_norm_outside_prime_field_raises(self):
+        ctx = make_field(37, 4)  # above the cap: the norm path
+        rows = oracle_rows(ctx, 50, seed=3)
+        quad_char_coords(ctx, rows)
+        ctx._cache["frobenius"][2] = np.eye(4, dtype=np.int64)  # corrupt Frob^2
+        with pytest.raises(InvariantViolation):
+            quad_char_coords(ctx, rows)
+
+
 class TestMakeChar:
     def test_principal_character(self, field):
         F7 = field(7, 1)
@@ -61,27 +138,29 @@ class TestMakeChar:
         chi = make_char(F7, 3, 1)
         assert chi.root_exponent(F7.from_int(3)) == 1  # chi(g) = zeta_3
 
-    def test_quadratic_agrees_with_quad_char(self, field):
+    def test_quadratic_agrees_with_quad_char(self, field, euler):
         F9 = field(3, 2)
         chi = make_char(F9, 2, 1)
         for a in F9.elements():
-            qc = quad_char(F9, a)
+            qc = euler(F9, a)
             k = chi.root_exponent(a)
             assert (k is None and qc == 0) or (k == 0 and qc == 1) or (k == 1 and qc == -1)
 
-    def test_tableless_quadratic_above_dlog_cap(self, field):
-        import numpy as np
+    def test_tableless_quadratic_above_dlog_cap(self, field, euler):
         ctx = field(1031, 2)  # q = 1062961 > 2^20: no dlog table available
         chi = make_char(ctx, 2, 1)
         assert chi._exp is None
         rng = np.random.default_rng(8)
         idx = rng.integers(0, ctx.q, size=50, dtype=np.int64)
+        idx[0] = 0
         exps = chi.exponents_for_indices(idx)
         for i, k in zip(idx, exps):
-            qc = quad_char(ctx, ctx.from_index(int(i)))
+            qc = euler(ctx, int(i))
             assert (k == -1 and qc == 0) or (k == 0 and qc == 1) or (k == 1 and qc == -1)
+        principal = make_char(ctx, 1, 0).exponents_for_indices(idx)
+        assert principal.tolist() == [-1 if i == 0 else 0 for i in idx]
         with pytest.raises(ValueError):
-            make_char(ctx, 5, 1)  # only the quadratic character beyond the cap
+            make_char(ctx, 5, 1)  # orders above 2 need the dlog table
 
     def test_order_must_divide_group_order(self, field):
         with pytest.raises(ValueError):

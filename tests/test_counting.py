@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from digitsquares import (DigitBox, count_squares, estimate_square_fraction,
                           make_field)
+from digitsquares.characters import quad_table
+from digitsquares.errors import InvariantViolation
 
 SWEEP_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
 
@@ -41,6 +43,17 @@ class TestExamples:
         assert rep.count_q == (ctx.q - 1) // 2
         assert rep.deviation == Fraction(1, 2)
         assert rep.char_sum == 0
+
+
+    def test_corrupted_quad_table_raises(self):
+        ctx = make_field(5, 2)  # fresh: the corruption must not reach shared fields
+        box = DigitBox.uniform(ctx, (1, 2))
+        count_squares(box)
+        w = ctx.from_coords((2, 1)).idx
+        assert quad_table(ctx) is ctx._cache["quad"]
+        ctx._cache["quad"][w] = 0  # a nonzero element of W classified as zero
+        with pytest.raises(InvariantViolation):
+            count_squares(box)
 
 
 class TestIdentitySweep:
@@ -117,7 +130,7 @@ class TestEstimate:
             estimate_square_fraction(box, 50, seed=0)
 
     def test_large_field_euler_path(self, field):
-        # q above the dlog cap exercises the tableless vectorised Euler path
+        # q above the table cap exercises the norm + Legendre path
         ctx = make_field(1031, 2)  # q = 1062961 > 2^20
         box = DigitBox.uniform(ctx, tuple(range(10)))
         rep = count_squares(box)

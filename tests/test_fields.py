@@ -5,9 +5,9 @@ import pytest
 
 from digitsquares import (conjugates, element_degree, frobenius,
                           is_generator, make_field)
-from digitsquares.fields import (divisors, is_irreducible, is_prime, poly_str,
-                                 smallest_irreducible, vec_encode, vec_mul,
-                                 vec_pow)
+from digitsquares.fields import (divisors, frobenius_matrix, is_irreducible,
+                                 is_prime, poly_str, smallest_irreducible,
+                                 vec_encode, vec_mul, vec_norm, vec_pow)
 
 
 def brute_irreducible(coeffs, p):
@@ -230,6 +230,30 @@ class TestVectorKernels:
         for i in range(A.shape[0]):
             a = ctx.from_poly_coords(tuple(A[i]))
             assert tuple(got[i]) == (a ** 25).poly_coords
+
+    @pytest.mark.parametrize("p,r", [(7, 1), (3, 4), (5, 3), (13, 5)])
+    def test_frobenius_matrix_matches_scalar(self, field, p, r):
+        ctx = field(p, r)
+        rng = np.random.default_rng(7)
+        A = rng.integers(0, p, size=(16, r)).astype(np.int64)
+        for k in range(1, r + 2):
+            got = (A @ frobenius_matrix(ctx, k)) % p
+            for i in range(A.shape[0]):
+                a = ctx.from_poly_coords(tuple(A[i]))
+                assert tuple(got[i]) == (a ** (p ** k)).poly_coords
+
+    @pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (3, 5), (5, 6), (13, 7)])
+    def test_vec_norm_is_the_conjugate_product(self, field, p, r):
+        ctx = field(p, r)
+        rng = np.random.default_rng(8)
+        A = rng.integers(0, p, size=(16, r)).astype(np.int64)
+        got = vec_norm(ctx, A)
+        for i in range(A.shape[0]):
+            a = ctx.from_poly_coords(tuple(A[i]))
+            prod = ctx.one()
+            for b in [a ** (p ** j) for j in range(r)]:
+                prod = prod * b
+            assert prod.poly_coords == (int(got[i]),) + (0,) * (r - 1)
 
     def test_vec_encode_round_trip(self, field):
         ctx = field(5, 3)

@@ -8,7 +8,7 @@ import pytest
 from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
                           lemma1_check, lemmaD_check, lemmaE_check, make_char,
-                          quad_char, subfield_partition)
+                          subfield_partition)
 from digitsquares.fields import element_degree
 from digitsquares.oracles import generator_elements
 
@@ -42,12 +42,12 @@ class TestLemmaD:
         with pytest.raises(ValueError):
             lemmaD_check(F9, x, F9.one() + x, 4, index=2)  # order drops to 2
 
-    def test_brute_force_cross_check_s2(self, field):
+    def test_brute_force_cross_check_s2(self, field, euler):
         F25 = field(5, 2)
         gens = generator_elements(F25)
         alpha, beta = gens[0], gens[3]
         rep = lemmaD_check(F25, alpha, beta, 2)
-        brute = abs(sum(quad_char(F25, (F25.from_int(xi) + alpha) * (F25.from_int(xi) + beta))
+        brute = abs(sum(euler(F25, (F25.from_int(xi) + alpha) * (F25.from_int(xi) + beta))
                         for xi in range(5)))
         assert rep.lhs == float(brute)
 
@@ -164,7 +164,7 @@ class TestLemma1:
             lemma1_check(ctx, [], [ctx.one()], 1)
 
     @pytest.mark.parametrize("q,pr", [(25, (5, 2)), (27, (3, 3)), (121, (11, 2))])
-    def test_brute_force_cross_check(self, field, q, pr):
+    def test_brute_force_cross_check(self, field, euler, q, pr):
         ctx = field(*pr)
         rng = np.random.default_rng(q + 1)
         for nu in (1, 2, 3):
@@ -172,17 +172,17 @@ class TestLemma1:
             U = [ctx.from_index(int(i)) for i in rng.choice(q, size=su, replace=False)]
             V = [ctx.from_index(int(i)) for i in rng.choice(q, size=sv, replace=False)]
             rep = lemma1_check(ctx, U, V, nu)
-            brute = abs(sum(quad_char(ctx, u + v) for u in U for v in V))
+            brute = abs(sum(euler(ctx, u + v) for u in U for v in V))
             assert rep.lhs == float(brute)
             assert rep.holds
 
-    def test_euler_path_above_dlog_cap(self, field):
+    def test_euler_path_above_dlog_cap(self, field, euler):
         ctx = field(1031, 2)
         rng = np.random.default_rng(2)
         U = [ctx.from_index(int(i)) for i in rng.choice(ctx.q, size=6, replace=False)]
         V = [ctx.from_index(int(i)) for i in rng.choice(ctx.q, size=5, replace=False)]
         rep = lemma1_check(ctx, U, V, 2)
-        brute = abs(sum(quad_char(ctx, u + v) for u in U for v in V))
+        brute = abs(sum(euler(ctx, u + v) for u in U for v in V))
         assert rep.lhs == float(brute)
         assert rep.holds
 
