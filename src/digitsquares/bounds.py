@@ -1,14 +1,19 @@
 """High-precision evaluators for the explicit square-count bounds.
 
-Every right-hand side is evaluated in interval arithmetic at >= 40 decimal
-digits and returned as a float that is certified to be an upper bound of the
-exact expression.  Bound checks then compare an exact integer or rational
+Every right-hand side is evaluated in interval arithmetic at IV_DPS = 40
+decimal digits and returned as a float that is certified to be an upper
+bound of the exact expression.  The precision is set for each call (never
+read from mpmath's global state), so an evaluator is a pure function of its
+arguments and is memoised: a sweep asks for the same few hundred values
+thousands of times.  Bound checks then compare an exact integer or rational
 left-hand side against that float, so a reported violation can never be a
 rounding artifact.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +22,8 @@ from mpmath import iv, mpf
 
 from .errors import HypothesisNotMet
 
-iv.dps = 40
+IV_DPS = 40            # decimal digits of every interval evaluation
+RHS_CACHE_SIZE = 1 << 14
 
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0  # heuristic nontriviality constant
 
@@ -31,11 +37,39 @@ def _upper(x) -> float:
     return f
 
 
+@contextlib.contextmanager
+def iv_precision():
+    """Run the block at IV_DPS interval digits, then restore the caller's.
+
+    mpmath's interval context has no workdps of its own.
+    """
+    saved = iv.prec
+    iv.dps = IV_DPS
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _certified(fn):
+    """Evaluate fn at IV_DPS interval digits, memoised on its arguments.
+
+    Arguments are keyed with their types, because equal values of different
+    types need not behave alike (math.factorial takes 2 but not 2.0).
+    """
+    @functools.wraps(fn)
+    def at_iv_dps(*args, **kwargs):
+        with iv_precision():
+            return fn(*args, **kwargs)
+    return functools.lru_cache(maxsize=RHS_CACHE_SIZE, typed=True)(at_iv_dps)
+
+
 def _root(x, k: int):
     """Interval k-th root of a positive interval value."""
     return iv.exp(iv.log(x) / k)
 
 
+@_certified
 def thmA_rhs(p: int, r: int, d: int) -> float:
     """(1 / 2 sqrt(q)) * (d + p * sqrt(p - d))^r, for 2 <= d <= p-1."""
     if not 2 <= d <= p - 1:
@@ -51,6 +85,7 @@ def thmA_heuristic_nontrivial(p: int, d: int) -> bool:
     return (2 * d + p) ** 2 >= 5 * p * p
 
 
+@_certified
 def thmB_C(p: int, t: int) -> float:
     """The piecewise constant C(p, t); undefined at t = p-1."""
     if t == p - 1:
@@ -66,6 +101,7 @@ def thmB_C(p: int, t: int) -> float:
     return _upper(val)
 
 
+@_certified
 def thmB_rhs(p: int, r: int, t: int) -> float:
     """(1/2) * (C(p, t) * t * sqrt(p))^r for initial-interval digit sets."""
     c = iv.mpf(thmB_C(p, t))  # already an upper bound; safe to reuse
@@ -78,6 +114,7 @@ def thm1_hypothesis(p: int, r: int) -> bool:
     return (2 * r - 1) ** 2 <= p
 
 
+@_certified
 def thm1_rhs(p: int, r: int, d: int) -> float:
     """Deviation bound for |W ∩ Q| via the subfield partition of the digits."""
     if d < 1:
@@ -91,6 +128,7 @@ def thm1_rhs(p: int, r: int, d: int) -> float:
     return _upper(val)
 
 
+@_certified
 def thm1_threshold(p: int, r: int) -> float:
     """|D| at or above this forces a square in W (needs 2r - 1 <= sqrt(p), r >= 2)."""
     if r < 2:
@@ -101,6 +139,7 @@ def thm1_threshold(p: int, r: int) -> float:
     return _upper(val)
 
 
+@_certified
 def thm2_rhs(p: int, r: int, d: int, k: int, nu: int) -> float:
     """Deviation bound for |W ∩ Q| from the U + V split, any k, nu."""
     if not 1 <= k <= r - 1:
@@ -132,12 +171,14 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
     return best
 
 
+@_certified
 def thm2_Cr(r: int) -> float:
     """C(r) = exp((4 log r + 8) / r), the threshold's leading constant."""
     rv = iv.mpf(r)
     return _upper(iv.exp((4 * iv.log(rv) + 8) / rv))
 
 
+@_certified
 def thm2_threshold(p: int, r: int) -> float:
     """Existence threshold C(r) sqrt(p) exp((log p + 4 log log p) / r), r >= 20."""
     if r < 20:
@@ -148,12 +189,14 @@ def thm2_threshold(p: int, r: int) -> float:
     return _upper(val)
 
 
+@_certified
 def corC_hypothesis(p: int, t: int, eps: float) -> bool:
     """t >= p^{1/4 + eps}; certified via interval arithmetic."""
     bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
     return iv.mpf(t) >= bound
 
 
+@_certified
 def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
     """Report-only bound constant * (r^4 / eps) * p^{-eps^2/2} * |W|.
 

@@ -23,18 +23,27 @@ artifact.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 from mpmath import iv
 
+from .bounds import iv_precision
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
 
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
+ROOT_CACHE_SIZE = 1 << 13
 
-iv.dps = 40
+
+@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _unit_root(s: int, k: int):
+    """Interval (cos, sin) of 2 pi k / s, one root at a time."""
+    with iv_precision():
+        ang = 2 * iv.pi * k / s
+        return iv.cos(ang), iv.sin(ang)
 
 
 class CycloSum:
@@ -100,21 +109,22 @@ class CycloSum:
         if self.order <= 2:
             m = float(abs(self.value_int()))
             return m, m
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        for k, c in enumerate(self.counts):
-            if c:
-                ang = 2 * iv.pi * k / self.order
-                re += c * iv.cos(ang)
-                im += c * iv.sin(ang)
-        # ** 2 (not self-multiplication) keeps the interval square nonnegative
-        mag = iv.sqrt(re ** 2 + im ** 2)
-        lo = float(iv.mpf(mag).a)
-        hi = float(iv.mpf(mag).b)
-        while lo > mag.a:
-            lo = math.nextafter(lo, -math.inf)
-        while hi < mag.b:
-            hi = math.nextafter(hi, math.inf)
+        with iv_precision():
+            re = iv.mpf(0)
+            im = iv.mpf(0)
+            for k, c in enumerate(self.counts):
+                if c:
+                    cos, sin = _unit_root(self.order, k)
+                    re += c * cos
+                    im += c * sin
+            # ** 2 (not self-multiplication) keeps the interval square nonnegative
+            mag = iv.sqrt(re ** 2 + im ** 2)
+            lo = float(iv.mpf(mag).a)
+            hi = float(iv.mpf(mag).b)
+            while lo > mag.a:
+                lo = math.nextafter(lo, -math.inf)
+            while hi < mag.b:
+                hi = math.nextafter(hi, math.inf)
         return max(lo, 0.0), hi
 
     def __eq__(self, other):

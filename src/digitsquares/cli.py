@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .counting import count_squares, estimate_square_fraction
 from .errors import BudgetExceeded
 from .fields import make_field, poly_str
 from .reporting import Row, rows_to_csv, rows_to_json, summary_line
-from .suites import SUITES, TaskOptions
+from .suites import LIVE_FIELD, SUITES, TaskOptions
 
 
 class ConfigError(ValueError):
@@ -138,16 +139,34 @@ def _run_task(task) -> list[Row]:
                     verdict="fail")]
 
 
+def _open_live_field():
+    """Pool initializer: a worker keeps its live field open until it exits."""
+    LIVE_FIELD.open()
+
+
 def run_config(cfg: SweepConfig) -> tuple[list[Row], int]:
-    """Run every (suite, p, r) task; rows come back in deterministic task order."""
+    """Run every (suite, p, r) task; rows come back in deterministic task order.
+
+    Tasks run field-major (by (p, r), then in task order), so a process
+    builds each field once and counts each digit set once while its live
+    field is open: for this call, or for the life of a pool worker.  The
+    rows are put back in suite-major task order.
+    """
     cfg.validate()
     tasks = [(suite, _task_options(cfg, p, r))
              for suite in cfg.suites for p in cfg.ps for r in cfg.rs]
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_run_task, tasks))
+    order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1].p, tasks[i][1].r, i))
+    jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_open_live_field) as pool:
+            done = list(pool.map(_run_task, [tasks[i] for i in order]))
     else:
-        chunks = [_run_task(t) for t in tasks]
+        with LIVE_FIELD.opened():
+            done = [_run_task(tasks[i]) for i in order]
+    chunks = [None] * len(tasks)
+    for i, chunk in zip(order, done):
+        chunks[i] = chunk
     rows = [row for chunk in chunks for row in chunk]
     failed = any(row.verdict == "fail" for row in rows)
     return rows, (1 if failed else 0)

@@ -195,6 +195,18 @@ def _matrix_inverse_mod_p(m: np.ndarray, p: int) -> np.ndarray:
     return aug[:, n:] % p
 
 
+def _check_field_params(p: int, r: int):
+    """Reject a characteristic or extension degree the package cannot serve."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2:
+        raise ValueError("p must be odd (p >= 3); for p = 2 every element is a square")
+    if p > P_CAP:
+        raise ValueError(f"p = {p} above characteristic cap {P_CAP}")
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+
+
 class FieldCtx:
     """Immutable description of F_{p^r}: modulus, basis, and derived tables.
 
@@ -204,14 +216,7 @@ class FieldCtx:
 
     def __init__(self, p, r, modulus, basis_indices=None, _validated=False):
         if not _validated:
-            if not is_prime(p):
-                raise ValueError(f"p = {p} is not prime")
-            if p == 2:
-                raise ValueError("p must be odd (p >= 3)")
-            if p > P_CAP:
-                raise ValueError(f"p = {p} above characteristic cap {P_CAP}")
-            if r < 1:
-                raise ValueError(f"extension degree r = {r} must be >= 1")
+            _check_field_params(p, r)
             if len(modulus) != r + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree r (constant term first)")
             if not is_irreducible(list(modulus), p):
@@ -464,14 +469,7 @@ def make_field(p: int, r: int) -> FieldCtx:
     Deterministic across runs: the modulus scan order and the polynomial
     basis are fixed, so equal (p, r) always produce identical contexts.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if p == 2:
-        raise ValueError("p must be odd (p >= 3); for p = 2 every element is a square")
-    if p > P_CAP:
-        raise ValueError(f"p = {p} above characteristic cap {P_CAP}")
-    if r < 1:
-        raise ValueError(f"r = {r} must be >= 1")
+    _check_field_params(p, r)
     modulus = smallest_irreducible(p, r)
     return FieldCtx(p, r, modulus, _validated=True)
 

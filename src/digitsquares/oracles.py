@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import iv
 
 from .boxes import Box, IntervalBox, default_budget, index_blocks
-from .bounds import _upper
+from .bounds import _certified, _upper
 from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
                          dlog_table, make_char, quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
@@ -78,10 +78,16 @@ def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
     # chi(a b^{s-1}) = zeta_s^{ k_a + (s-1) k_b mod s }
     exps = (ka[live] + (s - 1) * kb[live]) % s
     total = CycloSum(s, [int(c) for c in np.bincount(exps, minlength=s)])
-    rhs = _upper((2 * ctx.r - 1) * iv.sqrt(iv.mpf(ctx.p)))
+    rhs = lemmaD_rhs(ctx.p, ctx.r)
     params = {"s": s, "j": index, "alpha": alpha.coords, "beta": beta.coords,
               "p": ctx.p, "r": ctx.r}
     return _report("D", params, total, rhs)
+
+
+@_certified
+def lemmaD_rhs(p: int, r: int) -> float:
+    """(2r - 1) sqrt(p)."""
+    return _upper((2 * r - 1) * iv.sqrt(iv.mpf(p)))
 
 
 def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
@@ -120,16 +126,23 @@ def lemmaE_check(ctx: FieldCtx, chars: list[MultChar], shifts: list[FieldElem]) 
         total_exp += (order // chi.order) * np.maximum(exps, 0)
     exps = total_exp[~dead] % order
     total = CycloSum(order, [int(c) for c in np.bincount(exps, minlength=order)])
-    rhs = _upper((t - t0 - 1) * iv.sqrt(iv.mpf(ctx.q)) + t0 + 1)
+    rhs = lemmaE_rhs(ctx.q, t, t0)
     params = {"t": t, "t0": t0, "orders": tuple(c.order for c in chars),
               "indices": tuple(c.index for c in chars),
               "shifts": tuple(h.idx for h in shifts), "p": ctx.p, "r": ctx.r}
     return _report("E", params, total, rhs)
 
 
+@_certified
+def lemmaE_rhs(q: int, t: int, t0: int) -> float:
+    """(t - t0 - 1) sqrt(q) + t0 + 1."""
+    return _upper((t - t0 - 1) * iv.sqrt(iv.mpf(q)) + t0 + 1)
+
+
 # ---------------------------------------------------------------------------
 # bilinear quadratic-character sums over U + V (the lemma1 check)
 
+@_certified
 def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
     if nu < 1:
         raise ValueError("nu must be >= 1")

@@ -5,10 +5,15 @@ Mathematical precondition failures become skip-hypothesis rows, budget
 refusals become skips, and anything the source results do not quantify is
 emitted report-only.  All randomness is derived from the configured seed
 plus (p, r), so identical configurations reproduce identical rows.
+
+Suites take their field and square counts from LIVE_FIELD, which a run
+keeps open: a run orders its tasks field-major, so each (p, r) is built
+once and each digit set counted once per process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,11 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from .boxes import (DigitBox, IntervalBox, format_digit_set, parse_digit_spec)
+from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
+                    parse_digit_spec)
 from .characters import make_char
-from .counting import count_squares
+from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
-from .fields import FieldElem, divisors, make_field
+from .fields import FieldCtx, FieldElem, divisors, make_field
 from .oracles import (delta_H, energy_count, generator_elements, lemma1_check,
                       lemmaD_check, lemmaE_check, subfield_partition)
 from .reporting import Row, slack_of
@@ -40,6 +46,62 @@ class TaskOptions:
     const: float = 1.0
     nu_max: int = 4
     orders: tuple[int, ...] | None = None
+
+
+class LiveField:
+    """The one field a run keeps built, with the square census of every
+    digit set already counted on it.
+
+    While open, a call for the (p, r) of the previous call returns the same
+    FieldCtx, with the tables cached on it, and the same counts; another
+    (p, r) drops both first, so memory stays bounded by one field.  While
+    closed, every call builds a fresh field and counts afresh.
+    """
+
+    def __init__(self):
+        self.is_open = False
+        self._drop()
+
+    def _drop(self):
+        self.ctx = None
+        self._counts: dict[tuple[int, ...], SquareCountReport] = {}
+
+    def open(self):
+        self.is_open = True
+
+    def close(self):
+        self.is_open = False
+        self._drop()
+
+    @contextlib.contextmanager
+    def opened(self):
+        self.open()
+        try:
+            yield self
+        finally:
+            self.close()
+
+    def field(self, p: int, r: int) -> FieldCtx:
+        if not self.is_open:
+            return make_field(p, r)
+        if self.ctx is None or (self.ctx.p, self.ctx.r) != (p, r):
+            self._drop()
+            self.ctx = make_field(p, r)
+        return self.ctx
+
+    def count(self, ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
+        """count_squares of the box D^r; raises BudgetExceeded before any lookup."""
+        box = DigitBox.uniform(ctx, digits)
+        check_budget(box, budget, what="exact square counting")
+        if ctx is not self.ctx:
+            return count_squares(box, budget)
+        rep = self._counts.get(box.digits[0])
+        if rep is None:
+            rep = self._counts[box.digits[0]] = count_squares(box, budget)
+        return rep
+
+
+LIVE_FIELD = LiveField()
 
 
 def _needs_seed(opts: TaskOptions, why: str):
@@ -93,12 +155,11 @@ def _skip_row(suite, opts, instance, note) -> Row:
 
 def suite_identity(opts: TaskOptions) -> list[Row]:
     """|W ∩ Q| = (|W| - [0 in W])/2 + (1/2) sum chi(x), exactly."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
-        box = DigitBox.uniform(ctx, ds)
         try:
-            rep = count_squares(box, opts.budget)
+            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("identity", opts, label, "budget"))
             continue
@@ -113,12 +174,11 @@ def suite_identity(opts: TaskOptions) -> list[Row]:
 
 def suite_est1(opts: TaskOptions) -> list[Row]:
     """Deviation of |W ∩ Q| is at most |sum chi| / 2 + 1/2, exactly."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
-        box = DigitBox.uniform(ctx, ds)
         try:
-            rep = count_squares(box, opts.budget)
+            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("est1", opts, label, "budget"))
             continue
@@ -135,7 +195,7 @@ def suite_est1(opts: TaskOptions) -> list[Row]:
 # theorem bound suites
 
 def _bound_rows(suite, opts, name, make_rhs, use_q0, restrict=None) -> list[Row]:
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
         d = len(ds)
@@ -146,9 +206,8 @@ def _bound_rows(suite, opts, name, make_rhs, use_q0, restrict=None) -> list[Row]
         except HypothesisNotMet as exc:
             rows.append(_skip_row(suite, opts, label, exc))
             continue
-        box = DigitBox.uniform(ctx, ds)
         try:
-            rep = count_squares(box, opts.budget)
+            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row(suite, opts, label, "budget"))
             continue
@@ -169,7 +228,7 @@ def suite_thmA(opts: TaskOptions) -> list[Row]:
 
 def suite_thmB(opts: TaskOptions) -> list[Row]:
     """Initial intervals D = {0..t-1} only; t = p-1 rows are hypothesis skips."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for t in range(2, opts.p):
         label = format_digit_set(range(t))
@@ -179,7 +238,7 @@ def suite_thmB(opts: TaskOptions) -> list[Row]:
             rows.append(_skip_row("thmB", opts, label, "C(p,t) undefined at t=p-1"))
             continue
         try:
-            rep = count_squares(DigitBox.uniform(ctx, tuple(range(t))), opts.budget)
+            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("thmB", opts, label, "budget"))
             continue
@@ -204,7 +263,7 @@ def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
         return [_skip_row("thm1-existence", opts, "all", "needs r >= 2")]
     if not bounds.thm1_hypothesis(opts.p, opts.r):
         return [_skip_row("thm1-existence", opts, "all", "needs 2r-1 <= sqrt(p)")]
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     threshold = bounds.thm1_threshold(opts.p, opts.r)
     t_min = math.ceil(threshold)
     if t_min > opts.p - 1:
@@ -213,7 +272,7 @@ def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
     rows = []
     for t in range(t_min, opts.p):
         try:
-            rep = count_squares(DigitBox.uniform(ctx, tuple(range(t))), opts.budget)
+            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("thm1-existence", opts, f"t={t}", "budget"))
             continue
@@ -227,12 +286,12 @@ def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
 def suite_thm2(opts: TaskOptions) -> list[Row]:
     if opts.r < 2:
         return [_skip_row("thm2", opts, "all", "the split needs r >= 2")]
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
         d = len(ds)
         try:
-            rep = count_squares(DigitBox.uniform(ctx, ds), opts.budget)
+            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("thm2", opts, label, "budget"))
             continue
@@ -251,7 +310,7 @@ def suite_thm2(opts: TaskOptions) -> list[Row]:
 
 def suite_corC_report(opts: TaskOptions) -> list[Row]:
     """Report-only: the corollary's bound carries an unspecified constant."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for t in range(2, opts.p + 1):
         label = f"t={t};eps={opts.eps!r};const={opts.const!r}"
@@ -261,7 +320,7 @@ def suite_corC_report(opts: TaskOptions) -> list[Row]:
             rows.append(_skip_row("corC-report", opts, label, "t below p^(1/4+eps)"))
             continue
         try:
-            rep = count_squares(DigitBox.uniform(ctx, tuple(range(t))), opts.budget)
+            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row("corC-report", opts, label, "budget"))
             continue
@@ -283,7 +342,7 @@ def _lemma_row(suite, opts, label, rep) -> Row:
 
 def suite_lemmaD(opts: TaskOptions) -> list[Row]:
     """Exhaustive over ordered non-conjugate generator pairs, per character order."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     orders = opts.orders or tuple(s for s in (2, 3, 4) if (ctx.q - 1) % s == 0)
     gens = generator_elements(ctx)
     rows = []
@@ -304,7 +363,7 @@ def suite_lemmaD(opts: TaskOptions) -> list[Row]:
 
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
     _needs_seed(opts, "random shifted-product instances")
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
     divs = [s for s in divisors(ctx.q - 1)]
@@ -332,7 +391,7 @@ def suite_lemmaE(opts: TaskOptions) -> list[Row]:
 
 def suite_lemma1(opts: TaskOptions) -> list[Row]:
     _needs_seed(opts, "random (U, V) pairs")
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     trials = opts.trials if opts.trials is not None else 100
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 3])
     cap = min(ctx.q, 25)
@@ -353,7 +412,7 @@ def suite_partition(opts: TaskOptions) -> list[Row]:
     """Subfield partition bookkeeping: sizes, divisor keys, the degree-1 rule."""
     if opts.r < 2:
         return [_skip_row("partition", opts, "all", "needs r >= 2")]
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
         try:
@@ -381,7 +440,7 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
     E >= |B|^2; the slack column carries the report-only ratio
     E / (|B|^2 log p).
     """
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     h_max = opts.h if opts.h > 0 else math.isqrt(opts.p)
     rows = []
     for h in range(1, max(1, h_max) + 1):
@@ -400,7 +459,7 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
 
 def suite_deltaH(opts: TaskOptions) -> list[Row]:
     """Report-only worst-case normalised box sums for the quadratic character."""
-    ctx = make_field(opts.p, opts.r)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
     chi = make_char(ctx, 2, 1)
     h = opts.h if opts.h > 0 else 1
     try:

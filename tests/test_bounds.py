@@ -6,15 +6,20 @@ oracle value, because its contract is a certified upper bound.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv, mp, mpf
 
-from digitsquares import (HypothesisNotMet, check_bound, corC_rhs,
+from digitsquares import (CycloSum, HypothesisNotMet, check_bound, corC_rhs,
                           thm1_hypothesis, thm1_rhs, thm1_threshold, thm2_Cr,
                           thm2_best, thm2_rhs, thm2_threshold,
                           thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
+from digitsquares.bounds import corC_hypothesis
+from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 mp.dps = 60
 
@@ -213,3 +218,75 @@ class TestCheckBound:
         assert rep.holds
         rep = check_bound("Thm1", {}, rhs_value=1.5, observed=Fraction(3, 2) + Fraction(1, 10 ** 12), size_w=10)
         assert not rep.holds
+
+
+# ---------------------------------------------------------------------------
+# memoised evaluators and their interval precision
+
+def _evaluator_calls(p, r, d, k, nu):
+    """(memoised evaluator, arguments) pairs built from one (p, r, d, k, nu)."""
+    q = p ** r
+    return [
+        (thmA_rhs, (p, r, d)),
+        (thmB_C, (p, d)),
+        (thmB_rhs, (p, r, d)),
+        (thm1_rhs, (p, r, d)),
+        (thm1_threshold, (p, r)),
+        (thm2_rhs, (p, r, d, k, nu)),
+        (thm2_Cr, (r,)),
+        (thm2_threshold, (p, r)),
+        (corC_hypothesis, (p, d, 0.25)),
+        (corC_rhs, (p, r, d, 0.25, 1.5)),
+        (lemma1_rhs, (q, nu, d, k)),
+        (lemmaD_rhs, (p, r)),
+        (lemmaE_rhs, (q, k, nu - 1)),
+    ]
+
+
+def _outcome(fn, args):
+    try:
+        return "value", fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return "raises", type(exc)
+
+
+def assert_memo_matches_uncached(p, r, d, k, nu):
+    for fn, args in _evaluator_calls(p, r, d, k, nu):
+        uncached = _outcome(fn.__wrapped__, args)
+        # the second call is answered from the cache when the first returned
+        assert _outcome(fn, args) == uncached, (fn.__name__, args)
+        assert _outcome(fn, args) == uncached, (fn.__name__, args)
+
+
+class TestMemoisedEvaluators:
+    def test_seeded_inputs_match_uncached(self):
+        rng = random.Random(20240)
+        for _ in range(60):
+            p = rng.choice([3, 5, 7, 11, 13, 101, 1009])
+            r = rng.randint(1, 22)
+            assert_memo_matches_uncached(p, r, rng.randint(1, p), rng.randint(1, max(1, r - 1)),
+                                         rng.randint(1, 6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 29, 101, 1009]), r=st.integers(0, 22),
+           d=st.integers(0, 40), k=st.integers(0, 22), nu=st.integers(0, 6))
+    def test_generated_inputs_match_uncached(self, p, r, d, k, nu):
+        assert_memo_matches_uncached(p, r, d, k, nu)
+
+    def test_precision_is_scoped_per_call(self):
+        # a caller's global iv.dps must not reach a certified value, or a
+        # memoised value would depend on who asked first
+        total = CycloSum(7, [3, 1, 0, 2, 5, 0, 1])
+        saved = iv.prec
+        try:
+            iv.dps = 15
+            got = (thm2_rhs(101, 3, 50, 1, 3), lemma1_rhs(10007, 2, 13, 17),
+                   total.magnitude_interval())
+            iv.dps = 40
+            want = (getattr(thm2_rhs, "__wrapped__", thm2_rhs)(101, 3, 50, 1, 3),
+                    getattr(lemma1_rhs, "__wrapped__", lemma1_rhs)(10007, 2, 13, 17),
+                    total.magnitude_interval())
+        finally:
+            iv.prec = saved
+        assert got == want
+        assert iv.prec == saved

@@ -1,11 +1,13 @@
 """Quadratic and general multiplicative characters, exact cyclotomic sums."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from digitsquares import (CycloSum, DigitBox, char_sum, enumerate_box,
                           field_generator, make_char, make_field,
@@ -24,6 +26,34 @@ ORACLE_FIELDS = [(13, 1), (1048573, 1), (3, 13), (37, 4), (101, 20),
 def brute_square_set(ctx):
     """Independent oracle: square every element."""
     return {(a * a).idx for a in ctx.elements() if not a.is_zero()}
+
+
+def magnitude_interval_uncached(total: CycloSum):
+    """CycloSum.magnitude_interval before the root cache, kept as its oracle:
+    every root's interval cos/sin recomputed, at 40 digits."""
+    if total.order <= 2:
+        m = float(abs(total.value_int()))
+        return m, m
+    saved = iv.prec
+    iv.dps = 40
+    try:
+        re = iv.mpf(0)
+        im = iv.mpf(0)
+        for k, c in enumerate(total.counts):
+            if c:
+                ang = 2 * iv.pi * k / total.order
+                re += c * iv.cos(ang)
+                im += c * iv.sin(ang)
+        mag = iv.sqrt(re ** 2 + im ** 2)
+        lo = float(iv.mpf(mag).a)
+        hi = float(iv.mpf(mag).b)
+        while lo > mag.a:
+            lo = math.nextafter(lo, -math.inf)
+        while hi < mag.b:
+            hi = math.nextafter(hi, math.inf)
+    finally:
+        iv.prec = saved
+    return max(lo, 0.0), hi
 
 
 def quad_char(ctx, x) -> int:
@@ -241,11 +271,25 @@ class TestCycloSum:
         assert not s.zero_test_is_exact()
 
     def test_magnitude_interval_brackets_float_value(self):
-        import math
         s = CycloSum(5, [3, 0, 2, 0, 1])
         lo, hi = s.magnitude_interval()
         assert lo <= abs(s.value()) <= hi
         assert hi - lo <= 4 * math.ulp(hi)  # tight up to float outward rounding
+
+    def test_magnitude_interval_matches_uncached_seeded(self):
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            order = int(rng.integers(1, 201))
+            counts = rng.integers(-6, 7, size=order) * (rng.random(order) < 0.3)
+            total = CycloSum(order, [int(c) for c in counts])
+            assert total.magnitude_interval() == magnitude_interval_uncached(total)
+
+    @given(st.integers(1, 200).flatmap(
+        lambda s: st.lists(st.integers(-20, 20), min_size=s, max_size=s)))
+    @settings(max_examples=40, deadline=None)
+    def test_magnitude_interval_matches_uncached_generated(self, counts):
+        total = CycloSum(len(counts), counts)
+        assert total.magnitude_interval() == magnitude_interval_uncached(total)
 
     def test_value_matches_complex_sum(self):
         s = CycloSum(6, [1, 2, 0, 4, 0, 1])

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from digitsquares import cli, counting, fields, suites
 from digitsquares.cli import ConfigError, SweepConfig, main, run_config
+from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
+from digitsquares.suites import LIVE_FIELD
 
 
 def run_cli(capsys, *argv):
@@ -182,3 +185,100 @@ class TestRunConfig:
         rows, _ = run_config(cfg)
         text = rows_to_csv(rows)
         assert text.splitlines()[0] == ",".join(ROW_FIELDS)
+
+
+class TestFieldMajorRuns:
+    SUITES = ["identity", "thmB", "thm2", "thm1-existence", "corC-report", "lemmaE"]
+
+    def _cfg(self, suites, jobs=1):
+        return SweepConfig(ps=[5, 41], rs=[1, 2], suites=suites, jobs=jobs,
+                           digits="intervals+random:3", seed=11, trials=4, nu_max=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_run_equals_one_run_per_suite(self, jobs):
+        cfg = self._cfg(self.SUITES, jobs)
+        rows, code = run_config(cfg)
+        separate = [row for suite in self.SUITES
+                    for row in run_config(self._cfg([suite]))[0]]
+        # the oracle: each task on a fresh field with fresh counts
+        fresh = [row for suite in self.SUITES for p in cfg.ps for r in cfg.rs
+                 for row in cli._run_task((suite, cli._task_options(cfg, p, r)))]
+        assert rows == separate == fresh
+        assert code == 0
+        assert any(row.suite == "thm1-existence" and row.verdict == "pass" for row in rows)
+
+    def test_each_field_built_and_each_digit_set_counted_once(self, monkeypatch):
+        built, counted = [], []
+
+        def make_field(p, r):
+            built.append((p, r))
+            return fields.make_field(p, r)
+
+        def count_squares(box, budget=None):
+            counted.append((box.ctx.p, box.ctx.r, box.digits[0]))
+            return counting.count_squares(box, budget)
+
+        monkeypatch.setattr(suites, "make_field", make_field)
+        monkeypatch.setattr(suites, "count_squares", count_squares)
+        run_config(SweepConfig(ps=[3, 5], rs=[1, 2], suites=["identity", "est1", "thmA"]))
+        assert built == [(3, 1), (3, 2), (5, 1), (5, 2)]
+        assert len(counted) == len(set(counted)) == 3 + 3 + 5 + 5  # t = 1..p per field
+        assert LIVE_FIELD.ctx is None and not LIVE_FIELD.is_open
+
+    def test_cached_count_never_bypasses_budget(self):
+        with LIVE_FIELD.opened():
+            ctx = LIVE_FIELD.field(5, 2)
+            full = LIVE_FIELD.count(ctx, range(3), None)
+            assert LIVE_FIELD.count(ctx, range(3), 9) is full
+            with pytest.raises(BudgetExceeded):
+                LIVE_FIELD.count(ctx, range(3), 8)
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer):
+        self.max_workers = max_workers
+        self.initializer = initializer
+        self.submitted = None
+        FakePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        LIVE_FIELD.close()  # a worker's live field ends with the worker
+
+    def map(self, fn, tasks):
+        self.submitted = list(tasks)
+        self.initializer()
+        return [fn(t) for t in self.submitted]
+
+
+class TestJobsClamp:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakePool.made = []
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+
+    @pytest.mark.parametrize("jobs,cpus,n_ps,workers", [
+        (64, 4, 2, 4),     # clamped to the cores
+        (64, 16, 1, 2),    # clamped to the two tasks
+        (3, 16, 2, 3),     # as asked
+        (64, None, 2, 1),  # unknown core count: no pool at all
+    ])
+    def test_pool_size(self, monkeypatch, jobs, cpus, n_ps, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = SweepConfig(ps=[5, 3][:n_ps], rs=[1], suites=["identity", "est1"], jobs=jobs)
+        rows, _ = run_config(cfg)
+        assert [pool.max_workers for pool in FakePool.made] == ([workers] if workers > 1 else [])
+        assert rows == run_config(SweepConfig(ps=cfg.ps, rs=[1], suites=cfg.suites))[0]
+
+    def test_tasks_submitted_field_major(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        run_config(SweepConfig(ps=[5, 3], rs=[2, 1], suites=["identity", "est1"], jobs=2))
+        submitted = [(suite, opts.p, opts.r) for suite, opts in FakePool.made[0].submitted]
+        assert submitted == [(s, p, r) for p in (3, 5) for r in (1, 2)
+                             for s in ("identity", "est1")]

@@ -5,7 +5,7 @@ import pytest
 
 from digitsquares import (conjugates, element_degree, frobenius,
                           is_generator, make_field)
-from digitsquares.fields import (divisors, frobenius_matrix, is_irreducible,
+from digitsquares.fields import (FieldCtx, divisors, frobenius_matrix, is_irreducible,
                                  is_prime, poly_str, smallest_irreducible,
                                  vec_encode, vec_mul, vec_norm, vec_pow)
 
@@ -73,9 +73,27 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(5, 0)
 
+    @pytest.mark.parametrize("p,r", [(4, 1), (2, 3), (5, 0), ((1 << 20) + 7, 1)])
+    def test_both_constructors_reject_alike(self, p, r):
+        with pytest.raises(ValueError) as via_make:
+            make_field(p, r)
+        with pytest.raises(ValueError) as via_ctx:
+            FieldCtx(p, r, (0,) * r + (1,))
+        assert str(via_make.value) == str(via_ctx.value)
+
     def test_determinism(self):
         a, b = make_field(7, 3), make_field(7, 3)
         assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("p,max_deg", [(3, 5), (5, 4), (7, 3), (11, 2)])
+    def test_is_irreducible_matches_sympy(self, p, max_deg):
+        galoistools = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+        for deg in range(1, max_deg + 1):
+            for n in range(p ** deg):
+                f = [(n // p ** j) % p for j in range(deg)] + [1]
+                # sympy lists coefficients leading term first
+                assert is_irreducible(f, p) == galoistools.gf_irreducible_p(f[::-1], p, ZZ), f
 
 
 class TestArithmetic:
