@@ -25,8 +25,6 @@ from .errors import HypothesisNotMet
 IV_DPS = 40            # decimal digits of every interval evaluation
 RHS_CACHE_SIZE = 1 << 14
 
-GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0  # heuristic nontriviality constant
-
 
 def _upper(x) -> float:
     """Float upper bound of an interval (or exact mpf) value."""
@@ -191,9 +189,13 @@ def thm2_threshold(p: int, r: int) -> float:
 
 @_certified
 def corC_hypothesis(p: int, t: int, eps: float) -> bool:
-    """t >= p^{1/4 + eps}; certified via interval arithmetic."""
+    """t >= p^{1/4 + eps}, certified via interval arithmetic.
+
+    False unless certified: where the intervals overlap, mpmath's `>=`
+    gives None, and the hypothesis counts as not met.
+    """
     bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
-    return iv.mpf(t) >= bound
+    return (iv.mpf(t) >= bound) is True
 
 
 @_certified

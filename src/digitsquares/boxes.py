@@ -177,10 +177,6 @@ class IntervalBox:
 Box = DigitBox | IntervalBox
 
 
-def box_size(box: Box) -> int:
-    return box.size()
-
-
 def check_budget(box: Box, budget: int | None = None, what="enumeration of the box"):
     budget = default_budget() if budget is None else budget
     n = box.size()
@@ -189,18 +185,13 @@ def check_budget(box: Box, budget: int | None = None, what="enumeration of the b
     return n
 
 
-def coords_blocks(box: Box, block: int = BLOCK, prefix=None):
+def coords_blocks(box: Box, block: int = BLOCK):
     """Yield (n, r) arrays of installed-basis coordinates in lex order.
 
     The blocks and their scratch are allocated once per walk, so each block
     overwrites the previous one: consume (or copy) it before advancing.
     """
     sets = [np.asarray(s, dtype=np.int64) for s in box.coordinate_sets()]
-    if prefix is not None:
-        for i, c in enumerate(prefix):
-            if int(c) not in set(int(v) for v in sets[i]):
-                return
-            sets[i] = np.asarray([int(c)], dtype=np.int64)
     sizes = [len(s) for s in sets]
     total = 1
     for m in sizes:
@@ -225,14 +216,14 @@ def coords_blocks(box: Box, block: int = BLOCK, prefix=None):
         k += block
 
 
-def poly_blocks(box: Box, block: int = BLOCK, prefix=None):
+def poly_blocks(box: Box, block: int = BLOCK):
     """Yield (n, r) poly-coordinate rows in lex coordinate order.
 
     Like coords_blocks, each block overwrites the previous one.
     """
     ctx = box.ctx
     buf = None
-    for coords in coords_blocks(box, block, prefix):
+    for coords in coords_blocks(box, block):
         if buf is None:
             buf = np.empty_like(coords)
         poly = buf[:coords.shape[0]]
@@ -241,9 +232,9 @@ def poly_blocks(box: Box, block: int = BLOCK, prefix=None):
         yield poly
 
 
-def index_blocks(box: Box, block: int = BLOCK, prefix=None):
+def index_blocks(box: Box, block: int = BLOCK):
     """Yield fresh int64 arrays of element indices in lex coordinate order."""
-    for poly in poly_blocks(box, block, prefix):
+    for poly in poly_blocks(box, block):
         yield vec_encode(box.ctx, poly)
 
 
@@ -253,18 +244,14 @@ def enumerate_box(box: Box, budget: int | None = None, prefix=None):
     Splittable for parallel work by fixing a coordinate prefix; the budget
     then applies to the shard being streamed, not the whole box.
     """
-    budget_val = default_budget() if budget is None else budget
-    n = box.size()
     if prefix is not None:
         sets = box.coordinate_sets()
-        for i, c in enumerate(prefix):
-            if int(c) not in sets[i]:
-                return
-            n //= len(sets[i])
-    if n > budget_val:
-        raise BudgetExceeded(n, budget_val, "enumeration of the box")
+        if any(int(c) not in s for c, s in zip(prefix, sets)):
+            return
+        box = DigitBox(box.ctx, tuple((int(c),) for c in prefix) + sets[len(prefix):])
+    check_budget(box, budget)
     ctx = box.ctx
-    for idx in index_blocks(box, prefix=prefix):
+    for idx in index_blocks(box):
         for i in idx:
             yield FieldElem(ctx, int(i))
 

@@ -172,16 +172,6 @@ def run_config(cfg: SweepConfig) -> tuple[list[Row], int]:
     return rows, (1 if failed else 0)
 
 
-def _emit_rows(rows, cfg_format: str, out: str | None):
-    text = rows_to_csv(rows) if cfg_format == "csv" else rows_to_json(rows)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    print(summary_line(rows), file=sys.stderr)
-
-
 def _add_sweep_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--p", help="comma list of characteristics")
     sub.add_argument("--r", help="comma list of extension degrees")
@@ -281,19 +271,18 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = SweepConfig()
+def _cmd_run(args) -> int:
+    """verify and sweep: sweep starts from its config file, then flags win."""
+    cfg = parse_config_file(args.config) if args.command == "sweep" else SweepConfig()
     _apply_flags(cfg, args)
     rows, code = run_config(cfg)
-    _emit_rows(rows, cfg.format, cfg.out)
-    return code
-
-
-def _cmd_sweep(args) -> int:
-    cfg = parse_config_file(args.config)
-    _apply_flags(cfg, args)
-    rows, code = run_config(cfg)
-    _emit_rows(rows, cfg.format, cfg.out)
+    text = rows_to_csv(rows) if cfg.format == "csv" else rows_to_json(rows)
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    print(summary_line(rows), file=sys.stderr)
     return code
 
 
@@ -329,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run verification suites from flags")
     _add_sweep_flags(sp)
-    sp.set_defaults(fn=_cmd_verify)
+    sp.set_defaults(fn=_cmd_run)
 
     sp = subs.add_parser("sweep", help="run suites from a key=value config file")
     sp.add_argument("--config", required=True)
     _add_sweep_flags(sp)
-    sp.set_defaults(fn=_cmd_sweep)
+    sp.set_defaults(fn=_cmd_run)
 
     return ap
 

@@ -1,14 +1,27 @@
 """Verification suites: one function per named check family.
 
 Each suite takes TaskOptions for one (p, r) field and returns report rows.
-Mathematical precondition failures become skip-hypothesis rows, budget
-refusals become skips, and anything the source results do not quantify is
-emitted report-only.  All randomness is derived from the configured seed
-plus (p, r), so identical configurations reproduce identical rows.
+All randomness is derived from the configured seed plus (p, r), so
+identical configurations reproduce identical rows.  Which rows a task
+gets is decided in this order, the first that applies winning:
 
-Suites take their field and square counts from LIVE_FIELD, which a run
-keeps open: a run orders its tasks field-major, so each (p, r) is built
-once and each digit set counted once per process.
+1. a precondition on (p, r) alone fails (r >= 2, 2r-1 <= sqrt(p)): one
+   skip row, and the field is not built;
+2. the field cannot be built: one error row (run_config turns any
+   exception a suite raises into the task's error row);
+3. a precondition checked once the field is built fails (thm1-existence:
+   the threshold exceeds p-1): one skip row;
+4. per instance: its right-hand side raises HypothesisNotMet: a skip row;
+5. per instance: its exhaustive count would exceed the budget: a budget
+   skip row;
+6. otherwise the instance's rows: pass/fail, or report-only where the
+   source results do not quantify the bound.
+
+The eight census suites (identity, est1, thmA, thmB, thm1, thm1-existence,
+thm2, corC-report) run steps 4-6 through one skeleton, _census.  Suites
+take their field and square counts from LIVE_FIELD, which a run keeps open:
+a run orders its tasks field-major, so each (p, r) is built once and each
+digit set counted once per process.
 """
 
 from __future__ import annotations
@@ -151,110 +164,98 @@ def _skip_row(suite, opts, instance, note) -> Row:
 
 
 # ---------------------------------------------------------------------------
-# counting identities
+# census suites: one exact square count per digit set against a right-hand side
 
-def suite_identity(opts: TaskOptions) -> list[Row]:
-    """|W ∩ Q| = (|W| - [0 in W])/2 + (1/2) sum chi(x), exactly."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+def _census(suite, opts, ctx, instances, rows_of, rhs_of=None, hyp_note=None) -> list[Row]:
+    """The count-or-skip loop of every census suite, on its live field ctx.
+
+    Per (label, digits) instance: the right-hand side rhs_of(digits), whose
+    HypothesisNotMet becomes a skip noted hyp_note (default: its message);
+    then the count, whose BudgetExceeded becomes a budget skip; then the
+    rows rows_of(label, digits, count report, right-hand side).
+    """
     rows = []
-    for label, ds in digit_instances(opts):
+    for label, ds in instances:
         try:
-            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("identity", opts, label, "budget"))
-            continue
-        z = 1 if rep.zero_in_w else 0
-        expected = Fraction(rep.size_w - z + rep.char_sum, 2)
-        ok = Fraction(rep.count_q) == expected
-        rows.append(Row("identity", opts.p, opts.r, label,
-                        lhs=rep.count_q, rhs=expected,
-                        verdict="pass" if ok else "fail"))
-    return rows
-
-
-def suite_est1(opts: TaskOptions) -> list[Row]:
-    """Deviation of |W ∩ Q| is at most |sum chi| / 2 + 1/2, exactly."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
-    rows = []
-    for label, ds in digit_instances(opts):
-        try:
-            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("est1", opts, label, "budget"))
-            continue
-        rhs = Fraction(abs(rep.char_sum), 2) + Fraction(1, 2)
-        ok = rep.deviation <= rhs
-        rows.append(Row("est1", opts.p, opts.r, label,
-                        lhs=rep.deviation, rhs=rhs,
-                        slack=slack_of(rep.deviation, rhs),
-                        verdict="pass" if ok else "fail"))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# theorem bound suites
-
-def _bound_rows(suite, opts, name, make_rhs, use_q0, restrict=None) -> list[Row]:
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
-    rows = []
-    for label, ds in digit_instances(opts):
-        d = len(ds)
-        if restrict is not None and not restrict(d):
-            continue
-        try:
-            rhs = make_rhs(d)
+            rhs = rhs_of(ds) if rhs_of else None
         except HypothesisNotMet as exc:
-            rows.append(_skip_row(suite, opts, label, exc))
+            rows.append(_skip_row(suite, opts, label, hyp_note or exc))
             continue
         try:
             rep = LIVE_FIELD.count(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row(suite, opts, label, "budget"))
             continue
-        observed = rep.deviation_q0 if use_q0 else rep.deviation
-        bound = bounds.check_bound(name, {"p": opts.p, "r": opts.r, "d": d},
-                                   rhs, observed, rep.size_w)
-        rows.append(Row(suite, opts.p, opts.r, label,
-                        lhs=bound.observed, rhs=bound.rhs_value, slack=bound.slack,
-                        verdict="pass" if bound.holds else "fail"))
+        rows.extend(rows_of(label, ds, rep, rhs))
     return rows
 
 
+def _bound_row(suite, opts, label, rep, name, params, rhs, use_q0=False) -> Row:
+    """Exact deviation (of |W ∩ Q0| if use_q0) against a certified bound."""
+    bound = bounds.check_bound(name, {"p": opts.p, "r": opts.r, **params}, rhs,
+                               rep.deviation_q0 if use_q0 else rep.deviation,
+                               rep.size_w)
+    return Row(suite, opts.p, opts.r, label,
+               lhs=bound.observed, rhs=bound.rhs_value, slack=bound.slack,
+               verdict="pass" if bound.holds else "fail")
+
+
+def suite_identity(opts: TaskOptions) -> list[Row]:
+    """|W ∩ Q| = (|W| - [0 in W])/2 + (1/2) sum chi(x), exactly."""
+    def rows_of(label, ds, rep, _):
+        z = 1 if rep.zero_in_w else 0
+        expected = Fraction(rep.size_w - z + rep.char_sum, 2)
+        ok = Fraction(rep.count_q) == expected
+        return [Row("identity", opts.p, opts.r, label, lhs=rep.count_q, rhs=expected,
+                    verdict="pass" if ok else "fail")]
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    return _census("identity", opts, ctx, digit_instances(opts), rows_of)
+
+
+def suite_est1(opts: TaskOptions) -> list[Row]:
+    """Deviation of |W ∩ Q| is at most |sum chi| / 2 + 1/2, exactly."""
+    def rows_of(label, ds, rep, _):
+        rhs = Fraction(abs(rep.char_sum), 2) + Fraction(1, 2)
+        return [Row("est1", opts.p, opts.r, label,
+                    lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
+                    verdict="pass" if rep.deviation <= rhs else "fail")]
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    return _census("est1", opts, ctx, digit_instances(opts), rows_of)
+
+
 def suite_thmA(opts: TaskOptions) -> list[Row]:
-    return _bound_rows("thmA", opts, "ThmA",
-                       lambda d: bounds.thmA_rhs(opts.p, opts.r, d),
-                       use_q0=True, restrict=lambda d: 2 <= d <= opts.p - 1)
+    """Digit sets with 2 <= |D| <= p-1; the others are left out."""
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    instances = [(label, ds) for label, ds in digit_instances(opts)
+                 if 2 <= len(ds) <= opts.p - 1]
+    return _census(
+        "thmA", opts, ctx, instances,
+        lambda label, ds, rep, rhs: [_bound_row("thmA", opts, label, rep, "ThmA",
+                                                {"d": len(ds)}, rhs, use_q0=True)],
+        lambda ds: bounds.thmA_rhs(opts.p, opts.r, len(ds)))
 
 
 def suite_thmB(opts: TaskOptions) -> list[Row]:
     """Initial intervals D = {0..t-1} only; t = p-1 rows are hypothesis skips."""
     ctx = LIVE_FIELD.field(opts.p, opts.r)
-    rows = []
-    for t in range(2, opts.p):
-        label = format_digit_set(range(t))
-        try:
-            rhs = bounds.thmB_rhs(opts.p, opts.r, t)
-        except HypothesisNotMet:
-            rows.append(_skip_row("thmB", opts, label, "C(p,t) undefined at t=p-1"))
-            continue
-        try:
-            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("thmB", opts, label, "budget"))
-            continue
-        bound = bounds.check_bound("ThmB", {"p": opts.p, "r": opts.r, "t": t},
-                                   rhs, rep.deviation_q0, rep.size_w)
-        rows.append(Row("thmB", opts.p, opts.r, label,
-                        lhs=bound.observed, rhs=bound.rhs_value, slack=bound.slack,
-                        verdict="pass" if bound.holds else "fail"))
-    return rows
+    instances = [(format_digit_set(range(t)), tuple(range(t))) for t in range(2, opts.p)]
+    return _census(
+        "thmB", opts, ctx, instances,
+        lambda label, ds, rep, rhs: [_bound_row("thmB", opts, label, rep, "ThmB",
+                                                {"t": len(ds)}, rhs, use_q0=True)],
+        lambda ds: bounds.thmB_rhs(opts.p, opts.r, len(ds)),
+        hyp_note="C(p,t) undefined at t=p-1")
 
 
 def suite_thm1(opts: TaskOptions) -> list[Row]:
     if not bounds.thm1_hypothesis(opts.p, opts.r):
         return [_skip_row("thm1", opts, "all", "needs 2r-1 <= sqrt(p)")]
-    return _bound_rows("thm1", opts, "Thm1",
-                       lambda d: bounds.thm1_rhs(opts.p, opts.r, d), use_q0=False)
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    return _census(
+        "thm1", opts, ctx, digit_instances(opts),
+        lambda label, ds, rep, rhs: [_bound_row("thm1", opts, label, rep, "Thm1",
+                                                {"d": len(ds)}, rhs)],
+        lambda ds: bounds.thm1_rhs(opts.p, opts.r, len(ds)))
 
 
 def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
@@ -269,66 +270,41 @@ def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
     if t_min > opts.p - 1:
         return [_skip_row("thm1-existence", opts, f"threshold={threshold!r}",
                           "threshold exceeds p-1; no digit set to test")]
-    rows = []
-    for t in range(t_min, opts.p):
-        try:
-            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("thm1-existence", opts, f"t={t}", "budget"))
-            continue
-        rows.append(Row("thm1-existence", opts.p, opts.r,
-                        f"t={t};threshold={threshold!r}",
-                        lhs=rep.count_q, rhs=1,
-                        verdict="pass" if rep.count_q >= 1 else "fail"))
-    return rows
+
+    def rows_of(label, ds, rep, _):
+        return [Row("thm1-existence", opts.p, opts.r, f"{label};threshold={threshold!r}",
+                    lhs=rep.count_q, rhs=1, verdict="pass" if rep.count_q >= 1 else "fail")]
+    instances = [(f"t={t}", tuple(range(t))) for t in range(t_min, opts.p)]
+    return _census("thm1-existence", opts, ctx, instances, rows_of)
 
 
 def suite_thm2(opts: TaskOptions) -> list[Row]:
+    """One row per split index k < r and nu <= nu_max, built after the count."""
     if opts.r < 2:
         return [_skip_row("thm2", opts, "all", "the split needs r >= 2")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
-    rows = []
-    for label, ds in digit_instances(opts):
+
+    def rows_of(label, ds, rep, _):
         d = len(ds)
-        try:
-            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("thm2", opts, label, "budget"))
-            continue
-        for k in range(1, opts.r):
-            for nu in range(1, opts.nu_max + 1):
-                rhs = bounds.thm2_rhs(opts.p, opts.r, d, k, nu)
-                bound = bounds.check_bound(
-                    "Thm2", {"p": opts.p, "r": opts.r, "d": d, "k": k, "nu": nu},
-                    rhs, rep.deviation, rep.size_w)
-                rows.append(Row("thm2", opts.p, opts.r, f"{label};k={k};nu={nu}",
-                                lhs=bound.observed, rhs=bound.rhs_value,
-                                slack=bound.slack,
-                                verdict="pass" if bound.holds else "fail"))
-    return rows
+        return [_bound_row("thm2", opts, f"{label};k={k};nu={nu}", rep, "Thm2",
+                           {"d": d, "k": k, "nu": nu},
+                           bounds.thm2_rhs(opts.p, opts.r, d, k, nu))
+                for k in range(1, opts.r) for nu in range(1, opts.nu_max + 1)]
+    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    return _census("thm2", opts, ctx, digit_instances(opts), rows_of)
 
 
 def suite_corC_report(opts: TaskOptions) -> list[Row]:
     """Report-only: the corollary's bound carries an unspecified constant."""
+    def rows_of(label, ds, rep, rhs):
+        return [Row("corC-report", opts.p, opts.r, label,
+                    lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
+                    verdict="report-only")]
     ctx = LIVE_FIELD.field(opts.p, opts.r)
-    rows = []
-    for t in range(2, opts.p + 1):
-        label = f"t={t};eps={opts.eps!r};const={opts.const!r}"
-        try:
-            rhs = bounds.corC_rhs(opts.p, opts.r, t, opts.eps, opts.const)
-        except HypothesisNotMet:
-            rows.append(_skip_row("corC-report", opts, label, "t below p^(1/4+eps)"))
-            continue
-        try:
-            rep = LIVE_FIELD.count(ctx, range(t), opts.budget)
-        except BudgetExceeded:
-            rows.append(_skip_row("corC-report", opts, label, "budget"))
-            continue
-        rows.append(Row("corC-report", opts.p, opts.r, label,
-                        lhs=rep.deviation, rhs=rhs,
-                        slack=slack_of(rep.deviation, rhs),
-                        verdict="report-only"))
-    return rows
+    instances = [(f"t={t};eps={opts.eps!r};const={opts.const!r}", tuple(range(t)))
+                 for t in range(2, opts.p + 1)]
+    return _census("corC-report", opts, ctx, instances, rows_of,
+                   lambda ds: bounds.corC_rhs(opts.p, opts.r, len(ds), opts.eps, opts.const),
+                   hyp_note="t below p^(1/4+eps)")
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,13 @@ class TestCorollaryC:
         with pytest.raises(HypothesisNotMet):
             corC_rhs(101, 2, 3, 0.25, 1.0)  # 3 < 101^{1/2}
 
+    def test_undecided_hypothesis_is_not_met(self):
+        # 16^{1/4 + eps} for eps in [-0.01, 0.01] straddles t = 2, so mpmath's
+        # interval >= is undecided (None); the hypothesis must read False
+        assert corC_hypothesis.__wrapped__(16, 2, iv.mpf(["-0.01", "0.01"])) is False
+        assert corC_hypothesis.__wrapped__(16, 3, iv.mpf(["-0.01", "0.01"])) is True
+        assert corC_hypothesis.__wrapped__(16, 1, iv.mpf(["-0.01", "0.01"])) is False
+
 
 class TestCheckBound:
     def test_holds_and_nontrivial_flags(self):

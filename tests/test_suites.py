@@ -1,0 +1,83 @@
+"""Golden report of the census suites: rows, their order and their precedence.
+
+The census suites compare one exact square count per digit set against a
+right-hand side.  One fixed configuration reaches every kind of row they can
+emit (pass or report-only, hypothesis skip, budget skip, error), so its CSV
+digest pins which of them wins on every instance.
+"""
+
+import hashlib
+from collections import Counter, defaultdict
+
+import pytest
+
+from digitsquares.cli import SweepConfig, run_config
+from digitsquares.reporting import rows_to_csv
+
+CENSUS_SUITES = ("identity", "est1", "thmA", "thmB", "thm1", "thm1-existence",
+                 "thm2", "corC-report")
+GOLDEN_ROWS = 1860
+GOLDEN_SHA256 = "961789233b105cc8a67f43d35f0cefe9edbc2848b07db4db7e84b92e123523e6"
+
+# the kinds of row each suite can emit; p = 9 is composite, hence "error"
+EMITS = {
+    "identity": {"pass", "budget", "error"},
+    "est1": {"pass", "budget", "error"},
+    "thmA": {"pass", "budget", "error"},
+    "thmB": {"pass", "hypothesis", "budget", "error"},
+    "thm1": {"pass", "hypothesis", "budget", "error"},
+    "thm1-existence": {"pass", "hypothesis", "budget", "error"},
+    "thm2": {"pass", "hypothesis", "budget", "error"},
+    "corC-report": {"report-only", "hypothesis", "budget", "error"},
+}
+
+
+@pytest.fixture(scope="module")
+def census_rows():
+    cfg = SweepConfig(ps=[3, 5, 9, 13, 53], rs=[1, 2, 3], suites=list(CENSUS_SUITES),
+                      digits="intervals+random:4", seed=5, budget=2000, nu_max=2)
+    rows, code = run_config(cfg)
+    assert code == 1  # the error rows are failures
+    return rows
+
+
+def _kind(row) -> str:
+    if row.instance.startswith("error:"):
+        return "error"
+    if row.verdict == "skip-hypothesis":
+        return "budget" if row.instance.endswith(";budget") else "hypothesis"
+    return row.verdict
+
+
+def test_golden_census_digest(census_rows):
+    csv_text = rows_to_csv(census_rows)
+    assert len(census_rows) == GOLDEN_ROWS
+    assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == GOLDEN_SHA256
+
+
+def test_every_suite_emits_every_kind_of_row(census_rows):
+    kinds = defaultdict(Counter)
+    for row in census_rows:
+        kinds[row.suite][_kind(row)] += 1
+    assert {suite: set(seen) for suite, seen in kinds.items()} == EMITS
+
+
+def test_field_error_wins_over_suite_preconditions(census_rows):
+    by_task = defaultdict(list)
+    for row in census_rows:
+        by_task[row.suite, row.p, row.r].append(row)
+    # thm1-existence at F_9^2: r >= 2 and the hypothesis hold, so the field
+    # is built, and its error comes before the "threshold exceeds p-1" skip
+    [row] = by_task["thm1-existence", 9, 2]
+    assert row.instance.startswith("error:") and row.verdict == "fail"
+    # thm1 at F_9^3 and thm2 at F_9^1 fail their precondition before the field
+    for task in (("thm1", 9, 3), ("thm2", 9, 1)):
+        [row] = by_task[task]
+        assert row.instance.startswith("all;") and row.verdict == "skip-hypothesis"
+
+
+def test_hypothesis_skip_wins_over_budget(census_rows):
+    # thmB at t = p-1 skips on the hypothesis though 52^3 is over the budget
+    rows = {(row.suite, row.p, row.r, row.instance) for row in census_rows}
+    assert ("thmB", 53, 3, "0-51;C(p,t) undefined at t=p-1") in rows
+    assert ("thmB", 53, 3, "0-50;budget") in rows
