@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .fields import FieldCtx, FieldElem, vec_encode
+from .fields import FieldCtx, FieldElem, vec_encode, vec_from_coords
 
 DEFAULT_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "DIGITSQUARES_BUDGET"
@@ -221,15 +221,11 @@ def poly_blocks(box: Box, block: int = BLOCK):
 
     Like coords_blocks, each block overwrites the previous one.
     """
-    ctx = box.ctx
     buf = None
     for coords in coords_blocks(box, block):
         if buf is None:
             buf = np.empty_like(coords)
-        poly = buf[:coords.shape[0]]
-        np.matmul(coords, ctx.basis_matrix.T, out=poly)
-        poly %= ctx.p
-        yield poly
+        yield vec_from_coords(box.ctx, coords, out=buf[:coords.shape[0]])
 
 
 def index_blocks(box: Box, block: int = BLOCK):
@@ -271,11 +267,8 @@ def sample_uniform(box: Box, n: int, seed: int) -> list[FieldElem]:
         raise ValueError("sample count must be >= 1")
     ctx = box.ctx
     rng = np.random.default_rng(seed)
-    coords = sample_coords(box, n, rng)
-    poly = (coords @ ctx.basis_matrix.T) % ctx.p
-    weights = ctx._ppow
-    return [FieldElem(ctx, sum(int(c) * w for c, w in zip(row, weights)))
-            for row in poly]
+    idx = vec_encode(ctx, vec_from_coords(ctx, sample_coords(box, n, rng)))
+    return [FieldElem(ctx, int(i)) for i in idx]
 
 
 def split_box(box: DigitBox, k: int) -> tuple[DigitBox, DigitBox]:

@@ -23,7 +23,7 @@ from .counting import count_squares, estimate_square_fraction
 from .errors import BudgetExceeded
 from .fields import make_field, poly_str
 from .reporting import Row, rows_to_csv, rows_to_json, summary_line
-from .suites import LIVE_FIELD, SUITES, TaskOptions
+from .suites import SUITES, TaskOptions, live_field
 
 
 class ConfigError(ValueError):
@@ -139,31 +139,27 @@ def _run_task(task) -> list[Row]:
                     verdict="fail")]
 
 
-def _open_live_field():
-    """Pool initializer: a worker keeps its live field open until it exits."""
-    LIVE_FIELD.open()
-
-
 def run_config(cfg: SweepConfig) -> tuple[list[Row], int]:
     """Run every (suite, p, r) task; rows come back in deterministic task order.
 
     Tasks run field-major (by (p, r), then in task order), so a process
-    builds each field once and counts each digit set once while its live
-    field is open: for this call, or for the life of a pool worker.  The
-    rows are put back in suite-major task order.
+    builds each field once and counts each digit set once: live_field keeps
+    the last field until this call returns, or for the life of a pool
+    worker.  The rows are put back in suite-major task order.
     """
     cfg.validate()
     tasks = [(suite, _task_options(cfg, p, r))
              for suite in cfg.suites for p in cfg.ps for r in cfg.rs]
     order = sorted(range(len(tasks)), key=lambda i: (tasks[i][1].p, tasks[i][1].r, i))
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_open_live_field) as pool:
-            done = list(pool.map(_run_task, [tasks[i] for i in order]))
-    else:
-        with LIVE_FIELD.opened():
+    try:
+        if jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                done = list(pool.map(_run_task, [tasks[i] for i in order]))
+        else:
             done = [_run_task(tasks[i]) for i in order]
+    finally:
+        live_field.cache_clear()
     chunks = [None] * len(tasks)
     for i, chunk in zip(order, done):
         chunks[i] = chunk

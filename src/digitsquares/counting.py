@@ -23,6 +23,7 @@ import numpy as np
 from .boxes import Box, check_budget, poly_blocks, sample_coords
 from .characters import quad_char_coords
 from .errors import InvariantViolation
+from .fields import vec_from_coords
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -92,8 +93,7 @@ def estimate_square_fraction(box: Box, n: int, seed: int) -> FractionEstimate:
     remaining = n
     while remaining > 0:
         take = min(block, remaining)
-        coords = sample_coords(box, take, rng)
-        poly = (coords @ ctx.basis_matrix.T) % ctx.p
+        poly = vec_from_coords(ctx, sample_coords(box, take, rng))
         hits += int(np.count_nonzero(quad_char_coords(ctx, poly) == 1))
         remaining -= take
     p_hat = hits / n

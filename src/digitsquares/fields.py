@@ -597,11 +597,19 @@ def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
 
 
 def vec_encode(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    """Poly-coordinate rows -> element indices (int64; requires q < 2^62)."""
-    if ctx.q >= 1 << 62:
-        raise OverflowError("field too large for int64 element indices")
-    weights = np.asarray(ctx._ppow, dtype=np.int64)
-    return coords @ weights
+    """Poly-coordinate rows -> element indices: int64 while q < 2^62,
+    exact Python ints (an object array) above."""
+    if ctx.q < 1 << 62:
+        return coords @ np.asarray(ctx._ppow, dtype=np.int64)
+    return coords.astype(object) @ np.asarray(ctx._ppow, dtype=object)
+
+
+def vec_from_coords(ctx: FieldCtx, coords: np.ndarray, out=None) -> np.ndarray:
+    """Installed-basis coordinate rows -> poly-coordinate rows (written into
+    out when given)."""
+    out = np.matmul(coords, ctx.basis_matrix.T, out=out)
+    out %= ctx.p
+    return out
 
 
 def vec_decode(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:

@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import iv
 
-from .boxes import Box, IntervalBox, default_budget, index_blocks
+from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
+                    default_budget, index_blocks)
 from .bounds import _certified, _upper
 from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
                          dlog_table, make_char, quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, all_poly_coords, conjugates,
-                     element_degree, frobenius_matrix, vec_decode, vec_encode)
+                     element_degree, frobenius_matrix, vec_decode, vec_encode,
+                     vec_from_coords)
 
 
 @dataclass(frozen=True)
@@ -181,42 +183,30 @@ def subfield_partition(ctx: FieldCtx, digits, basis=None,
 
     b_j = a_j / a_1 normalises the installed (or supplied) basis so that
     b_1 = 1; the keys divide r and the degree-1 class is {0-tuple} exactly
-    when 0 is a digit.
+    when 0 is a digit.  A supplied basis that is linearly dependent raises
+    ValueError.
     """
     if ctx.r < 2:
         raise ValueError("the partition needs r >= 2")
     ds = tuple(sorted(set(int(c) for c in digits)))
     if not ds or ds[0] < 0 or ds[-1] >= ctx.p:
         raise ValueError(f"digits {digits} invalid for F_{ctx.p}")
-    budget = default_budget() if budget is None else budget
-    m = len(ds) ** (ctx.r - 1)
-    if m > budget:
-        raise BudgetExceeded(m, budget, "subfield partition of the digit tuples")
-    basis_idx = (tuple(b.idx if isinstance(b, FieldElem) else int(b) for b in basis)
-                 if basis is not None else ctx.basis_indices)
-    a1_inv = ctx.inv_idx(basis_idx[0])
-    b_rows = np.asarray(
-        [ctx.index_to_poly_coords(ctx.mul_idx(a1_inv, b)) for b in basis_idx[1:]],
-        dtype=np.int64)
-    dvals = np.asarray(ds, dtype=np.int64)
-    k = np.arange(m, dtype=np.int64)
-    tuples = np.empty((m, ctx.r - 1), dtype=np.int64)
-    stride = 1
-    for i in range(ctx.r - 2, -1, -1):
-        tuples[:, i] = dvals[(k // stride) % len(ds)]
-        stride *= len(ds)
-    y = (tuples @ b_rows) % ctx.p   # poly coords of c_2 b_2 + ... + c_r b_r
-    degrees = np.zeros(m, dtype=np.int64)
+    nctx = (ctx if basis is None else ctx.with_basis(basis)).normalized_basis()
+    box = DigitBox(nctx, ((0,),) + (ds,) * (ctx.r - 1))
+    check_budget(box, budget, "subfield partition of the digit tuples")
     frob = frobenius_matrix(ctx)
-    cur = y.copy()
-    for d in range(1, ctx.r + 1):
-        cur = (cur @ frob) % ctx.p
-        if ctx.r % d == 0:
-            hit = (degrees == 0) & (cur == y).all(axis=1)
-            degrees[hit] = d
     out: dict[int, list[tuple[int, ...]]] = {}
-    for row, d in zip(tuples, degrees):
-        out.setdefault(int(d), []).append(tuple(int(c) for c in row))
+    for coords in coords_blocks(box):
+        y = vec_from_coords(nctx, coords)  # poly coords of c_2 b_2 + ... + c_r b_r
+        degrees = np.zeros(len(y), dtype=np.int64)
+        cur = y
+        for d in range(1, ctx.r + 1):
+            cur = (cur @ frob) % ctx.p
+            if ctx.r % d == 0:
+                hit = (degrees == 0) & (cur == y).all(axis=1)
+                degrees[hit] = d
+        for row, d in zip(coords[:, 1:], degrees):
+            out.setdefault(int(d), []).append(tuple(int(c) for c in row))
     return out
 
 

@@ -19,14 +19,15 @@ gets is decided in this order, the first that applies winning:
 
 The eight census suites (identity, est1, thmA, thmB, thm1, thm1-existence,
 thm2, corC-report) run steps 4-6 through one skeleton, _census.  Suites
-take their field and square counts from LIVE_FIELD, which a run keeps open:
-a run orders its tasks field-major, so each (p, r) is built once and each
-digit set counted once per process.
+take their field from live_field, a one-entry cache, and their square
+counts from square_census, which keeps them on the field: a run orders its
+tasks field-major, so each (p, r) is built once and each digit set counted
+once per process.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,60 +62,31 @@ class TaskOptions:
     orders: tuple[int, ...] | None = None
 
 
-class LiveField:
-    """The one field a run keeps built, with the square census of every
-    digit set already counted on it.
+@functools.lru_cache(maxsize=1)
+def live_field(p: int, r: int) -> FieldCtx:
+    """F_{p^r} as this process last built it: a one-entry cache.
 
-    While open, a call for the (p, r) of the previous call returns the same
-    FieldCtx, with the tables cached on it, and the same counts; another
-    (p, r) drops both first, so memory stays bounded by one field.  While
-    closed, every call builds a fresh field and counts afresh.
+    Asking for another (p, r) drops the previous field, and with it every
+    table and square count cached on it.  run_config clears the cache when
+    it returns; a pool worker keeps its entry for its whole life.
     """
+    return make_field(p, r)
 
-    def __init__(self):
-        self.is_open = False
-        self._drop()
 
-    def _drop(self):
-        self.ctx = None
-        self._counts: dict[tuple[int, ...], SquareCountReport] = {}
+def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
+    """count_squares of the box D^r, kept in ctx._cache beside the field's tables.
 
-    def open(self):
-        self.is_open = True
-
-    def close(self):
-        self.is_open = False
-        self._drop()
-
-    @contextlib.contextmanager
-    def opened(self):
-        self.open()
-        try:
-            yield self
-        finally:
-            self.close()
-
-    def field(self, p: int, r: int) -> FieldCtx:
-        if not self.is_open:
-            return make_field(p, r)
-        if self.ctx is None or (self.ctx.p, self.ctx.r) != (p, r):
-            self._drop()
-            self.ctx = make_field(p, r)
-        return self.ctx
-
-    def count(self, ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
-        """count_squares of the box D^r; raises BudgetExceeded before any lookup."""
-        box = DigitBox.uniform(ctx, digits)
+    Each call checks the budget exactly once: count_squares does on a miss,
+    check_budget on a hit, so a cached count never bypasses the budget.
+    """
+    box = DigitBox.uniform(ctx, digits)
+    counts = ctx._cache.setdefault("counts", {})
+    rep = counts.get(box.digits[0])
+    if rep is None:
+        rep = counts[box.digits[0]] = count_squares(box, budget)
+    else:
         check_budget(box, budget, what="exact square counting")
-        if ctx is not self.ctx:
-            return count_squares(box, budget)
-        rep = self._counts.get(box.digits[0])
-        if rep is None:
-            rep = self._counts[box.digits[0]] = count_squares(box, budget)
-        return rep
-
-
-LIVE_FIELD = LiveField()
+    return rep
 
 
 def _needs_seed(opts: TaskOptions, why: str):
@@ -167,7 +139,7 @@ def _skip_row(suite, opts, instance, note) -> Row:
 # census suites: one exact square count per digit set against a right-hand side
 
 def _census(suite, opts, ctx, instances, rows_of, rhs_of=None, hyp_note=None) -> list[Row]:
-    """The count-or-skip loop of every census suite, on its live field ctx.
+    """The count-or-skip loop of every census suite, on the field ctx.
 
     Per (label, digits) instance: the right-hand side rhs_of(digits), whose
     HypothesisNotMet becomes a skip noted hyp_note (default: its message);
@@ -182,7 +154,7 @@ def _census(suite, opts, ctx, instances, rows_of, rhs_of=None, hyp_note=None) ->
             rows.append(_skip_row(suite, opts, label, hyp_note or exc))
             continue
         try:
-            rep = LIVE_FIELD.count(ctx, ds, opts.budget)
+            rep = square_census(ctx, ds, opts.budget)
         except BudgetExceeded:
             rows.append(_skip_row(suite, opts, label, "budget"))
             continue
@@ -208,7 +180,7 @@ def suite_identity(opts: TaskOptions) -> list[Row]:
         ok = Fraction(rep.count_q) == expected
         return [Row("identity", opts.p, opts.r, label, lhs=rep.count_q, rhs=expected,
                     verdict="pass" if ok else "fail")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     return _census("identity", opts, ctx, digit_instances(opts), rows_of)
 
 
@@ -219,13 +191,13 @@ def suite_est1(opts: TaskOptions) -> list[Row]:
         return [Row("est1", opts.p, opts.r, label,
                     lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
                     verdict="pass" if rep.deviation <= rhs else "fail")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     return _census("est1", opts, ctx, digit_instances(opts), rows_of)
 
 
 def suite_thmA(opts: TaskOptions) -> list[Row]:
     """Digit sets with 2 <= |D| <= p-1; the others are left out."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     instances = [(label, ds) for label, ds in digit_instances(opts)
                  if 2 <= len(ds) <= opts.p - 1]
     return _census(
@@ -237,7 +209,7 @@ def suite_thmA(opts: TaskOptions) -> list[Row]:
 
 def suite_thmB(opts: TaskOptions) -> list[Row]:
     """Initial intervals D = {0..t-1} only; t = p-1 rows are hypothesis skips."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     instances = [(format_digit_set(range(t)), tuple(range(t))) for t in range(2, opts.p)]
     return _census(
         "thmB", opts, ctx, instances,
@@ -250,7 +222,7 @@ def suite_thmB(opts: TaskOptions) -> list[Row]:
 def suite_thm1(opts: TaskOptions) -> list[Row]:
     if not bounds.thm1_hypothesis(opts.p, opts.r):
         return [_skip_row("thm1", opts, "all", "needs 2r-1 <= sqrt(p)")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     return _census(
         "thm1", opts, ctx, digit_instances(opts),
         lambda label, ds, rep, rhs: [_bound_row("thm1", opts, label, rep, "Thm1",
@@ -264,7 +236,7 @@ def suite_thm1_existence(opts: TaskOptions) -> list[Row]:
         return [_skip_row("thm1-existence", opts, "all", "needs r >= 2")]
     if not bounds.thm1_hypothesis(opts.p, opts.r):
         return [_skip_row("thm1-existence", opts, "all", "needs 2r-1 <= sqrt(p)")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     threshold = bounds.thm1_threshold(opts.p, opts.r)
     t_min = math.ceil(threshold)
     if t_min > opts.p - 1:
@@ -289,7 +261,7 @@ def suite_thm2(opts: TaskOptions) -> list[Row]:
                            {"d": d, "k": k, "nu": nu},
                            bounds.thm2_rhs(opts.p, opts.r, d, k, nu))
                 for k in range(1, opts.r) for nu in range(1, opts.nu_max + 1)]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     return _census("thm2", opts, ctx, digit_instances(opts), rows_of)
 
 
@@ -299,7 +271,7 @@ def suite_corC_report(opts: TaskOptions) -> list[Row]:
         return [Row("corC-report", opts.p, opts.r, label,
                     lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
                     verdict="report-only")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     instances = [(f"t={t};eps={opts.eps!r};const={opts.const!r}", tuple(range(t)))
                  for t in range(2, opts.p + 1)]
     return _census("corC-report", opts, ctx, instances, rows_of,
@@ -318,7 +290,7 @@ def _lemma_row(suite, opts, label, rep) -> Row:
 
 def suite_lemmaD(opts: TaskOptions) -> list[Row]:
     """Exhaustive over ordered non-conjugate generator pairs, per character order."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     orders = opts.orders or tuple(s for s in (2, 3, 4) if (ctx.q - 1) % s == 0)
     gens = generator_elements(ctx)
     rows = []
@@ -339,7 +311,7 @@ def suite_lemmaD(opts: TaskOptions) -> list[Row]:
 
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
     _needs_seed(opts, "random shifted-product instances")
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
     divs = [s for s in divisors(ctx.q - 1)]
@@ -367,7 +339,7 @@ def suite_lemmaE(opts: TaskOptions) -> list[Row]:
 
 def suite_lemma1(opts: TaskOptions) -> list[Row]:
     _needs_seed(opts, "random (U, V) pairs")
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     trials = opts.trials if opts.trials is not None else 100
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 3])
     cap = min(ctx.q, 25)
@@ -388,7 +360,7 @@ def suite_partition(opts: TaskOptions) -> list[Row]:
     """Subfield partition bookkeeping: sizes, divisor keys, the degree-1 rule."""
     if opts.r < 2:
         return [_skip_row("partition", opts, "all", "needs r >= 2")]
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     rows = []
     for label, ds in digit_instances(opts):
         try:
@@ -416,7 +388,7 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
     E >= |B|^2; the slack column carries the report-only ratio
     E / (|B|^2 log p).
     """
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     h_max = opts.h if opts.h > 0 else math.isqrt(opts.p)
     rows = []
     for h in range(1, max(1, h_max) + 1):
@@ -435,7 +407,7 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
 
 def suite_deltaH(opts: TaskOptions) -> list[Row]:
     """Report-only worst-case normalised box sums for the quadratic character."""
-    ctx = LIVE_FIELD.field(opts.p, opts.r)
+    ctx = live_field(opts.p, opts.r)
     chi = make_char(ctx, 2, 1)
     h = opts.h if opts.h > 0 else 1
     try:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from digitsquares import (BudgetExceeded, DigitBox, IntervalBox, count_squares,
                           enumerate_box, format_digit_set, parse_digit_spec,
                           sample_uniform, split_box)
-from digitsquares.boxes import BUDGET_ENV_VAR, default_budget
+from digitsquares.boxes import BUDGET_ENV_VAR, default_budget, sample_coords
 
 
 class TestParsing:
@@ -146,6 +146,17 @@ class TestSampling:
         ctx = field(7, 2)
         box = DigitBox.uniform(ctx, (1, 3, 6))
         assert all(box.contains(e) for e in sample_uniform(box, 100, seed=3))
+
+    @pytest.mark.parametrize("p,r", [(13, 2), (101, 20)])
+    def test_matches_scalar_reference(self, field, p, r):
+        # the per-row conversion of the same coordinate draws, one scalar call each
+        ctx = field(p, r)
+        if r == 2:
+            ctx = ctx.with_basis([ctx.from_poly_coords((1, 1)), ctx.from_int(3)])
+        box = DigitBox.uniform(ctx, (0, 2, 5, 7))
+        coords = sample_coords(box, 40, np.random.default_rng(21))
+        want = [ctx.coords_to_index(row) for row in coords]
+        assert [e.idx for e in sample_uniform(box, 40, seed=21)] == want
 
     def test_count_must_be_positive(self, field):
         with pytest.raises(ValueError):

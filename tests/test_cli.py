@@ -6,11 +6,18 @@ import json
 
 import pytest
 
-from digitsquares import cli, counting, fields, suites
+from digitsquares import boxes, cli, counting, fields, suites
 from digitsquares.cli import ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
-from digitsquares.suites import LIVE_FIELD
+from digitsquares.suites import live_field, square_census
+
+
+@pytest.fixture(autouse=True)
+def no_live_field():
+    """Every test starts without a cached field, so build counts do not
+    depend on test order."""
+    live_field.cache_clear()
 
 
 def run_cli(capsys, *argv):
@@ -201,8 +208,12 @@ class TestFieldMajorRuns:
         separate = [row for suite in self.SUITES
                     for row in run_config(self._cfg([suite]))[0]]
         # the oracle: each task on a fresh field with fresh counts
-        fresh = [row for suite in self.SUITES for p in cfg.ps for r in cfg.rs
-                 for row in cli._run_task((suite, cli._task_options(cfg, p, r)))]
+        fresh = []
+        for suite in self.SUITES:
+            for p in cfg.ps:
+                for r in cfg.rs:
+                    live_field.cache_clear()
+                    fresh += cli._run_task((suite, cli._task_options(cfg, p, r)))
         assert rows == separate == fresh
         assert code == 0
         assert any(row.suite == "thm1-existence" and row.verdict == "pass" for row in rows)
@@ -223,15 +234,30 @@ class TestFieldMajorRuns:
         run_config(SweepConfig(ps=[3, 5], rs=[1, 2], suites=["identity", "est1", "thmA"]))
         assert built == [(3, 1), (3, 2), (5, 1), (5, 2)]
         assert len(counted) == len(set(counted)) == 3 + 3 + 5 + 5  # t = 1..p per field
-        assert LIVE_FIELD.ctx is None and not LIVE_FIELD.is_open
+        assert live_field.cache_info().currsize == 0
 
     def test_cached_count_never_bypasses_budget(self):
-        with LIVE_FIELD.opened():
-            ctx = LIVE_FIELD.field(5, 2)
-            full = LIVE_FIELD.count(ctx, range(3), None)
-            assert LIVE_FIELD.count(ctx, range(3), 9) is full
-            with pytest.raises(BudgetExceeded):
-                LIVE_FIELD.count(ctx, range(3), 8)
+        ctx = live_field(5, 2)
+        full = square_census(ctx, range(3), None)
+        assert ctx._cache["counts"] == {(0, 1, 2): full}  # dropped with the field
+        assert square_census(ctx, range(3), 9) is full
+        with pytest.raises(BudgetExceeded):
+            square_census(ctx, range(3), 8)
+
+    def test_one_budget_check_per_census(self, monkeypatch):
+        checks = []
+
+        def check_budget(box, budget=None, what="enumeration of the box"):
+            checks.append(what)
+            return boxes.check_budget(box, budget, what)
+
+        monkeypatch.setattr(suites, "check_budget", check_budget)
+        monkeypatch.setattr(counting, "check_budget", check_budget)
+        ctx = fields.make_field(5, 2)
+        miss = square_census(ctx, range(3), None)
+        assert checks == ["exact square counting"]
+        assert square_census(ctx, range(3), None) is miss
+        assert checks == ["exact square counting"] * 2
 
 
 class FakePool:
@@ -239,9 +265,8 @@ class FakePool:
 
     made = []
 
-    def __init__(self, max_workers, initializer):
+    def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.initializer = initializer
         self.submitted = None
         FakePool.made.append(self)
 
@@ -249,11 +274,10 @@ class FakePool:
         return self
 
     def __exit__(self, *exc):
-        LIVE_FIELD.close()  # a worker's live field ends with the worker
+        live_field.cache_clear()  # a worker's field ends with the worker
 
     def map(self, fn, tasks):
         self.submitted = list(tasks)
-        self.initializer()
         return [fn(t) for t in self.submitted]
 
 
@@ -274,6 +298,7 @@ class TestJobsClamp:
         cfg = SweepConfig(ps=[5, 3][:n_ps], rs=[1], suites=["identity", "est1"], jobs=jobs)
         rows, _ = run_config(cfg)
         assert [pool.max_workers for pool in FakePool.made] == ([workers] if workers > 1 else [])
+        assert live_field.cache_info().currsize == 0
         assert rows == run_config(SweepConfig(ps=cfg.ps, rs=[1], suites=cfg.suites))[0]
 
     def test_tasks_submitted_field_major(self, monkeypatch):

@@ -7,7 +7,8 @@ from digitsquares import (conjugates, element_degree, frobenius,
                           is_generator, make_field)
 from digitsquares.fields import (FieldCtx, divisors, frobenius_matrix, is_irreducible,
                                  is_prime, poly_str, smallest_irreducible,
-                                 vec_encode, vec_mul, vec_norm, vec_pow)
+                                 vec_encode, vec_from_coords, vec_mul, vec_norm,
+                                 vec_pow)
 
 
 def brute_irreducible(coeffs, p):
@@ -272,6 +273,30 @@ class TestVectorKernels:
             for b in [a ** (p ** j) for j in range(r)]:
                 prod = prod * b
             assert prod.poly_coords == (int(got[i]),) + (0,) * (r - 1)
+
+    def test_vec_from_coords_matches_scalar(self, field):
+        ctx = field(7, 3)
+        x = ctx.from_poly_coords((0, 1, 0))
+        basis = [x + 3, x * x + x, ctx.from_int(2)]
+        bctx = ctx.with_basis(basis)
+        coords = np.random.default_rng(4).integers(0, 7, size=(50, 3))
+        want = []
+        for row in coords:
+            y = ctx.zero()
+            for c, b in zip(row, basis):
+                y = y + int(c) * b
+            want.append(y.poly_coords)
+        assert (vec_from_coords(bctx, coords) == np.asarray(want)).all()
+        out = np.empty_like(coords)
+        assert vec_from_coords(bctx, coords, out=out) is out
+        assert (out == np.asarray(want)).all()
+
+    def test_vec_encode_exact_above_int64(self, field):
+        ctx = field(101, 20)  # q > 2^62: indices are Python ints
+        poly = np.random.default_rng(8).integers(0, 101, size=(20, 20))
+        got = [int(i) for i in vec_encode(ctx, poly)]
+        assert got == [ctx.poly_coords_to_index(row) for row in poly]
+        assert max(got) >= 1 << 62
 
     def test_vec_encode_round_trip(self, field):
         ctx = field(5, 3)

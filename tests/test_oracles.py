@@ -1,5 +1,6 @@
 """Lemma oracles against independent brute-force recomputation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
                           lemma1_check, lemmaD_check, lemmaE_check, make_char,
                           subfield_partition)
+from digitsquares import boxes, oracles
 from digitsquares.fields import element_degree
 from digitsquares.oracles import generator_elements
 
@@ -237,6 +239,51 @@ class TestSubfieldPartition:
     def test_needs_r_at_least_two(self, field):
         with pytest.raises(ValueError):
             subfield_partition(field(5, 1), (0, 1))
+
+    def test_dependent_basis_raises(self, field):
+        ctx = field(3, 3)
+        x = ctx.from_poly_coords((0, 1, 0))
+        with pytest.raises(ValueError):
+            subfield_partition(ctx, (0, 1), basis=[ctx.one(), x, x + 1])
+
+    @staticmethod
+    def scalar_partition(ctx, digits, basis):
+        """Reference: each tuple of D^{r-1} in lex order, its degree by scalar arithmetic."""
+        a1_inv = basis[0].inv()
+        b = [a1_inv * a for a in basis[1:]]
+        out = {}
+        for tup in itertools.product(sorted(set(digits)), repeat=ctx.r - 1):
+            y = ctx.zero()
+            for c, bj in zip(tup, b):
+                y = y + c * bj
+            out.setdefault(element_degree(y), []).append(tup)
+        return out
+
+    def test_matches_scalar_reference_on_seeded_cases(self, field):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            p = int(rng.choice([3, 5, 7, 11, 13]))
+            r = int(rng.integers(2, 5))
+            ctx = field(p, r)
+            size = int(rng.integers(1, min(p, int(300 ** (1 / (r - 1)))) + 1))
+            digits = tuple(int(c) for c in rng.choice(p, size=size, replace=False))
+            while True:  # a random basis; most draws are independent
+                basis = [ctx.from_index(int(i)) for i in rng.integers(1, ctx.q, size=r)]
+                try:
+                    ctx.with_basis(basis)
+                    break
+                except ValueError:
+                    continue
+            want = self.scalar_partition(ctx, digits, basis)
+            assert subfield_partition(ctx, digits, basis=basis) == want  # lists keep order
+            installed = [ctx.from_index(b) for b in ctx.basis_indices]
+            assert subfield_partition(ctx, digits) == self.scalar_partition(ctx, digits, installed)
+
+    def test_blocks_stream_into_one_partition(self, field, monkeypatch):
+        ctx = field(5, 4)
+        whole = subfield_partition(ctx, (0, 1, 3, 4))
+        monkeypatch.setattr(oracles, "coords_blocks", lambda box: boxes.coords_blocks(box, 7))
+        assert subfield_partition(ctx, (0, 1, 3, 4)) == whole
 
     def test_budget(self, field):
         with pytest.raises(BudgetExceeded):

@@ -1,13 +1,22 @@
-"""The traced benchmark still installs on the package as it stands.
+"""The benchmark still runs on the package as it stands.
 
 perfbench/tracer.py wraps package functions and suites by name; a renamed or
-deleted one would only show when a traced benchmark round runs.
+deleted one would only show when a traced benchmark round runs.  Every
+report a benchmark command writes must keep the digest recorded in
+perfbench/digests.json.
 """
 
+import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from digitsquares.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +35,23 @@ def test_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_benchmark_reports_match_digests(capsys, seed):
+    workloads = _workloads()
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    for workload in workloads.WORKLOADS:
+        for cmd in workloads.commands(workload, seed):
+            code = main(list(cmd))
+            out = capsys.readouterr().out
+            key = " ".join(cmd)
+            assert code == 0, key
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key
