@@ -160,9 +160,6 @@ class IntervalBox:
             for n, h in zip(self.offsets, self.lengths)
         )
 
-    def as_digit_box(self) -> DigitBox:
-        return DigitBox(self.ctx, self.coordinate_sets())
-
     def contains_zero(self) -> bool:
         return all(0 in s for s in self.coordinate_sets())
 

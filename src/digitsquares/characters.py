@@ -30,6 +30,7 @@ import numpy as np
 from mpmath import iv
 
 from .bounds import iv_precision
+from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
 
@@ -99,11 +100,6 @@ class CycloSum:
         """False for composite root orders, where is_zero falls back to floats."""
         return self.order <= 2 or _is_prime_order(self.order)
 
-    def magnitude(self) -> float:
-        if self.order <= 2:
-            return float(abs(self.value_int()))
-        return abs(self.value())
-
     def magnitude_interval(self):
         """Certified (lower, upper) float bounds on |value|."""
         if self.order <= 2:
@@ -158,16 +154,16 @@ def field_generator(ctx: FieldCtx) -> FieldElem:
         if all(ctx.pow_idx(idx, e) != 1 for e in checks):
             ctx._cache["generator"] = idx
             return FieldElem(ctx, idx)
-    raise AssertionError("F_q* is cyclic; a generator always exists")
+    raise InvariantViolation("F_q* is cyclic, yet no element of order q - 1 was found")
 
 
-def dlog_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
+def dlog_table(ctx: FieldCtx) -> np.ndarray:
     """dlog[idx] = e with g^e = element; -1 at the zero element."""
     tab = ctx._cache.get("dlog")
     if tab is not None:
         return tab
-    if ctx.q > cap:
-        raise ValueError(f"q = {ctx.q} above the discrete-log table cap {cap}")
+    if ctx.q > DLOG_CAP:
+        raise ValueError(f"q = {ctx.q} above the discrete-log table cap {DLOG_CAP}")
     g = field_generator(ctx)
     n = ctx.q - 1
     block = min(1024, n)
@@ -193,7 +189,7 @@ def dlog_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
     return tab
 
 
-def quad_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
+def quad_table(ctx: FieldCtx) -> np.ndarray:
     """int8 table of the quadratic character over all element indices.
 
     Built from the squaring map: Q = {x^2 : x != 0} and (-x)^2 = x^2, so
@@ -202,11 +198,11 @@ def quad_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
     blocks.  Only for table-sized fields; larger ones go through the norm
     in quad_char_coords.
     """
-    tab = ctx._cache.get("quad")
+    tab = ctx._tables.get("quad")
     if tab is not None:
         return tab
-    if ctx.q > cap:
-        raise ValueError(f"q = {ctx.q} above the table cap {cap}; "
+    if ctx.q > DLOG_CAP:
+        raise ValueError(f"q = {ctx.q} above the table cap {DLOG_CAP}; "
                          f"use quad_char_coords on element blocks instead")
     tab = np.full(ctx.q, -1, dtype=np.int8)
     half = (ctx.p + 1) // 2 * (ctx.q // ctx.p)
@@ -214,19 +210,19 @@ def quad_table(ctx: FieldCtx, cap: int = DLOG_CAP) -> np.ndarray:
         x = vec_decode(ctx, np.arange(lo, min(lo + SQUARE_BLOCK, half), dtype=np.int64))
         tab[vec_encode(ctx, vec_mul(ctx, x, x))] = 1
     tab[0] = 0
-    ctx._cache["quad"] = tab
+    ctx._tables["quad"] = tab
     return tab
 
 
 def legendre_table(ctx: FieldCtx) -> np.ndarray:
     """int8 Legendre symbol (a / p) for a = 0..p-1, cached on the ctx."""
-    tab = ctx._cache.get("legendre")
+    tab = ctx._tables.get("legendre")
     if tab is None:
         p = ctx.p
         tab = np.full(p, -1, dtype=np.int8)
         tab[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
         tab[0] = 0
-        ctx._cache["legendre"] = tab
+        ctx._tables["legendre"] = tab
     return tab
 
 
@@ -297,7 +293,7 @@ class MultChar:
                 f"ctx=F_{self.ctx.p}^{self.ctx.r})")
 
 
-def make_char(ctx: FieldCtx, order: int, index: int, cap: int = DLOG_CAP) -> MultChar:
+def make_char(ctx: FieldCtx, order: int, index: int) -> MultChar:
     """Character of root order s (s | q-1) with index j in [0, s)."""
     if order < 1 or (ctx.q - 1) % order != 0:
         raise ValueError(f"order {order} does not divide q - 1 = {ctx.q - 1}")
@@ -305,11 +301,11 @@ def make_char(ctx: FieldCtx, order: int, index: int, cap: int = DLOG_CAP) -> Mul
         raise ValueError(f"index {index} outside [0, {order})")
     if order <= 2:
         return MultChar(ctx, order, index)
-    if ctx.q > cap:
+    if ctx.q > DLOG_CAP:
         raise ValueError(
-            f"q = {ctx.q} above the dlog cap {cap}; only root orders 1 and 2 "
+            f"q = {ctx.q} above the dlog cap {DLOG_CAP}; only root orders 1 and 2 "
             f"are available for large fields")
-    dl = dlog_table(ctx, cap)
+    dl = dlog_table(ctx)
     exp = (index * (dl % order)) % order
     exp[0] = -1
     return MultChar(ctx, order, index, exp_table=exp)

@@ -12,6 +12,12 @@ matrix and its inverse mod p.  "Coordinates" always means coordinates with
 respect to the installed basis; "poly coords" means the raw residue
 polynomial coefficients.
 
+Tables that do not depend on the basis (Frobenius matrices, quadratic and
+Legendre tables, all poly coords) live in ctx._tables, which with_basis
+shares; the generator, discrete logs and square counts live in ctx._cache,
+one per context.  Frobenius, subfield degrees and conjugates all go through
+the cached frobenius_matrix.
+
 Characteristic is capped at 2^20 so that coordinate products summed over
 r <= 64 terms never overflow int64 in the vector kernels.
 """
@@ -214,7 +220,7 @@ class FieldCtx:
     mathematical content never changes after construction.
     """
 
-    def __init__(self, p, r, modulus, basis_indices=None, _validated=False):
+    def __init__(self, p, r, modulus, basis_indices=None, _validated=False, _tables=None):
         if not _validated:
             _check_field_params(p, r)
             if len(modulus) != r + 1 or modulus[-1] != 1:
@@ -248,7 +254,8 @@ class FieldCtx:
             mat[:, i] = self.index_to_poly_coords(idx)
         self.basis_matrix = mat
         self.basis_inv = _matrix_inverse_mod_p(mat, p)  # raises if not a basis
-        self._cache = {}
+        self._tables = {} if _tables is None else _tables  # basis-independent
+        self._cache = {}  # tied to the installed basis
 
     # -- identity ----------------------------------------------------------
 
@@ -313,10 +320,6 @@ class FieldCtx:
         for idx in range(self.q):
             yield FieldElem(self, idx)
 
-    def prime_subfield(self):
-        for c in range(self.p):
-            yield FieldElem(self, c)
-
     # -- scalar arithmetic on indices ----------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
@@ -367,7 +370,8 @@ class FieldCtx:
     def with_basis(self, basis_elems) -> "FieldCtx":
         """Same field, different installed basis (must be linearly independent)."""
         idxs = tuple(b.idx if isinstance(b, FieldElem) else int(b) for b in basis_elems)
-        return FieldCtx(self.p, self.r, self.modulus, idxs, _validated=True)
+        return FieldCtx(self.p, self.r, self.modulus, idxs, _validated=True,
+                        _tables=self._tables)
 
     def normalized_basis(self) -> "FieldCtx":
         """Install b_j = a_j / a_1 (so b_1 = 1), the square-counting normalisation."""
@@ -475,30 +479,22 @@ def make_field(p: int, r: int) -> FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius, conjugates, subfield degrees
+# Frobenius, conjugates, subfield degrees (all through frobenius_matrix)
 
 def frobenius(a: FieldElem) -> FieldElem:
-    return a ** a.ctx.p
+    return a.ctx.from_poly_coords(np.asarray(a.poly_coords) @ frobenius_matrix(a.ctx) % a.ctx.p)
 
 
 def element_degree(a: FieldElem) -> int:
     """Smallest d | r with a^{p^d} = a, i.e. a generates the subfield F_{p^d}."""
-    ctx = a.ctx
-    cur = a
-    for d in range(1, ctx.r + 1):
-        cur = cur ** ctx.p
-        if ctx.r % d == 0 and cur == a:
-            return d
-    raise AssertionError("element degree must divide r")  # a^q = a always
+    return int(vec_degrees(a.ctx, np.asarray([a.poly_coords]))[0])
 
 
 def conjugates(a: FieldElem) -> list[FieldElem]:
-    """Frobenius orbit {a, a^p, ..., a^{p^{d-1}}}, all distinct."""
+    """Frobenius orbit [a, a^p, ..., a^{p^{d-1}}], all distinct."""
     out = [a]
-    cur = frobenius(a)
-    while cur != a:
-        out.append(cur)
-        cur = frobenius(cur)
+    for _ in range(1, element_degree(a)):
+        out.append(frobenius(out[-1]))
     return out
 
 
@@ -549,7 +545,7 @@ def frobenius_matrix(ctx: FieldCtx, k: int = 1) -> np.ndarray:
     Frobenius is F_p-linear, so rows A map to (A @ M) % p; row j of M holds
     the poly coords of x^{j p^k}.
     """
-    mats = ctx._cache.setdefault("frobenius", {})
+    mats = ctx._tables.setdefault("frobenius", {})
     if k not in mats:
         p, r = ctx.p, ctx.r
         if k == 1:
@@ -566,6 +562,25 @@ def frobenius_matrix(ctx: FieldCtx, k: int = 1) -> np.ndarray:
                 m = (m @ frobenius_matrix(ctx, 1)) % p
         mats[k] = m
     return mats[k]
+
+
+def vec_degrees(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Smallest d | r with a^{p^d} = a for each reduced poly-coordinate row.
+
+    Frob^d goes over the rows still undecided, d through the divisors of r
+    in increasing order.  Since a^{p^r} = a, a row left at d = r means a
+    corrupted Frobenius matrix: InvariantViolation.
+    """
+    degrees = np.zeros(A.shape[0], dtype=np.int64)
+    todo = np.arange(A.shape[0])
+    for d in divisors(ctx.r):
+        rows = A[todo]
+        fixed = (rows @ frobenius_matrix(ctx, d) % ctx.p == rows).all(axis=1)
+        degrees[todo[fixed]] = d
+        todo = todo[~fixed]
+    if todo.size:
+        raise InvariantViolation("Frob^r moved an element: corrupted Frobenius matrix")
+    return degrees
 
 
 def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
@@ -625,8 +640,8 @@ def vec_decode(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
 
 def all_poly_coords(ctx: FieldCtx) -> np.ndarray:
     """(q, r) array with the poly coords of every element, cached on the ctx."""
-    tab = ctx._cache.get("all_coords")
+    tab = ctx._tables.get("all_coords")
     if tab is None:
         tab = vec_decode(ctx, np.arange(ctx.q, dtype=np.int64))
-        ctx._cache["all_coords"] = tab
+        ctx._tables["all_coords"] = tab
     return tab

@@ -28,7 +28,7 @@ from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
                          dlog_table, make_char, quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, all_poly_coords, conjugates,
-                     element_degree, frobenius_matrix, vec_decode, vec_encode,
+                     element_degree, vec_decode, vec_degrees, vec_encode,
                      vec_from_coords)
 
 
@@ -94,12 +94,8 @@ def lemmaD_rhs(p: int, r: int) -> float:
 
 def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
     """All elements of degree r, i.e. lying in no proper subfield."""
-    out = []
-    for idx in range(ctx.q):
-        a = FieldElem(ctx, idx)
-        if element_degree(a) == ctx.r:
-            out.append(a)
-    return out
+    degrees = vec_degrees(ctx, all_poly_coords(ctx))
+    return [FieldElem(ctx, int(idx)) for idx in np.flatnonzero(degrees == ctx.r)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +190,10 @@ def subfield_partition(ctx: FieldCtx, digits, basis=None,
     nctx = (ctx if basis is None else ctx.with_basis(basis)).normalized_basis()
     box = DigitBox(nctx, ((0,),) + (ds,) * (ctx.r - 1))
     check_budget(box, budget, "subfield partition of the digit tuples")
-    frob = frobenius_matrix(ctx)
     out: dict[int, list[tuple[int, ...]]] = {}
     for coords in coords_blocks(box):
-        y = vec_from_coords(nctx, coords)  # poly coords of c_2 b_2 + ... + c_r b_r
-        degrees = np.zeros(len(y), dtype=np.int64)
-        cur = y
-        for d in range(1, ctx.r + 1):
-            cur = (cur @ frob) % ctx.p
-            if ctx.r % d == 0:
-                hit = (degrees == 0) & (cur == y).all(axis=1)
-                degrees[hit] = d
+        # degrees of c_2 b_2 + ... + c_r b_r
+        degrees = vec_degrees(nctx, vec_from_coords(nctx, coords))
         for row, d in zip(coords[:, 1:], degrees):
             out.setdefault(int(d), []).append(tuple(int(c) for c in row))
     return out

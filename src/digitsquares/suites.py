@@ -74,7 +74,7 @@ def live_field(p: int, r: int) -> FieldCtx:
 
 
 def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
-    """count_squares of the box D^r, kept in ctx._cache beside the field's tables.
+    """count_squares of the box D^r, kept in ctx._cache with the basis-tied tables.
 
     Each call checks the budget exactly once: count_squares does on a miss,
     check_budget on a hit, so a cached count never bypasses the budget.

@@ -51,3 +51,58 @@ def euler():
 def euler_rows():
     """Independent oracle for the quadratic character on poly-coordinate rows."""
     return _euler_rows
+
+
+def _scalar_frobenius(a):
+    """a -> a^p by scalar square-and-multiply."""
+    return a ** a.ctx.p
+
+
+def _scalar_degree(a) -> int:
+    """Smallest d | r with a^{p^d} = a, by repeated scalar p-th powers."""
+    ctx = a.ctx
+    cur = a
+    for d in range(1, ctx.r + 1):
+        cur = cur ** ctx.p
+        if ctx.r % d == 0 and cur == a:
+            return d
+    raise AssertionError("element degree must divide r")  # a^q = a always
+
+
+def _scalar_conjugates(a):
+    """Frobenius orbit [a, a^p, a^{p^2}, ...] by scalar p-th powers."""
+    out = [a]
+    cur = a ** a.ctx.p
+    while cur != a:
+        out.append(cur)
+        cur = cur ** a.ctx.p
+    return out
+
+
+def _scalar_generators(ctx):
+    """Every element of degree r, in index order."""
+    return [a for a in ctx.elements() if _scalar_degree(a) == ctx.r]
+
+
+@pytest.fixture(scope="session")
+def scalar_frobenius():
+    """Independent oracle for fields.frobenius: scalar a ** p."""
+    return _scalar_frobenius
+
+
+@pytest.fixture(scope="session")
+def scalar_degree():
+    """Independent oracle for the subfield degree: scalar a ** p until a returns."""
+    return _scalar_degree
+
+
+@pytest.fixture(scope="session")
+def scalar_conjugates():
+    """Independent oracle for the Frobenius orbit, in orbit order."""
+    return _scalar_conjugates
+
+
+@pytest.fixture(scope="session")
+def scalar_generators():
+    """Independent oracle for oracles.generator_elements."""
+    return _scalar_generators

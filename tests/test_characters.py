@@ -150,7 +150,7 @@ class TestQuadCharOracle:
         ctx = make_field(37, 4)  # above the cap: the norm path
         rows = oracle_rows(ctx, 50, seed=3)
         quad_char_coords(ctx, rows)
-        ctx._cache["frobenius"][2] = np.eye(4, dtype=np.int64)  # corrupt Frob^2
+        ctx._tables["frobenius"][2] = np.eye(4, dtype=np.int64)  # corrupt Frob^2
         with pytest.raises(InvariantViolation):
             quad_char_coords(ctx, rows)
 

@@ -50,8 +50,8 @@ class TestExamples:
         box = DigitBox.uniform(ctx, (1, 2))
         count_squares(box)
         w = ctx.from_coords((2, 1)).idx
-        assert quad_table(ctx) is ctx._cache["quad"]
-        ctx._cache["quad"][w] = 0  # a nonzero element of W classified as zero
+        assert quad_table(ctx) is ctx._tables["quad"]
+        ctx._tables["quad"][w] = 0  # a nonzero element of W classified as zero
         with pytest.raises(InvariantViolation):
             count_squares(box)
 

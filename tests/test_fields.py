@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from digitsquares import (conjugates, element_degree, frobenius,
-                          is_generator, make_field)
-from digitsquares.fields import (FieldCtx, divisors, frobenius_matrix, is_irreducible,
-                                 is_prime, poly_str, smallest_irreducible,
-                                 vec_encode, vec_from_coords, vec_mul, vec_norm,
-                                 vec_pow)
+from digitsquares import (InvariantViolation, conjugates, element_degree,
+                          field_generator, frobenius, is_generator, make_field)
+from digitsquares.characters import dlog_table, legendre_table, quad_table
+from digitsquares.fields import (FieldCtx, all_poly_coords, divisors, frobenius_matrix,
+                                 is_irreducible, is_prime, poly_str,
+                                 smallest_irreducible, vec_degrees, vec_encode,
+                                 vec_from_coords, vec_mul, vec_norm, vec_pow)
+from digitsquares.oracles import generator_elements
+from digitsquares.suites import square_census
+
+# every element of these fields is checked against the scalar oracles
+ORACLE_FIELDS = [(3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (3, 6)]
 
 
 def brute_irreducible(coeffs, p):
@@ -172,6 +180,52 @@ class TestFrobenius:
             assert frobenius(orbit[-1]) == orbit[0]
 
 
+class TestFrobeniusOracles:
+    """The Frobenius-matrix path against scalar a ** p."""
+
+    @pytest.mark.parametrize("p,r", ORACLE_FIELDS)
+    def test_every_element(self, field, scalar_frobenius, scalar_degree,
+                           scalar_conjugates, p, r):
+        ctx = field(p, r)
+        degrees = vec_degrees(ctx, all_poly_coords(ctx))
+        for a in ctx.elements():
+            orbit = scalar_conjugates(a)
+            assert conjugates(a) == orbit  # same elements in the same orbit order
+            assert element_degree(a) == scalar_degree(a) == len(orbit) == degrees[a.idx]
+            assert frobenius(a) == scalar_frobenius(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_fields(self, field, scalar_frobenius, scalar_degree,
+                               scalar_conjugates, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="p")
+        r = data.draw(st.integers(1, 6), label="r")
+        ctx = field(p, r)
+        idxs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=6))
+        d = data.draw(st.sampled_from(divisors(r)), label="d")
+        # a^{(q-1)/(p^d-1)} lies in F_{p^d}, so the draws reach the subfields too
+        sub = [ctx.pow_idx(i, (ctx.q - 1) // (p ** d - 1)) for i in idxs]
+        elems = [ctx.from_index(i) for i in idxs + sub]
+        rows = np.asarray([a.poly_coords for a in elems], dtype=np.int64)
+        assert vec_degrees(ctx, rows).tolist() == [scalar_degree(a) for a in elems]
+        for a in elems:
+            assert conjugates(a) == scalar_conjugates(a)
+            assert frobenius(a) == scalar_frobenius(a)
+
+    def test_zeroed_frobenius_matrix_raises(self):
+        ctx = make_field(3, 4)  # fresh: the corruption must not reach shared fields
+        frobenius_matrix(ctx)
+        ctx._tables["frobenius"][1] = np.zeros((4, 4), dtype=np.int64)
+        with pytest.raises(InvariantViolation):
+            vec_degrees(ctx, all_poly_coords(ctx))
+        x = ctx.from_poly_coords((0, 1, 0, 0))
+        for check in (element_degree, conjugates, is_generator):
+            with pytest.raises(InvariantViolation):
+                check(x)
+        with pytest.raises(InvariantViolation):
+            generator_elements(ctx)
+
+
 class TestElementDegree:
     def test_zero_has_degree_one(self, field):
         assert element_degree(field(3, 2).zero()) == 1
@@ -226,6 +280,32 @@ class TestBases:
         shifted = ctx.with_basis([x, ctx.one() + x])
         norm = shifted.normalized_basis()
         assert norm.basis_indices[0] == 1
+
+    def test_rebased_contexts_share_basis_free_tables(self):
+        ctx = make_field(5, 3)
+        x = ctx.from_poly_coords((0, 1, 0))
+        rebased = ctx.with_basis([x + 2, x * x, ctx.from_int(3)]).normalized_basis()
+        assert quad_table(ctx) is quad_table(ctx.normalized_basis())
+        assert quad_table(ctx) is quad_table(rebased)
+        assert legendre_table(ctx) is legendre_table(rebased)
+        assert frobenius_matrix(ctx, 2) is frobenius_matrix(rebased, 2)
+        assert all_poly_coords(ctx) is all_poly_coords(rebased)
+        assert rebased._cache is not ctx._cache
+
+    def test_rebased_context_keeps_its_own_generator_and_counts(self):
+        ctx = make_field(7, 2)
+        x = ctx.from_poly_coords((0, 1))
+        digit_sets = [(0, 1), (1, 2, 4), (0, 3, 5, 6)]
+        field_generator(ctx)
+        dlog_table(ctx)
+        before = [square_census(ctx, ds, None) for ds in digit_sets]
+        rebased = ctx.with_basis([x + 3, ctx.from_int(2)])
+        fresh = FieldCtx(7, 2, ctx.modulus, rebased.basis_indices)
+        assert field_generator(rebased) == field_generator(fresh) != field_generator(ctx)
+        assert np.array_equal(dlog_table(rebased), dlog_table(fresh))
+        after = [square_census(rebased, ds, None) for ds in digit_sets]
+        assert after == [square_census(fresh, ds, None) for ds in digit_sets]
+        assert after != before  # the counts depend on the basis
 
 
 class TestVectorKernels:

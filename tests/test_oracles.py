@@ -5,14 +5,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
                           lemma1_check, lemmaD_check, lemmaE_check, make_char,
                           subfield_partition)
 from digitsquares import boxes, oracles
-from digitsquares.fields import element_degree
+from digitsquares.fields import divisors
 from digitsquares.oracles import generator_elements
+
+
+def degree_r_count(p, r):
+    """#{a in F_{p^r} of degree r} = sum_{d | r} mu(d) p^{r/d} (Moebius inversion)."""
+    def mu(n):
+        out = 1
+        for f in range(2, n + 1):
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                out = -out
+        return out
+    return sum(mu(d) * p ** (r // d) for d in divisors(r))
+
+
+class TestGeneratorElements:
+    @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (3, 6)])
+    def test_matches_scalar_oracle(self, field, scalar_generators, p, r):
+        ctx = field(p, r)
+        gens = generator_elements(ctx)
+        assert gens == scalar_generators(ctx)  # same elements, index order
+        assert len(gens) == degree_r_count(p, r)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_fields(self, field, scalar_degree, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="p")
+        r = data.draw(st.integers(1, max(k for k in range(1, 7) if p ** k <= 1 << 17)),
+                      label="r")
+        ctx = field(p, r)
+        gens = {a.idx for a in generator_elements(ctx)}
+        assert len(gens) == degree_r_count(p, r)
+        for i in data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=20)):
+            assert (i in gens) == (scalar_degree(ctx.from_index(i)) == r)
 
 
 class TestLemmaD:
@@ -215,7 +252,7 @@ class TestSubfieldPartition:
         part = subfield_partition(field(3, 3), (0, 1, 2))
         assert set(part) <= {1, 3}
 
-    def test_matches_scalar_degree_loop(self, field):
+    def test_matches_scalar_degree_loop(self, field, scalar_degree):
         # independent route: evaluate each tuple with scalar arithmetic
         ctx = field(5, 2)
         digits = (0, 1, 3)
@@ -223,7 +260,7 @@ class TestSubfieldPartition:
         x = ctx.from_poly_coords((0, 1))  # b_2 = a_2 / a_1 = x under the default basis
         for d, tuples in part.items():
             for (c2,) in tuples:
-                assert element_degree(ctx.from_int(c2) * x) == d
+                assert scalar_degree(ctx.from_int(c2) * x) == d
 
     def test_basis_normalisation_invariance(self, field):
         # two bases sharing a_1 induce the same class cardinalities
@@ -247,7 +284,7 @@ class TestSubfieldPartition:
             subfield_partition(ctx, (0, 1), basis=[ctx.one(), x, x + 1])
 
     @staticmethod
-    def scalar_partition(ctx, digits, basis):
+    def scalar_partition(ctx, digits, basis, degree):
         """Reference: each tuple of D^{r-1} in lex order, its degree by scalar arithmetic."""
         a1_inv = basis[0].inv()
         b = [a1_inv * a for a in basis[1:]]
@@ -256,10 +293,10 @@ class TestSubfieldPartition:
             y = ctx.zero()
             for c, bj in zip(tup, b):
                 y = y + c * bj
-            out.setdefault(element_degree(y), []).append(tup)
+            out.setdefault(degree(y), []).append(tup)
         return out
 
-    def test_matches_scalar_reference_on_seeded_cases(self, field):
+    def test_matches_scalar_reference_on_seeded_cases(self, field, scalar_degree):
         rng = np.random.default_rng(2024)
         for _ in range(40):
             p = int(rng.choice([3, 5, 7, 11, 13]))
@@ -274,10 +311,11 @@ class TestSubfieldPartition:
                     break
                 except ValueError:
                     continue
-            want = self.scalar_partition(ctx, digits, basis)
+            want = self.scalar_partition(ctx, digits, basis, scalar_degree)
             assert subfield_partition(ctx, digits, basis=basis) == want  # lists keep order
             installed = [ctx.from_index(b) for b in ctx.basis_indices]
-            assert subfield_partition(ctx, digits) == self.scalar_partition(ctx, digits, installed)
+            assert subfield_partition(ctx, digits) == self.scalar_partition(
+                ctx, digits, installed, scalar_degree)
 
     def test_blocks_stream_into_one_partition(self, field, monkeypatch):
         ctx = field(5, 4)

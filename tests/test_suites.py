@@ -1,9 +1,13 @@
-"""Golden report of the census suites: rows, their order and their precedence.
+"""Golden reports: the census suites, and the Frobenius-orbit suites.
 
 The census suites compare one exact square count per digit set against a
 right-hand side.  One fixed configuration reaches every kind of row they can
 emit (pass or report-only, hypothesis skip, budget skip, error), so its CSV
 digest pins which of them wins on every instance.
+
+lemmaD (generator pairs that are not conjugate) and partition (tuples by
+subfield degree) rest on the Frobenius degree sieve; their reports on small
+fields are pinned byte for byte.
 """
 
 import hashlib
@@ -11,7 +15,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from digitsquares.cli import SweepConfig, run_config
+from digitsquares.cli import SweepConfig, main, run_config
 from digitsquares.reporting import rows_to_csv
 
 CENSUS_SUITES = ("identity", "est1", "thmA", "thmB", "thm1", "thm1-existence",
@@ -81,3 +85,16 @@ def test_hypothesis_skip_wins_over_budget(census_rows):
     rows = {(row.suite, row.p, row.r, row.instance) for row in census_rows}
     assert ("thmB", 53, 3, "0-51;C(p,t) undefined at t=p-1") in rows
     assert ("thmB", 53, 3, "0-50;budget") in rows
+
+
+@pytest.mark.parametrize("fields,digest", [
+    (["--p", "3,5", "--r", "2"],
+     "754a8fca7ff85df80ebabaf4b826dd0b21ae1a121ac90af9928320bdc9b7ee5c"),
+    (["--p", "3", "--r", "3"],
+     "1c0c164fc3c8309d8fc3d870e613e6822935330b29000fe00a4b62c87d68f2eb"),
+], ids=["p3,5-r2", "p3-r3"])
+def test_frobenius_suites_golden_digest(capsys, fields, digest):
+    code = main(["verify", "--suite", "lemmaD,partition", "--digits", "intervals"] + fields)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

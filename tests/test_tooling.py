@@ -1,11 +1,14 @@
-"""The benchmark still runs on the package as it stands.
+"""The benchmark still runs on the package as it stands, and the package
+source keeps its invariant style.
 
 perfbench/tracer.py wraps package functions and suites by name; a renamed or
 deleted one would only show when a traced benchmark round runs.  Every
 report a benchmark command writes must keep the digest recorded in
-perfbench/digests.json.
+perfbench/digests.json.  Invariants in src/ raise InvariantViolation, never
+through assert, which python -O strips.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -55,3 +58,13 @@ def test_benchmark_reports_match_digests(capsys, seed):
             key = " ".join(cmd)
             assert code == 0, key
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key
+
+
+def test_src_has_no_assert():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, found
