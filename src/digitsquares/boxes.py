@@ -231,17 +231,8 @@ def index_blocks(box: Box, block: int = BLOCK):
         yield vec_encode(box.ctx, poly)
 
 
-def enumerate_box(box: Box, budget: int | None = None, prefix=None):
-    """Stream every element of the box exactly once, lex coordinate order.
-
-    Splittable for parallel work by fixing a coordinate prefix; the budget
-    then applies to the shard being streamed, not the whole box.
-    """
-    if prefix is not None:
-        sets = box.coordinate_sets()
-        if any(int(c) not in s for c, s in zip(prefix, sets)):
-            return
-        box = DigitBox(box.ctx, tuple((int(c),) for c in prefix) + sets[len(prefix):])
+def enumerate_box(box: Box, budget: int | None = None):
+    """Stream every element of the box exactly once, lex coordinate order."""
     check_budget(box, budget)
     ctx = box.ctx
     for idx in index_blocks(box):

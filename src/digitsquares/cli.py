@@ -6,6 +6,11 @@ key=value config file with flag overrides (flags win).  Reports are CSV or
 JSON with a fixed schema and deterministic content, so identical
 configurations produce byte-identical files.
 
+Every verify/sweep option is declared once, in OPTIONS.  A config value
+and its flag share one parser, and SweepConfig.validate bounds the result,
+so a bad value exits 2 from either source.  Suites read options as the
+TaskOptions fields of the same names, whose defaults SweepConfig reuses.
+
 Exit codes: 0 all checks passed, 1 any check failed or an instance errored,
 2 usage or configuration errors.
 """
@@ -16,7 +21,8 @@ import argparse
 import concurrent.futures
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 from .boxes import BUDGET_ENV_VAR, DigitBox, parse_digit_spec
 from .counting import count_squares, estimate_square_fraction
@@ -39,18 +45,18 @@ class SweepConfig:
     ps: list[int] = field(default_factory=list)
     rs: list[int] = field(default_factory=list)
     suites: list[str] = field(default_factory=list)
-    digits: str | None = None
-    budget: int | None = None
-    seed: int | None = None
+    digits: str | None = TaskOptions.digits
+    budget: int | None = TaskOptions.budget
+    seed: int | None = TaskOptions.seed
     out: str | None = None
     format: str = "csv"
     jobs: int = 1
-    const: float = 1.0
-    trials: int | None = None
-    h: int = 0
-    eps: float = 0.25
-    nu_max: int = 4
-    orders: tuple[int, ...] | None = None
+    const: float = TaskOptions.const
+    trials: int | None = TaskOptions.trials
+    h: int = TaskOptions.h
+    eps: float = TaskOptions.eps
+    nu_max: int = TaskOptions.nu_max
+    orders: tuple[int, ...] | None = TaskOptions.orders
 
     def validate(self):
         if not self.ps:
@@ -69,22 +75,55 @@ class SweepConfig:
             raise ConfigError("--jobs must be >= 1")
         if self.budget is not None and self.budget <= 0:
             raise ConfigError("--budget must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        if self.trials is not None and self.trials < 1:
+            raise ConfigError("--trials must be >= 1")
+        if self.h < 0:
+            raise ConfigError("--h must be >= 0 (0 picks the suite's default)")
+        if self.nu_max < 1:
+            raise ConfigError("--nu-max must be >= 1")
+        if any(s < 2 for s in self.orders or ()):
+            raise ConfigError("--orders must all be >= 2")
         needs_seed = (any(s in ("lemmaE", "lemma1") for s in self.suites)
                       or (self.digits or "").find("random") >= 0)
         if needs_seed and self.seed is None:
             raise ConfigError("a --seed is mandatory when randomness is requested")
 
 
-_CONFIG_KEYS = {
-    "p": "ps", "r": "rs", "suite": "suites", "digits": "digits",
-    "budget": "budget", "seed": "seed", "out": "out", "format": "format",
-    "jobs": "jobs", "const": "const", "trials": "trials", "h": "h",
-    "eps": "eps", "nu-max": "nu_max", "orders": "orders",
+def _names(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in _names(text)]
+
+
+class Option(NamedTuple):
+    attr: str                     # the SweepConfig field it sets
+    parse: Callable[[str], Any]   # the same for a config value and a flag
+    help: str
+
+
+# Every run option by config key; its flag is --key, in this order in --help.
+OPTIONS: dict[str, Option] = {
+    "p": Option("ps", _ints, "comma list of characteristics"),
+    "r": Option("rs", _ints, "comma list of extension degrees"),
+    "suite": Option("suites", _names, "comma list of suite names"),
+    "digits": Option("digits", str, "digit-set spec (e.g. 0-4,7 | intervals | random:200)"),
+    "budget": Option("budget", int, f"enumeration budget (default ${BUDGET_ENV_VAR} or 10^8)"),
+    "seed": Option("seed", int, "seed for randomised instances"),
+    "jobs": Option("jobs", int, "worker pool size (default 1)"),
+    "out": Option("out", str, "report file path (default stdout)"),
+    "format": Option("format", str, "report format: csv or json"),
+    "const": Option("const", float, "user constant for the corollary bound"),
+    "trials": Option("trials", int, "random instances per field for lemma suites"),
+    "h": Option("h", int, "side parameter for energy/deltaH suites"),
+    "eps": Option("eps", float, "epsilon for the corollary bound"),
+    "nu-max": Option("nu_max", int, "largest nu in the thm2 grid"),
+    "orders": Option("orders", lambda text: tuple(_ints(text)),
+                     "comma list of character orders for lemmaD"),
 }
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def parse_config_file(path: str) -> SweepConfig:
@@ -99,35 +138,19 @@ def parse_config_file(path: str) -> SweepConfig:
             key, _, value = line.partition("=")
             col = len(key) + 2
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in OPTIONS:
                 raise ConfigError(f"unknown key {key!r}", lineno, 1)
+            opt = OPTIONS[key]
             try:
-                _assign(cfg, _CONFIG_KEYS[key], value)
+                setattr(cfg, opt.attr, opt.parse(value))
             except ValueError as exc:
                 raise ConfigError(str(exc), lineno, col) from None
     return cfg
 
 
-def _assign(cfg: SweepConfig, attr: str, value: str):
-    if attr in ("ps", "rs"):
-        setattr(cfg, attr, _parse_int_list(value))
-    elif attr == "suites":
-        setattr(cfg, attr, [tok.strip() for tok in value.split(",") if tok.strip()])
-    elif attr == "orders":
-        setattr(cfg, attr, tuple(_parse_int_list(value)))
-    elif attr in ("budget", "seed", "jobs", "trials", "h", "nu_max"):
-        setattr(cfg, attr, int(value))
-    elif attr in ("const", "eps"):
-        setattr(cfg, attr, float(value))
-    else:
-        setattr(cfg, attr, value)
-
-
 def _task_options(cfg: SweepConfig, p: int, r: int) -> TaskOptions:
-    return TaskOptions(p=p, r=r, digits=cfg.digits, seed=cfg.seed,
-                       budget=cfg.budget, trials=cfg.trials, h=cfg.h,
-                       eps=cfg.eps, const=cfg.const, nu_max=cfg.nu_max,
-                       orders=cfg.orders)
+    return TaskOptions(p=p, r=r, **{f.name: getattr(cfg, f.name)
+                                    for f in fields(TaskOptions) if f.name not in ("p", "r")})
 
 
 def _run_task(task) -> list[Row]:
@@ -169,37 +192,19 @@ def run_config(cfg: SweepConfig) -> tuple[list[Row], int]:
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--p", help="comma list of characteristics")
-    sub.add_argument("--r", help="comma list of extension degrees")
-    sub.add_argument("--suite", help="comma list of suite names")
-    sub.add_argument("--digits", help="digit-set spec (e.g. 0-4,7 | intervals | random:200)")
-    sub.add_argument("--budget", type=int, help=f"enumeration budget (default ${BUDGET_ENV_VAR} or 10^8)")
-    sub.add_argument("--seed", type=int, help="seed for randomised instances")
-    sub.add_argument("--jobs", type=int, help="worker pool size (default 1)")
-    sub.add_argument("--out", help="report file path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="report format")
-    sub.add_argument("--const", type=float, help="user constant for the corollary bound")
-    sub.add_argument("--trials", type=int, help="random instances per field for lemma suites")
-    sub.add_argument("--h", type=int, help="side parameter for energy/deltaH suites")
-    sub.add_argument("--eps", type=float, help="epsilon for the corollary bound")
-    sub.add_argument("--nu-max", type=int, dest="nu_max", help="largest nu in the thm2 grid")
-    sub.add_argument("--orders", help="comma list of character orders for lemmaD")
+    for key, opt in OPTIONS.items():
+        sub.add_argument(f"--{key}", dest=opt.attr, metavar=key.upper().replace("-", "_"),
+                         help=opt.help)
 
 
 def _apply_flags(cfg: SweepConfig, args: argparse.Namespace):
-    if args.p is not None:
-        cfg.ps = _parse_int_list(args.p)
-    if args.r is not None:
-        cfg.rs = _parse_int_list(args.r)
-    if args.suite is not None:
-        cfg.suites = [tok.strip() for tok in args.suite.split(",") if tok.strip()]
-    if args.orders is not None:
-        cfg.orders = tuple(_parse_int_list(args.orders))
-    for name in ("digits", "budget", "seed", "jobs", "out", "format",
-                 "const", "trials", "h", "eps", "nu_max"):
-        val = getattr(args, name)
-        if val is not None:
-            setattr(cfg, name, val)
+    for key, opt in OPTIONS.items():
+        text = getattr(args, opt.attr)
+        if text is not None:
+            try:
+                setattr(cfg, opt.attr, opt.parse(text))
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from None
 
 
 def _cmd_field(args) -> int:

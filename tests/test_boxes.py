@@ -83,15 +83,6 @@ class TestEnumeration:
         assert DigitBox.uniform(ctx, (0, 1)).contains_zero()
         assert not DigitBox(ctx, ((0, 1), (1, 2))).contains_zero()
 
-    def test_prefix_shards_partition_the_box(self, field):
-        ctx = field(5, 2)
-        box = DigitBox.uniform(ctx, (0, 2, 3))
-        whole = [e.idx for e in enumerate_box(box)]
-        shards = []
-        for c in (0, 2, 3):
-            shards.extend(e.idx for e in enumerate_box(box, prefix=(c,)))
-        assert shards == whole
-
     def test_index_blocks_are_fresh_arrays(self, field):
         from digitsquares.boxes import index_blocks
         ctx = field(5, 3)
@@ -106,14 +97,6 @@ class TestEnumeration:
         box = DigitBox.uniform(ctx, tuple(range(5)))
         with pytest.raises(BudgetExceeded, match="Monte-Carlo"):
             list(enumerate_box(box, budget=100))
-
-    def test_budget_applies_to_the_shard_not_the_whole_box(self, field):
-        # fixing a prefix makes an over-budget box streamable shard by shard
-        ctx = field(5, 3)
-        box = DigitBox.uniform(ctx, tuple(range(5)))  # 125 elements
-        shard = list(enumerate_box(box, budget=30, prefix=(2,)))
-        assert len(shard) == 25
-        assert all(e.coords[0] == 2 for e in shard)
 
     def test_basis_change_multiplies_pointwise(self, field):
         # with b_j = a_j / a_1 installed, W becomes a_1^{-1} * W pointwise

@@ -1,6 +1,7 @@
 """CLI subcommands, config files, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -10,7 +11,7 @@ from digitsquares import boxes, cli, counting, fields, suites
 from digitsquares.cli import ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
-from digitsquares.suites import live_field, square_census
+from digitsquares.suites import TaskOptions, live_field, square_census
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +166,57 @@ class TestSweepConfig:
         assert code == 2
 
 
+# config text, the value it sets, flag text, the value it sets; one per key
+OPTION_SAMPLES = {
+    "p": ("3,5", [3, 5], "7", [7]),
+    "r": ("1", [1], "2, 3", [2, 3]),
+    "suite": ("identity, est1", ["identity", "est1"], "thmA", ["thmA"]),
+    "digits": ("0-4", "0-4", "intervals", "intervals"),
+    "budget": ("100", 100, "200", 200),
+    "seed": ("1", 1, "2", 2),
+    "jobs": ("2", 2, "3", 3),
+    "out": ("a.csv", "a.csv", "b.csv", "b.csv"),
+    "format": ("json", "json", "csv", "csv"),
+    "const": ("2.5", 2.5, "0.5", 0.5),
+    "trials": ("10", 10, "20", 20),
+    "h": ("1", 1, "2", 2),
+    "eps": ("0.1", 0.1, "0.3", 0.3),
+    "nu-max": ("2", 2, "3", 3),
+    "orders": ("2,3", (2, 3), "4", (4,)),
+}
+
+TASK_FIELDS = [f for f in dataclasses.fields(TaskOptions) if f.name not in ("p", "r")]
+
+
+class TestOptionsTable:
+    @pytest.mark.parametrize("key", list(cli.OPTIONS))
+    def test_config_line_and_flag_set_one_field_and_the_flag_wins(self, tmp_path, key):
+        attr = cli.OPTIONS[key].attr
+        cfg_text, cfg_value, flag_text, flag_value = OPTION_SAMPLES[key]
+        assert getattr(SweepConfig(), attr) != cfg_value != flag_value
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {cfg_text}\n")
+        cfg = cli.parse_config_file(str(path))
+        assert getattr(cfg, attr) == cfg_value
+        args = cli.build_parser().parse_args(
+            ["sweep", "--config", str(path), f"--{key}", flag_text])
+        cli._apply_flags(cfg, args)
+        assert getattr(cfg, attr) == flag_value
+
+    @pytest.mark.parametrize("name", [f.name for f in TASK_FIELDS])
+    def test_task_option_reaches_the_task(self, name):
+        assert name in {opt.attr for opt in cli.OPTIONS.values()}
+        cfg = SweepConfig()
+        marker = object()
+        setattr(cfg, name, marker)
+        assert getattr(cli._task_options(cfg, 3, 1), name) is marker
+
+    def test_sweep_defaults_are_the_task_defaults(self):
+        cfg = SweepConfig()
+        assert ({f.name: getattr(cfg, f.name) for f in TASK_FIELDS}
+                == {f.name: f.default for f in TASK_FIELDS})
+
+
 class TestRunConfig:
     def test_exit_zero_iff_no_fail_rows(self):
         cfg = SweepConfig(ps=[3, 5], rs=[1, 2], suites=["identity", "thmA"])
@@ -179,6 +231,24 @@ class TestRunConfig:
             run_config(SweepConfig(ps=[3], rs=[1], suites=["identity"], format="xml"))
         with pytest.raises(ConfigError):
             run_config(SweepConfig(ps=[3], rs=[1], suites=["identity"], jobs=0))
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--suite", "lemma1", "--seed", "1", "--trials", "-3"), "--trials"),
+        (("--suite", "lemma1", "--seed", "1", "--trials", "0"), "--trials"),
+        (("--suite", "thm2", "--digits", "0-2", "--nu-max", "0"), "--nu-max"),
+        (("--suite", "deltaH", "--h", "-1"), "--h"),
+        (("--suite", "lemma1", "--seed", "-1"), "--seed"),
+        (("--suite", "lemmaD", "--orders", "0"), "--orders"),
+        (("--suite", "lemmaD", "--orders", "3,1"), "--orders"),
+        (("--suite", "identity", "--seed", "x"), "--seed"),  # does not parse
+    ])
+    def test_bad_flag_value_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", "--p", "5", "--r", "2", *argv)
+        assert code == 2 and out == "" and flag in err
+
+    def test_smallest_accepted_inputs(self):
+        SweepConfig(ps=[5], rs=[2], suites=["lemma1"], seed=0, trials=1, h=0,
+                    nu_max=1, orders=(2,)).validate()
 
     def test_errored_instance_becomes_fail_row(self):
         # p = 9 is composite: the task errors and the sweep reports, not crashes

@@ -1,11 +1,12 @@
-"""The benchmark still runs on the package as it stands, and the package
-source keeps its invariant style.
+"""The benchmark still runs on the package as it stands, the README still
+lists the run options, and the package source keeps its invariant style.
 
 perfbench/tracer.py wraps package functions and suites by name; a renamed or
 deleted one would only show when a traced benchmark round runs.  Every
 report a benchmark command writes must keep the digest recorded in
-perfbench/digests.json.  Invariants in src/ raise InvariantViolation, never
-through assert, which python -O strips.
+perfbench/digests.json.  The README's list of config keys must be the keys
+of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
+never through assert, which python -O strips.
 """
 
 import ast
@@ -13,13 +14,14 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from digitsquares.cli import main
+from digitsquares.cli import OPTIONS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,3 +70,10 @@ def test_src_has_no_assert():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, found
+
+
+def test_readme_lists_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = re.search(r"Sweep configs are `key = value` lines\s*\(([^)]*)\)", readme)
+    assert found, "README lost its sentence listing the config keys"
+    assert re.findall(r"`([^`]+)`", found.group(1)) == list(OPTIONS)
