@@ -65,6 +65,10 @@ class SweepConfig:
             raise ConfigError("no extension degrees given (--r)")
         if not self.suites:
             raise ConfigError("no suites given (--suite)")
+        if any(p < 2 for p in self.ps):
+            raise ConfigError("--p entries must all be >= 2")
+        if any(r < 1 for r in self.rs):
+            raise ConfigError("--r entries must all be >= 1")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(

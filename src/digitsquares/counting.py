@@ -1,16 +1,19 @@
 """Exact and sampled counting of squares inside digit boxes.
 
-The exact path walks the box once, classifying each element by the
-quadratic character, and verifies the linking identity
+An exact count of a box W = D_1 x ... x D_r returns |W ∩ Q| and the sum of
+the quadratic character chi over W, and verifies the linking identity
 
     |W ∩ Q| = (|W| - [0 in W]) / 2 + (1/2) * sum_{x in W} chi(x)
 
-before returning.  The exact and the sampled path both evaluate chi through
-quad_char_coords: a squaring-image table for q <= 2^20, the Legendre symbol
-of the norm N(x) above it.  Neither builds a discrete-log table; those
-serve only characters of order above 2.  Deviations from |W|/2 are kept
-as exact rationals (half-integers); nothing in this module ever compares
-floats.
+before returning.  For q <= 2^20 under the polynomial basis no element of W
+is enumerated: the quad table reshaped to p x ... x p is chi as an r-way
+tensor in coordinates, and both sums are r single-axis reductions of it,
+one of chi and one of [chi = 1], so the identity checks the table.  Larger
+fields and other bases walk the box once in blocks through
+quad_char_coords (the Legendre symbol of the norm N(x) above 2^20).
+Sampling uses quad_char_coords too.  No path builds a discrete-log table.
+Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
+in this module ever compares floats.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box, check_budget, poly_blocks, sample_coords
-from .characters import quad_char_coords
+from .characters import DLOG_CAP, quad_char_coords, quad_table
 from .errors import InvariantViolation
 from .fields import vec_from_coords
 
@@ -48,16 +51,19 @@ class SquareCountReport:
 
 
 def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
-    """Exact square census of a box; refuses to exceed the enumeration budget."""
+    """Exact square census of a box; refuses boxes larger than the budget."""
     ctx = box.ctx
     size = check_budget(box, budget, what="exact square counting")
     zero_in = box.contains_zero()
-    count_q = 0
-    char_sum = 0
-    for poly in poly_blocks(box):
-        vals = quad_char_coords(ctx, poly)
-        count_q += int(np.count_nonzero(vals == 1))
-        char_sum += int(vals.sum())
+    if ctx.q <= DLOG_CAP and ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r)):
+        count_q, char_sum = _table_sums(box)
+    else:
+        count_q = 0
+        char_sum = 0
+        for poly in poly_blocks(box):
+            vals = quad_char_coords(ctx, poly)
+            count_q += int(np.count_nonzero(vals == 1))
+            char_sum += int(vals.sum())
     z = 1 if zero_in else 0
     if 2 * count_q != size - z + char_sum:
         raise InvariantViolation(
@@ -70,6 +76,24 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
         deviation=Fraction(abs(2 * count_q - size), 2),
         zero_in_w=zero_in,
     )
+
+
+def _table_sums(box: Box) -> tuple[int, int]:
+    """(count_q, char_sum) of a box, contracting the quad table axis by axis.
+
+    Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
+    the last coordinate: reduce it first, then the one before, and so on.
+    count_q is the same reduction of [chi = 1], masked after the first take.
+    """
+    ctx = box.ctx
+    sets = [np.asarray(s, dtype=np.intp) for s in reversed(box.coordinate_sets())]
+    chi = np.take(quad_table(ctx).reshape((ctx.p,) * ctx.r), sets[0], axis=0)
+    sq = (chi == 1).sum(axis=0, dtype=np.int64)
+    chi = chi.sum(axis=0, dtype=np.int64)
+    for s in sets[1:]:
+        sq = np.take(sq, s, axis=0).sum(axis=0, dtype=np.int64)
+        chi = np.take(chi, s, axis=0).sum(axis=0, dtype=np.int64)
+    return int(sq), int(chi)
 
 
 @dataclass(frozen=True)

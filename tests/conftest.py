@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from digitsquares import make_field
+from digitsquares.boxes import poly_blocks
+from digitsquares.characters import quad_char_coords
 from digitsquares.fields import FieldElem, vec_pow
 
 
@@ -51,6 +53,22 @@ def euler():
 def euler_rows():
     """Independent oracle for the quadratic character on poly-coordinate rows."""
     return _euler_rows
+
+
+def _walk_census(box) -> tuple[int, int]:
+    """(count_q, char_sum) of a box by walking every element in blocks."""
+    count_q = char_sum = 0
+    for poly in poly_blocks(box):
+        vals = quad_char_coords(box.ctx, poly)
+        count_q += int(np.count_nonzero(vals == 1))
+        char_sum += int(vals.sum())
+    return count_q, char_sum
+
+
+@pytest.fixture(scope="session")
+def walk_census():
+    """Oracle for counting.count_squares: the element-by-element block walk."""
+    return _walk_census
 
 
 def _scalar_frobenius(a):

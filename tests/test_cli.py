@@ -241,10 +241,28 @@ class TestRunConfig:
         (("--suite", "lemmaD", "--orders", "0"), "--orders"),
         (("--suite", "lemmaD", "--orders", "3,1"), "--orders"),
         (("--suite", "identity", "--seed", "x"), "--seed"),  # does not parse
+        # a repeated --p/--r flag replaces the 5 and 2 given first
+        (("--suite", "identity", "--r", "0"), "--r"),
+        (("--suite", "identity", "--r", "-1"), "--r"),
+        (("--suite", "identity", "--r", "2,0"), "--r"),
+        (("--suite", "identity", "--p", "1"), "--p"),
+        (("--suite", "identity", "--p", "0,5"), "--p"),
+        (("--suite", "identity", "--p", "-3"), "--p"),
     ])
     def test_bad_flag_value_is_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", "--p", "5", "--r", "2", *argv)
         assert code == 2 and out == "" and flag in err
+
+    def test_out_of_range_degree_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p = 5\nr = 0\nsuite = identity\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == "" and "--r" in err
+
+    def test_p_two_stays_an_error_row(self):
+        rows, code = run_config(SweepConfig(ps=[2], rs=[1], suites=["identity"]))
+        assert code == 1
+        assert [r.verdict for r in rows] == ["fail"] and "error" in rows[0].instance
 
     def test_smallest_accepted_inputs(self):
         SweepConfig(ps=[5], rs=[2], suites=["lemma1"], seed=0, trials=1, h=0,

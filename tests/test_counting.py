@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsquares import (DigitBox, count_squares, estimate_square_fraction,
-                          make_field)
-from digitsquares.characters import quad_table
+from digitsquares import (DigitBox, IntervalBox, count_squares, counting,
+                          estimate_square_fraction, make_field)
+from digitsquares.characters import DLOG_CAP, quad_table
 from digitsquares.errors import InvariantViolation
 
 SWEEP_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
@@ -52,6 +52,163 @@ class TestExamples:
         w = ctx.from_coords((2, 1)).idx
         assert quad_table(ctx) is ctx._tables["quad"]
         ctx._tables["quad"][w] = 0  # a nonzero element of W classified as zero
+        with pytest.raises(InvariantViolation):
+            count_squares(box)
+
+
+# every (p, r) with p in {3, 5, 13, 101} and q up to the table cap
+TABLE_FIELDS = [(p, r) for p in (3, 5, 13, 101) for r in range(1, 13) if p ** r <= DLOG_CAP]
+ORACLE_LIMIT = 20_000  # largest seeded box compared with the walk
+
+
+def random_box(ctx, rng, uniform):
+    """A DigitBox of at most about ORACLE_LIMIT elements."""
+    side = min(ctx.p, max(1, round(ORACLE_LIMIT ** (1 / ctx.r))))
+
+    def one():
+        k = int(rng.integers(1, side + 1))
+        return tuple(int(v) for v in rng.choice(ctx.p, size=k, replace=False))
+
+    if uniform:
+        return DigitBox.uniform(ctx, one())
+    return DigitBox(ctx, tuple(one() for _ in range(ctx.r)))
+
+
+def census(box):
+    rep = count_squares(box)
+    return rep.count_q, rep.char_sum
+
+
+class TestTableReductionAgainstWalk:
+    """count_squares on table-sized fields reduces the quad table instead of
+    walking; the walk (the walk_census oracle) must give the same sums."""
+
+    @pytest.mark.parametrize("p,r", TABLE_FIELDS)
+    def test_seeded_digit_boxes(self, field, walk_census, p, r):
+        ctx = field(p, r)
+        rng = np.random.default_rng([7, p, r])
+        for uniform in (True, False, True, False, False):
+            box = random_box(ctx, rng, uniform)
+            assert census(box) == walk_census(box), box.describe()
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (13, 1), (101, 1), (5, 3),
+                                     (13, 2), (101, 2)])
+    def test_wrapping_interval_boxes(self, field, walk_census, p, r):
+        ctx = field(p, r)
+        rng = np.random.default_rng([11, p, r])
+        boxes = [IntervalBox(ctx, (p - 2,) * r, (min(p - 1, 4),) * r),
+                 IntervalBox(ctx, (-3,) * r, (2,) * r)]
+        for _ in range(6):
+            lengths = tuple(int(h) for h in rng.integers(1, p + 1, size=r))
+            offsets = tuple(int(n) for n in rng.integers(-p, 3 * p, size=r))
+            boxes.append(IntervalBox(ctx, offsets, lengths))
+        assert any(set(s) != set(range(min(s), max(s) + 1))
+                   for s in boxes[0].coordinate_sets())  # the window wraps
+        for box in boxes:
+            assert census(box) == walk_census(box), box.describe()
+
+    def test_full_box_and_singletons(self, field, walk_census):
+        ctx = field(13, 2)
+        full = DigitBox.uniform(ctx, range(13))
+        assert census(full) == walk_census(full) == ((ctx.q - 1) // 2, 0)
+        for digits in (((0,), (0,)), ((4,), (0,)), ((0,), (5,))):
+            box = DigitBox(ctx, digits)
+            assert census(box) == walk_census(box)
+
+    def test_every_initial_interval_of_f101_cubed(self, field, walk_census):
+        ctx = field(101, 3)
+        for t in range(1, 102):
+            box = DigitBox.uniform(ctx, range(t))
+            assert census(box) == walk_census(box), t
+
+    @pytest.mark.parametrize("p,table_sized", [(1021, True), (1031, False)])
+    def test_both_sides_of_the_cap(self, field, walk_census, p, table_sized):
+        ctx = field(p, 2)
+        assert (ctx.q <= DLOG_CAP) == table_sized
+        rng = np.random.default_rng([13, p])
+        boxes = [random_box(ctx, rng, uniform) for uniform in (True, False, False)]
+        boxes.append(IntervalBox(ctx, (p - 5, 17), (9, 30)))
+        for box in boxes:
+            assert census(box) == walk_census(box), box.describe()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_boxes(self, field, walk_census, data):
+        p, r = data.draw(st.sampled_from([(3, 1), (3, 4), (5, 2), (5, 3),
+                                          (13, 1), (13, 2), (101, 1), (101, 2)]))
+        ctx = field(p, r)
+        side = min(p, max(1, round(ORACLE_LIMIT ** (1 / r))))
+        digit_set = st.lists(st.integers(0, p - 1), min_size=1, max_size=side, unique=True)
+        kind = data.draw(st.sampled_from(["uniform", "digits", "interval"]))
+        if kind == "uniform":
+            box = DigitBox.uniform(ctx, data.draw(digit_set))
+        elif kind == "digits":
+            box = DigitBox(ctx, tuple(data.draw(digit_set) for _ in range(r)))
+        else:
+            offsets = data.draw(st.tuples(*[st.integers(-2 * p, 2 * p)] * r))
+            lengths = data.draw(st.tuples(*[st.integers(1, side)] * r))
+            box = IntervalBox(ctx, offsets, lengths)
+        assert census(box) == walk_census(box)
+
+
+class TestWhichPathCounts:
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def refuse(box, block=None):
+            raise AssertionError("count_squares walked the box")
+
+        monkeypatch.setattr(counting, "poly_blocks", refuse)
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        real = counting.poly_blocks
+
+        def counted(box, *args):
+            calls.append(box)
+            return real(box, *args)
+
+        monkeypatch.setattr(counting, "poly_blocks", counted)
+        return calls
+
+    def test_table_sized_field_does_not_walk(self, field, walk_census, no_walk):
+        for p, r in ((13, 3), (101, 3), (3, 12)):
+            ctx = field(p, r)
+            box = DigitBox(ctx, ((0, 1),) + ((1, 2),) * (r - 1))
+            assert census(box) == walk_census(box)
+            interval = IntervalBox(ctx, (p - 2,) * r, (2,) * r)
+            assert census(interval) == walk_census(interval)
+
+    def test_rebased_context_walks(self, field, walk_census, walks):
+        ctx = field(13, 3)
+        rebased = ctx.with_basis([ctx.from_coords((1, 1, 0)), ctx.from_coords((0, 1, 0)),
+                                  ctx.from_coords((2, 0, 1))])
+        for box in (DigitBox(rebased, ((0, 1, 5), (2, 3), (1, 4, 7, 9))),
+                    DigitBox.uniform(rebased.normalized_basis(), range(6)),
+                    IntervalBox(rebased, (11, 0, 5), (4, 13, 3))):
+            before = len(walks)
+            assert census(box) == walk_census(box)
+            assert len(walks) == before + 1
+
+    def test_above_the_cap_walks(self, field, walk_census, walks):
+        ctx = field(37, 4)
+        assert ctx.q > DLOG_CAP
+        box = DigitBox(ctx, ((0, 1, 2), (3, 4), (0, 36), (5, 6, 7, 8)))
+        assert census(box) == walk_census(box)
+        assert walks == [box]
+
+    @pytest.mark.parametrize("n_zeroed", [1, 2])
+    def test_square_zeroed_in_quad_table_raises(self, walk_census, n_zeroed):
+        # two zeroed squares keep |W| - z + char_sum even: only a count_q
+        # reduced separately from char_sum exposes them
+        ctx = make_field(5, 2)  # fresh: the corruption must not reach shared fields
+        box = DigitBox.uniform(ctx, (1, 2, 3))
+        assert census(box) == walk_census(box)
+        tab = quad_table(ctx)
+        squares = [x for x in range(ctx.q)
+                   if tab[x] == 1 and box.contains(ctx.from_index(x))]
+        assert len(squares) >= n_zeroed
+        tab[squares[:n_zeroed]] = 0  # squares of W classified as zero
         with pytest.raises(InvariantViolation):
             count_squares(box)
 
