@@ -193,10 +193,16 @@ def quad_table(ctx: FieldCtx) -> np.ndarray:
     """int8 table of the quadratic character over all element indices.
 
     Built from the squaring map: Q = {x^2 : x != 0} and (-x)^2 = x^2, so
-    only the indices whose top poly coordinate lies in 0..(p-1)/2 (a prefix
-    of the index range that meets every pair {x, -x}) are squared, in
-    blocks.  Only for table-sized fields; larger ones go through the norm
-    in quad_char_coords.
+    only the x whose top poly coordinate a_{r-1} lies in 0..(p-1)/2 are
+    squared.  In F_p[x]/(f), x^2 is a fixed quadratic form in the poly
+    coordinates a_0..a_{r-1}: its coefficients before reduction are
+    c_m = sum_{i+j=m} a_i a_j, m = 0..2r-2, and c_r..c_{2r-2} fold into the
+    low r through ctx._reduction.  So the p x ... x p coordinate grid is
+    squared slab by slab, max(1, SQUARE_BLOCK // p^{r-1}) values of a_{r-1}
+    at a time, with one arange per axis broadcast into each c_m: a term
+    a_i a_j costs only as many multiplies as its two axes span.  Every
+    intermediate stays below 2^41, so int64 is exact.  Only for table-sized
+    fields; larger ones go through the norm in quad_char_coords.
     """
     tab = ctx._tables.get("quad")
     if tab is not None:
@@ -204,11 +210,25 @@ def quad_table(ctx: FieldCtx) -> np.ndarray:
     if ctx.q > DLOG_CAP:
         raise ValueError(f"q = {ctx.q} above the table cap {DLOG_CAP}; "
                          f"use quad_char_coords on element blocks instead")
+    p, r = ctx.p, ctx.r
     tab = np.full(ctx.q, -1, dtype=np.int8)
-    half = (ctx.p + 1) // 2 * (ctx.q // ctx.p)
-    for lo in range(1, half, SQUARE_BLOCK):
-        x = vec_decode(ctx, np.arange(lo, min(lo + SQUARE_BLOCK, half), dtype=np.int64))
-        tab[vec_encode(ctx, vec_mul(ctx, x, x))] = 1
+    # poly coordinate a_i on grid axis r-1-i, so C order is index order
+    axes = [np.arange(p, dtype=np.int64).reshape((p,) + (1,) * i)
+            for i in range(r - 1)]
+    step = max(1, SQUARE_BLOCK // (ctx.q // p))
+    half = (p + 1) // 2
+    for lo in range(0, half, step):
+        top = np.arange(lo, min(lo + step, half), dtype=np.int64)
+        a = axes + [top.reshape(top.shape + (1,) * (r - 1))]
+        c = [sum((2 if i < m - i else 1) * a[i] * a[m - i]
+                 for i in range(max(0, m - r + 1), m // 2 + 1))
+             for m in range(2 * r - 1)]
+        idx = np.zeros(top.shape + (p,) * (r - 1), dtype=np.int64)
+        for t in range(r):
+            coef = c[t] + sum(int(ctx._reduction[s, t]) * c[r + s]
+                              for s in range(r - 1) if ctx._reduction[s, t])
+            idx += (coef % p) * ctx._ppow[t]
+        tab[idx.ravel()] = 1
     tab[0] = 0
     ctx._tables["quad"] = tab
     return tab

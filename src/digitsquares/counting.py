@@ -8,9 +8,13 @@ the quadratic character chi over W, and verifies the linking identity
 before returning.  For q <= 2^20 under the polynomial basis no element of W
 is enumerated: the quad table reshaped to p x ... x p is chi as an r-way
 tensor in coordinates, and both sums are r single-axis reductions of it,
-one of chi and one of [chi = 1], so the identity checks the table.  Larger
-fields and other bases walk the box once in blocks through
-quad_char_coords (the Legendre symbol of the norm N(x) above 2^20).
+one of chi and one of [chi = 1], so the identity checks the table.  The
+table itself is built once per field by squaring the coordinate grid slab
+by slab (characters.quad_table).  The first reduction, the only one over
+|D_r| * p^{r-1} entries, sums at most p values in {-1, 0, 1} per entry and
+so runs in the narrowest signed integer type that holds -p; the later ones
+run in int64.  Larger fields and other bases walk the box once in blocks
+through quad_char_coords (the Legendre symbol of the norm N(x) above 2^20).
 Sampling uses quad_char_coords too.  No path builds a discrete-log table.
 Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
 in this module ever compares floats.
@@ -29,6 +33,10 @@ from .errors import InvariantViolation
 from .fields import vec_from_coords
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+# table entries per first-axis block: the block and its [chi = 1] mask stay
+# under glibc's 128 KiB mmap threshold, so they reuse heap memory instead of
+# faulting in fresh pages as a growing chain of boxes (the intervals) would
+REDUCE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,25 @@ def _table_sums(box: Box) -> tuple[int, int]:
     Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
     the last coordinate: reduce it first, then the one before, and so on.
     count_q is the same reduction of [chi = 1], masked after the first take.
+    The first reduction is the only one over |D_r| * p^{r-1} entries; each
+    of its sums adds at most p values in {-1, 0, 1}, so it runs exactly in
+    the narrowest signed type that holds -p (int8 up to p = 127, int16
+    below 2^15, int32 above), over at most REDUCE_BLOCK table entries at a
+    time.  The later axes sum in int64.
     """
     ctx = box.ctx
     sets = [np.asarray(s, dtype=np.intp) for s in reversed(box.coordinate_sets())]
-    chi = np.take(quad_table(ctx).reshape((ctx.p,) * ctx.r), sets[0], axis=0)
-    sq = (chi == 1).sum(axis=0, dtype=np.int64)
-    chi = chi.sum(axis=0, dtype=np.int64)
+    acc = np.min_scalar_type(-ctx.p)
+    tab = quad_table(ctx).reshape(ctx.p, -1)
+    sq = np.zeros(tab.shape[1], dtype=acc)
+    chi = np.zeros(tab.shape[1], dtype=acc)
+    rows = max(1, REDUCE_BLOCK // tab.shape[1])
+    for lo in range(0, len(sets[0]), rows):
+        block = np.take(tab, sets[0][lo:lo + rows], axis=0)
+        sq += (block == 1).sum(axis=0, dtype=acc)
+        chi += block.sum(axis=0, dtype=acc)
+    sq = sq.reshape((ctx.p,) * (ctx.r - 1))
+    chi = chi.reshape(sq.shape)
     for s in sets[1:]:
         sq = np.take(sq, s, axis=0).sum(axis=0, dtype=np.int64)
         chi = np.take(chi, s, axis=0).sum(axis=0, dtype=np.int64)

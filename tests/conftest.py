@@ -4,7 +4,8 @@ import pytest
 from digitsquares import make_field
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import quad_char_coords
-from digitsquares.fields import FieldElem, vec_pow
+from digitsquares.fields import (FieldElem, vec_decode, vec_encode, vec_mul,
+                                 vec_pow)
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +54,36 @@ def euler():
 def euler_rows():
     """Independent oracle for the quadratic character on poly-coordinate rows."""
     return _euler_rows
+
+
+def _squaring_table(ctx) -> np.ndarray:
+    """int8 quadratic character of every index, by squaring decoded rows.
+
+    (-x)^2 = x^2, so only the indices whose top poly coordinate lies in
+    0..(p-1)/2 are squared, 2^15 at a time through vec_mul.
+    """
+    tab = np.full(ctx.q, -1, dtype=np.int8)
+    half = (ctx.p + 1) // 2 * (ctx.q // ctx.p)
+    for lo in range(1, half, 1 << 15):
+        x = vec_decode(ctx, np.arange(lo, min(lo + (1 << 15), half), dtype=np.int64))
+        tab[vec_encode(ctx, vec_mul(ctx, x, x))] = 1
+    tab[0] = 0
+    return tab
+
+
+@pytest.fixture(scope="session")
+def squaring_table():
+    """Oracle for characters.quad_table: the blocked vec_mul squaring image,
+    built once per (p, r, modulus) in the session."""
+    cache = {}
+
+    def get(ctx):
+        key = (ctx.p, ctx.r, ctx.modulus)
+        if key not in cache:
+            cache[key] = _squaring_table(ctx)
+        return cache[key]
+
+    return get
 
 
 def _walk_census(box) -> tuple[int, int]:

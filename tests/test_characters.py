@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from digitsquares import (CycloSum, DigitBox, char_sum, enumerate_box,
+from digitsquares import (CycloSum, DigitBox, char_sum, characters, enumerate_box,
                           field_generator, make_char, make_field,
                           quad_char_coords)
 from digitsquares.characters import (DLOG_CAP, dlog_table, legendre_table,
                                      quad_table)
 from digitsquares.errors import InvariantViolation
-from digitsquares.fields import divisors, vec_norm
+from digitsquares.fields import (FieldCtx, divisors, is_irreducible, is_prime,
+                                 smallest_irreducible, vec_norm)
 
 GRID_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
 # r = 1; a tall tower; two fields just above the 2^20 table cap; large r; p near the cap
 ORACLE_FIELDS = [(13, 1), (1048573, 1), (3, 13), (37, 4), (101, 20),
                  (1031, 2), (1048573, 2)]
+# table-sized fields from r = 1 at the cap to r = 12 at p = 3
+TABLE_FIELDS = [(1048573, 1), (3, 12), (5, 8), (7, 7), (13, 5), (31, 4),
+                (101, 3), (1021, 2)]
 
 
 def brute_square_set(ctx):
@@ -64,6 +69,19 @@ def quad_char(ctx, x) -> int:
 def norm_char(ctx, poly):
     """The above-cap path, forced on any field: Legendre symbol of the norm."""
     return legendre_table(ctx)[vec_norm(ctx, poly)]
+
+
+ODD_PRIMES_16 = [p for p in range(3, 1 << 16, 2) if is_prime(p)]
+
+
+def largest_irreducible(p, r):
+    """Lexicographically largest monic irreducible of degree r over F_p,
+    so a modulus other than make_field's for r >= 2."""
+    for n in range(p ** r - 1, -1, -1):
+        f = [(n // p ** j) % p for j in range(r)] + [1]
+        if is_irreducible(f, p):
+            return tuple(f)
+    raise AssertionError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
 def oracle_rows(ctx, n, seed):
@@ -153,6 +171,60 @@ class TestQuadCharOracle:
         ctx._tables["frobenius"][2] = np.eye(4, dtype=np.int64)  # corrupt Frob^2
         with pytest.raises(InvariantViolation):
             quad_char_coords(ctx, rows)
+
+
+class TestQuadTableBuild:
+    """The slab-wise grid squaring against the blocked vec_mul squaring."""
+
+    @pytest.mark.parametrize("p,r", TABLE_FIELDS)
+    def test_matches_vec_mul_squaring(self, field, squaring_table, p, r):
+        ctx = field(p, r)
+        assert np.array_equal(quad_table(ctx), squaring_table(ctx))
+
+    @pytest.mark.parametrize("p,r", [(5, 4), (101, 3)])
+    def test_non_default_modulus(self, squaring_table, p, r):
+        # the fold of c_r..c_{2r-2} goes through the modulus's reduction rows
+        modulus = largest_irreducible(p, r)
+        assert modulus != smallest_irreducible(p, r)
+        ctx = FieldCtx(p, r, modulus)
+        assert ctx._reduction.all()
+        assert np.array_equal(quad_table(ctx), squaring_table(ctx))
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_fields(self, squaring_table, data):
+        r = data.draw(st.integers(1, 10))
+        p = data.draw(st.sampled_from([p for p in ODD_PRIMES_16 if p ** r <= 1 << 16]))
+        ctx = make_field(p, r)
+        assert np.array_equal(quad_table(ctx), squaring_table(ctx))
+
+    def test_build_squares_no_decoded_rows(self, squaring_table, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quad_table went through row-wise field arithmetic")
+
+        for name in ("vec_mul", "vec_decode", "vec_encode"):
+            monkeypatch.setattr(characters, name, refuse)
+        for p, r in ((13, 1), (32771, 1), (7, 2), (13, 3), (101, 3), (3, 12)):
+            ctx = make_field(p, r)  # fresh: no cached table
+            assert np.array_equal(quad_table(ctx), squaring_table(ctx))
+
+    @pytest.mark.parametrize("p,r", [(101, 3), (1021, 2)])
+    def test_build_peak_memory(self, p, r):
+        # the table itself is q ~ 1 MB of int8; the slabs add about as much
+        # again, where squaring the whole grid at once would take ~20 MB
+        ctx = make_field(p, r)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            quad_table(ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestMakeChar:

@@ -151,6 +151,23 @@ class TestTableReductionAgainstWalk:
         assert census(box) == walk_census(box)
 
 
+class TestFirstAxisAccumulator:
+    """The first reduction sums in the narrowest signed type holding -p: the
+    fields on both sides of each type's edge against the walk."""
+
+    @pytest.mark.parametrize("p,r,acc", [
+        (127, 2, np.int8), (131, 2, np.int16),
+        (32749, 1, np.int16), (32771, 1, np.int32), (1048573, 1, np.int32)])
+    def test_edges(self, field, walk_census, p, r, acc):
+        assert np.min_scalar_type(-p) == acc
+        ctx = field(p, r)
+        # for r = 2, x * F_p* holds p - 1 squares or p - 1 nonsquares: a
+        # first-axis sum of magnitude p - 1 in the full box
+        for box in (DigitBox.uniform(ctx, range(p)),
+                    DigitBox.uniform(ctx, range((p + 1) // 2))):
+            assert census(box) == walk_census(box)
+
+
 class TestWhichPathCounts:
     @pytest.fixture
     def no_walk(self, monkeypatch):
