@@ -1,13 +1,22 @@
-"""High-precision evaluators for the explicit square-count bounds.
+"""Certified evaluators for the explicit square-count bounds.
 
-Every right-hand side is evaluated in interval arithmetic at IV_DPS = 40
-decimal digits and returned as a float that is certified to be an upper
-bound of the exact expression.  The precision is set for each call (never
-read from mpmath's global state), so an evaluator is a pure function of its
-arguments and is memoised: a sweep asks for the same few hundred values
-thousands of times.  Bound checks then compare an exact integer or rational
-left-hand side against that float, so a reported violation can never be a
-rounding artifact.  Natural logarithms throughout.
+Every right-hand side is returned as a float that is an upper bound of the
+exact expression, so a bound check can compare an exact integer or rational
+left-hand side against it and a reported violation is never a rounding
+artifact.  Two kinds of evaluation give that float:
+
+* The Theorem 2 moment bound (and Lemma 1 in `oracles`, its U + V form) is
+  an algebraic number ((A + B sqrt(q))^(1/n) + shift) / scale with integer
+  A, B, q.  `_float_above` places it exactly, by an integer n-th root and
+  exact integer comparisons, and returns the smallest float strictly above.
+* Every other right-hand side involves pi, logarithms or real exponents and
+  is evaluated in interval arithmetic at IV_DPS = 40 decimal digits, then
+  rounded up.  The precision is set for each call (never read from mpmath's
+  global state).
+
+Each evaluator is a pure function of its arguments and is memoised: a sweep
+asks for the same few hundred values thousands of times.  Natural logarithms
+throughout.
 """
 
 from __future__ import annotations
@@ -15,15 +24,18 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import iv, mpf
 
-from .errors import HypothesisNotMet
+from .errors import HypothesisNotMet, InvariantViolation
 
 IV_DPS = 40            # decimal digits of every interval evaluation
 RHS_CACHE_SIZE = 1 << 14
+ROOT_BITS = 70         # bits of the integer root that places _float_above's guess
+ULP_STEPS = 8          # _float_above's guess is at most 2 ulps off
 
 
 def _upper(x) -> float:
@@ -49,17 +61,97 @@ def iv_precision():
         iv.prec = saved
 
 
-def _certified(fn):
-    """Evaluate fn at IV_DPS interval digits, memoised on its arguments.
+def _memoised(fn):
+    """Memoise fn on its arguments, keyed with their types.
 
-    Arguments are keyed with their types, because equal values of different
-    types need not behave alike (math.factorial takes 2 but not 2.0).
+    Equal values of different types need not behave alike (math.factorial
+    takes 2 but not 2.0).
     """
+    return functools.lru_cache(maxsize=RHS_CACHE_SIZE, typed=True)(fn)
+
+
+def _certified(fn):
+    """Evaluate fn at IV_DPS interval digits, memoised on its arguments."""
     @functools.wraps(fn)
     def at_iv_dps(*args, **kwargs):
         with iv_precision():
             return fn(*args, **kwargs)
-    return functools.lru_cache(maxsize=RHS_CACHE_SIZE, typed=True)(at_iv_dps)
+    return _memoised(at_iv_dps)
+
+
+def _iroot(y: int, n: int) -> int:
+    """floor(y^(1/n)) for integers y >= 1, n >= 1, by Newton's method.
+
+    The start, a float estimate raised by 2^-40, lies above the root, and
+    from above every integer Newton step decreases until it reaches the
+    floor; from a 40-bit-accurate start that takes a few steps.
+    """
+    x = int(2.0 ** (math.log2(y) / n) * (1 + 2.0 ** -40)) + 2
+    while x ** n <= y:
+        x *= 2
+    while True:
+        z = ((n - 1) * x + y // x ** (n - 1)) // n
+        if z >= x:
+            return x
+        x = z
+
+
+def _float_above(A: int, B: int, q: int, n: int, scale: int = 1, shift: int = 0) -> float:
+    """The smallest float strictly above ((A + B sqrt(q))^(1/n) + shift) / scale.
+
+    Exact, for integers A, B, q >= 0, n, scale >= 1 and shift >= 0.  A float
+    f lies above the value exactly when (scale f - shift)^n > A + B sqrt(q),
+    which for dyadic f is a comparison of integers (squared once more when
+    sqrt(q) is irrational).  An integer root of ROOT_BITS bits gives a guess
+    within 2 ulps, which the comparison then settles.  At A + B sqrt(q) = 0
+    the value shift / scale itself is returned; a value beyond the float
+    range gives inf.
+    """
+    if min(A, B, q) < 0:
+        raise ValueError("(A + B sqrt(q))^(1/n) needs A, B, q >= 0")
+    s = math.isqrt(q)
+    if s * s == q:
+        A, B = A + B * s, 0
+    if A == 0 and B == 0:
+        return shift / scale
+    b2q = B * B * q
+    floor_x = A + math.isqrt(b2q)  # >= 1 here
+    # root = floor(X^(1/n) 2^k) has ROOT_BITS bits; X^(1/n) in [root, root + 1) / 2^k
+    k = ROOT_BITS - int(math.log2(floor_x) / n)
+    if k >= 0:
+        root = _iroot((A << k * n) + math.isqrt(b2q << 2 * k * n), n)
+        num, den = root + (shift << k), scale << k
+    else:
+        root = _iroot(floor_x >> -k * n, n)
+        num, den = (root << -k) + shift, scale
+    try:
+        f = num / den  # correctly rounded
+    except OverflowError:
+        return math.inf
+
+    def above(g: float) -> bool:
+        gn, gd = g.as_integer_ratio()
+        t = scale * gn - shift * gd  # (scale g - shift) gd
+        if t <= 0:
+            return False
+        dn = gd ** n
+        diff = t ** n - A * dn  # compared with B sqrt(q) dn
+        return diff > 0 and (B == 0 or diff * diff > b2q * dn * dn)
+
+    if above(f):
+        for _ in range(ULP_STEPS):
+            g = math.nextafter(f, -math.inf)
+            if not above(g):
+                return f
+            f = g
+    else:
+        for _ in range(ULP_STEPS):
+            f = math.nextafter(f, math.inf)
+            if f == math.inf or above(f):
+                return f
+    raise InvariantViolation(
+        f"no float above ((A + B sqrt({q}))^(1/{n}) + {shift}) / {scale} within "
+        f"{ULP_STEPS} ulps of the integer-root guess")
 
 
 def _root(x, k: int):
@@ -137,21 +229,24 @@ def thm1_threshold(p: int, r: int) -> float:
     return _upper(val)
 
 
-@_certified
+@_memoised
 def thm2_rhs(p: int, r: int, d: int, k: int, nu: int) -> float:
-    """Deviation bound for |W ∩ Q| from the U + V split, any k, nu."""
+    """Deviation bound for |W ∩ Q| from the U + V split, any k, nu.
+
+    d^{(r-k)(1 - 1/2nu)} ((2nu)^nu d^{k nu} q + 4 nu d^{2k nu} sqrt(q))^{1/2nu} / 2 + 1/2,
+    with the lead factor taken under the 2nu-th root: exact, by _float_above.
+    """
+    p, r, d, k, nu = map(operator.index, (p, r, d, k, nu))
     if not 1 <= k <= r - 1:
         raise ValueError(f"k = {k} outside [1, {r - 1}]")
     if nu < 1:
         raise ValueError(f"nu = {nu} must be >= 1")
-    pv = iv.mpf(p)
-    dv = iv.mpf(d)
-    q = pv ** r
-    lead = _root(dv ** ((r - k) * (2 * nu - 1)), 2 * nu)
-    inner = (iv.mpf(2 * nu) ** nu * dv ** (k * nu) * q
-             + dv ** (2 * k * nu) * 4 * nu * iv.sqrt(q))
-    val = lead * _root(inner, 2 * nu) / 2 + iv.mpf(1) / 2
-    return _upper(val)
+    if d < 0:
+        raise ValueError(f"|D| = {d} must be >= 0")
+    q = p ** r
+    lead = d ** ((r - k) * (2 * nu - 1))
+    return _float_above(lead * (2 * nu) ** nu * d ** (k * nu) * q,
+                        lead * 4 * nu * d ** (2 * k * nu), q, 2 * nu, scale=2, shift=1)
 
 
 def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):

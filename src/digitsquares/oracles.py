@@ -1,10 +1,12 @@
 """Brute-force verification of the lemma-level inequalities on small fields.
 
-Each check computes its left-hand side exactly (integer for quadratic
-characters, CycloSum interval otherwise), evaluates the right-hand side as a
-certified float upper bound, and reports holds / slack.  Mathematical
-preconditions that fail raise HypothesisNotMet so sweep drivers can mark the
-row skipped rather than failed.
+Each check computes its left-hand side exactly (an integer for quadratic
+characters, a CycloSum magnitude interval otherwise) and compares it with a
+certified float upper bound of the right-hand side: the Lemma 1 moment bound
+is placed exactly by integer arithmetic (`bounds._float_above`), the Lemma D
+and Lemma E bounds in 40-digit interval arithmetic.  Each check reports
+holds / slack.  Mathematical preconditions that fail raise HypothesisNotMet
+so sweep drivers can mark the row skipped rather than failed.
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,7 @@ from mpmath import iv
 
 from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
                     default_budget, index_blocks)
-from .bounds import _certified, _upper
+from .bounds import _certified, _float_above, _memoised, _upper
 from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
                          dlog_table, make_char, quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
@@ -140,16 +143,22 @@ def lemmaE_rhs(q: int, t: int, t0: int) -> float:
 # ---------------------------------------------------------------------------
 # bilinear quadratic-character sums over U + V (the lemma1 check)
 
-@_certified
+@_memoised
 def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
+    """|U|^{1 - 1/2nu} ((2nu)!/nu! |V|^nu q + 4 nu |V|^{2nu} sqrt(q))^{1/2nu}, exactly.
+
+    |U|^{2nu-1} goes under the 2nu-th root, so _float_above places the whole
+    product.
+    """
+    q, nu, size_u, size_v = map(operator.index, (q, nu, size_u, size_v))
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    if size_u < 0 or size_v < 0:
+        raise ValueError(f"|U| = {size_u} and |V| = {size_v} must be >= 0")
+    lead = size_u ** (2 * nu - 1)
     fac = math.factorial(2 * nu) // math.factorial(nu)
-    inner = (iv.mpf(fac) * iv.mpf(size_v) ** nu * q
-             + iv.mpf(size_v) ** (2 * nu) * 4 * nu * iv.sqrt(iv.mpf(q)))
-    val = iv.exp(iv.log(iv.mpf(size_u)) * (2 * nu - 1) / (2 * nu)) \
-        * iv.exp(iv.log(inner) / (2 * nu))
-    return _upper(val)
+    return _float_above(lead * fac * size_v ** nu * q,
+                        lead * 4 * nu * size_v ** (2 * nu), q, 2 * nu)
 
 
 def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:

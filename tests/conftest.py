@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from mpmath import iv
 
 from digitsquares import make_field
+from digitsquares.bounds import _root, _upper, iv_precision
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import quad_char_coords
 from digitsquares.fields import (FieldElem, vec_decode, vec_encode, vec_mul,
@@ -84,6 +88,39 @@ def squaring_table():
         return cache[key]
 
     return get
+
+
+def _interval_thm2_rhs(p, r, d, k, nu) -> float:
+    """thm2_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        dv = iv.mpf(d)
+        q = iv.mpf(p) ** r
+        lead = _root(dv ** ((r - k) * (2 * nu - 1)), 2 * nu)
+        inner = (iv.mpf(2 * nu) ** nu * dv ** (k * nu) * q
+                 + dv ** (2 * k * nu) * 4 * nu * iv.sqrt(q))
+        return _upper(lead * _root(inner, 2 * nu) / 2 + iv.mpf(1) / 2)
+
+
+def _interval_lemma1_rhs(q, nu, size_u, size_v) -> float:
+    """lemma1_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        fac = math.factorial(2 * nu) // math.factorial(nu)
+        inner = (iv.mpf(fac) * iv.mpf(size_v) ** nu * q
+                 + iv.mpf(size_v) ** (2 * nu) * 4 * nu * iv.sqrt(iv.mpf(q)))
+        return _upper(iv.exp(iv.log(iv.mpf(size_u)) * (2 * nu - 1) / (2 * nu))
+                      * _root(inner, 2 * nu))
+
+
+@pytest.fixture(scope="session")
+def interval_thm2_rhs():
+    """Oracle for bounds.thm2_rhs: the 136-bit interval evaluation it replaced."""
+    return _interval_thm2_rhs
+
+
+@pytest.fixture(scope="session")
+def interval_lemma1_rhs():
+    """Oracle for oracles.lemma1_rhs: the 136-bit interval evaluation it replaced."""
+    return _interval_lemma1_rhs
 
 
 def _walk_census(box) -> tuple[int, int]:

@@ -2,7 +2,9 @@
 
 The oracle here is mpmath.mp at 60 digits, evaluated directly from the
 formulas; the implementation must sit within a hair above (never below) the
-oracle value, because its contract is a certified upper bound.
+oracle value, because its contract is a certified upper bound.  The exact
+moment-bound evaluators (thm2_rhs, lemma1_rhs) must moreover equal, float for
+float, the 40-digit interval evaluation they replaced (conftest oracles).
 """
 
 import math
@@ -18,7 +20,9 @@ from digitsquares import (CycloSum, HypothesisNotMet, check_bound, corC_rhs,
                           thm1_hypothesis, thm1_rhs, thm1_threshold, thm2_Cr,
                           thm2_best, thm2_rhs, thm2_threshold,
                           thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
-from digitsquares.bounds import corC_hypothesis
+from digitsquares import bounds, oracles
+from digitsquares.bounds import _float_above, _iroot, corC_hypothesis
+from digitsquares.errors import InvariantViolation
 from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 mp.dps = 60
@@ -178,6 +182,123 @@ class TestThm2:
         assert thm2_threshold(101, 20) == pytest.approx(46.680678167746085, rel=1e-13)
         with pytest.raises(HypothesisNotMet):
             thm2_threshold(101, 19)
+
+
+class TestExactMomentBounds:
+    """thm2_rhs and lemma1_rhs by integer roots, against their interval oracles."""
+
+    LARGE_NU = [(101, 20, 50, 10, 93), (101, 21, 77, 20, 50), (13, 7, 12, 3, 20)]
+
+    def test_thm2_matches_interval_oracle_on_cli_domain(self, interval_thm2_rhs):
+        for p in (3, 5, 7, 11, 13):
+            for r in (2, 3):
+                for d in range(1, p + 1):
+                    for k in range(1, r):
+                        for nu in range(1, 5):
+                            args = (p, r, d, k, nu)
+                            assert thm2_rhs.__wrapped__(*args) == interval_thm2_rhs(*args), args
+
+    def test_lemma1_matches_interval_oracle_on_cli_domain(self, interval_lemma1_rhs):
+        # every (q, nu, |U|, |V|) that `verify --suite lemma1 --r 2` can ask for
+        n = 0
+        for p in (3, 5, 7, 11, 13):
+            q = p * p
+            sizes = range(1, min(q, 25) + 1)
+            for nu in (1, 2, 3):
+                for su in sizes:
+                    for sv in sizes:
+                        args = (q, nu, su, sv)
+                        assert lemma1_rhs.__wrapped__(*args) == interval_lemma1_rhs(*args), args
+                        n += 1
+        assert n == 7743
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 29, 101, 1009]), half_r=st.integers(1, 2),
+           d=st.integers(0, 60), k=st.integers(1, 4), nu=st.integers(1, 8))
+    def test_thm2_matches_interval_oracle_irrational_sqrt_q(self, interval_thm2_rhs,
+                                                            p, half_r, d, k, nu):
+        r = 2 * half_r + 1  # odd r: sqrt(q) is irrational
+        args = (p, r, d, min(k, r - 1), nu)
+        assert thm2_rhs.__wrapped__(*args) == interval_thm2_rhs(*args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 29, 101, 1009]), half_r=st.integers(0, 2),
+           nu=st.integers(1, 8), su=st.integers(0, 200), sv=st.integers(0, 200))
+    def test_lemma1_matches_interval_oracle_irrational_sqrt_q(self, interval_lemma1_rhs,
+                                                              p, half_r, nu, su, sv):
+        args = (p ** (2 * half_r + 1), nu, su, sv)
+        assert lemma1_rhs.__wrapped__(*args) == interval_lemma1_rhs(*args)
+
+    @pytest.mark.parametrize("args", LARGE_NU)
+    def test_thm2_large_nu_matches_interval_oracle(self, interval_thm2_rhs, args):
+        assert thm2_rhs.__wrapped__(*args) == interval_thm2_rhs(*args)
+
+    def test_exact_integer_value_lies_strictly_below(self):
+        # 1^{1/2} (2 * 3 * 9 + 4 * 9 * 3)^{1/2} = 18 exactly; the bound is the next float
+        assert lemma1_rhs(9, 1, 2, 3) == 18.000000000000004 == math.nextafter(18.0, math.inf)
+
+    def test_no_interval_arithmetic(self, monkeypatch, interval_thm2_rhs, interval_lemma1_rhs):
+        want = ([interval_thm2_rhs(*a) for a in self.LARGE_NU[2:] + [(5, 2, 3, 1, 1)]],
+                [interval_lemma1_rhs(*a) for a in [(9, 1, 2, 3), (10007, 2, 13, 17)]])
+
+        class NoIntervals:
+            def __getattr__(self, name):
+                raise AssertionError(f"interval arithmetic used: iv.{name}")
+
+        monkeypatch.setattr(bounds, "iv", NoIntervals())
+        monkeypatch.setattr(oracles, "iv", NoIntervals())
+        got = ([thm2_rhs.__wrapped__(*a) for a in self.LARGE_NU[2:] + [(5, 2, 3, 1, 1)]],
+               [lemma1_rhs.__wrapped__(*a) for a in [(9, 1, 2, 3), (10007, 2, 13, 17)]])
+        assert got == want
+
+    def test_zero_sizes_are_exact(self):
+        assert thm2_rhs(5, 2, 0, 1, 1) == 0.5
+        assert thm2_rhs(7, 3, 0, 2, 4) == 0.5
+        assert lemma1_rhs(9, 1, 0, 3) == 0.0
+        assert lemma1_rhs(9, 2, 3, 0) == 0.0
+
+    def test_negative_sizes_raise(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            thm2_rhs(5, 3, -2, 1, 1)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            lemma1_rhs(9, 1, -1, 3)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            lemma1_rhs(9, 2, 3, -1)
+        with pytest.raises(ValueError, match="needs A, B, q >= 0"):
+            _float_above(-1, 0, 4, 2)
+
+    def test_nu_messages(self):
+        with pytest.raises(ValueError, match=r"^nu = 0 must be >= 1$"):
+            thm2_rhs(5, 2, 3, 1, 0)
+        with pytest.raises(ValueError, match=r"^nu must be >= 1$"):
+            lemma1_rhs(9, 0, 2, 3)
+
+    def test_non_integer_arguments_raise_type_error(self):
+        # exact integer arithmetic: a float size is refused, not rounded
+        with pytest.raises(TypeError):
+            thm2_rhs(5, 2, 3.0, 1, 1)
+        with pytest.raises(TypeError):
+            lemma1_rhs(9, 1, 2.5, 3)
+
+    def test_float_above_edges(self):
+        assert _float_above(0, 0, 7, 3, scale=2, shift=1) == 0.5
+        assert _float_above(4, 0, 1, 2) == math.nextafter(2.0, math.inf)
+        assert _float_above(0, 1, 4, 1) == math.nextafter(2.0, math.inf)  # sqrt(4) folded
+        for f in (_float_above(2, 0, 1, 2), _float_above(0, 1, 2, 1)):  # sqrt(2), both ways
+            assert Fraction(math.nextafter(f, -math.inf)) ** 2 < 2 < Fraction(f) ** 2
+        assert _float_above(10 ** 400, 0, 1, 1) == math.inf
+        assert _float_above(2 ** 1000, 0, 1, 1) == math.nextafter(2.0 ** 1000, math.inf)
+
+    def test_ulp_walk_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(bounds, "ROOT_BITS", 8)  # a guess many ulps off
+        with pytest.raises(InvariantViolation, match="within 8 ulps"):
+            _float_above(3, 5, 7, 4, scale=2, shift=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.integers(1, 10 ** 200), n=st.integers(1, 40))
+    def test_iroot_is_the_floor_root(self, y, n):
+        x = _iroot(y, n)
+        assert x ** n <= y < (x + 1) ** n
 
 
 class TestCorollaryC:
