@@ -14,22 +14,30 @@ multiplicative order q-1 in lexicographic order of installed-basis
 coordinates.
 
 Sums of character values are held exactly as CycloSum: integer
-multiplicities of the s-th roots of unity.  Magnitudes are only converted
-to floats at reporting time, and verdict-grade comparisons go through
-interval arithmetic so a reported bound violation can never be a rounding
-artifact.
+multiplicities of the s-th roots of unity.  Whether a sum vanishes is
+decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
+O(s) steps per prime factor of s.  Its magnitude is certified in interval
+arithmetic at IV_DPS = 40 digits (IV_PREC = 136 bits), run directly on
+mpmath.libmp endpoint pairs with the precision passed to every call, so
+mpmath's interval context and its global precision are neither read nor
+written.  Lower endpoints are rounded toward -inf and upper ones toward
++inf, and the result is rounded outward to floats, so a reported bound
+violation can never be a rounding artifact.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
+import operator
 
 import numpy as np
-from mpmath import iv
+from mpmath.libmp import (dps_to_prec, from_int, fzero, mpf_add, mpf_mul_int,
+                          mpf_pi, mpi_add, mpi_cos_sin, mpi_div, mpi_mul,
+                          mpi_pow_int, mpi_sqrt, round_ceiling, round_floor,
+                          to_float)
 
-from .bounds import iv_precision
+from .bounds import IV_DPS
 from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
@@ -37,14 +45,27 @@ from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
 ROOT_CACHE_SIZE = 1 << 13
+IV_PREC = dps_to_prec(IV_DPS)  # 136 bits
+
+
+def _point(n: int):
+    """The interval [n, n]; exact for |n| < 2^IV_PREC."""
+    x = from_int(n)
+    return x, x
 
 
 @functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _unit_root(s: int, k: int):
-    """Interval (cos, sin) of 2 pi k / s, one root at a time."""
-    with iv_precision():
-        ang = 2 * iv.pi * k / s
-        return iv.cos(ang), iv.sin(ang)
+    """Raw libmp intervals (cos, sin) of 2 pi k / s at IV_PREC bits.
+
+    The angle is built as mpmath's interval context evaluates
+    2 * pi * k / s, and one mpi_cos_sin gives both intervals, so every
+    endpoint equals that of iv.cos and iv.sin at 40 digits.
+    """
+    prec = IV_PREC
+    pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
+    ang = mpi_mul(mpi_mul(_point(2), pi, prec), _point(k), prec)
+    return mpi_cos_sin(mpi_div(ang, _point(s), prec), prec)
 
 
 class CycloSum:
@@ -88,40 +109,77 @@ class CycloSum:
         raise ValueError(f"sum over order-{self.order} roots is not an integer")
 
     def is_zero(self) -> bool:
-        if self.order <= 2:
-            return self.value_int() == 0
-        if _is_prime_order(self.order):
-            # the only Z-relation among zeta_s^k for prime s: all powers sum to 0
-            m = min(self.counts)
-            return all(c == m for c in self.counts)
-        return abs(self.value()) < 1e-9
+        """Exact for every root order, in O(s) steps per prime factor of s.
 
-    def zero_test_is_exact(self) -> bool:
-        """False for composite root orders, where is_zero falls back to floats."""
-        return self.order <= 2 or _is_prime_order(self.order)
+        Map k to its residues modulo the prime powers q = ell^e exactly
+        dividing s.  This sends zeta_s^k to a Galois conjugate of the tensor
+        product of the zeta_q^(k mod q), and Z[zeta_s] is the tensor product
+        of the Z[zeta_q] = Z[x]/Phi_q, where x^(j + (ell-1) q/ell) =
+        -sum_{i < ell-1} x^(j + i q/ell).  Rewriting the counts in the basis
+        x^j, j < q - q/ell, one axis at a time leaves the coordinates of the
+        sum, which vanishes iff they all do.
+        """
+        s = self.order
+        qs = []
+        for ell in prime_factors(s) if s > 1 else []:
+            q = ell
+            while s % (q * ell) == 0:
+                q *= ell
+            qs.append((ell, q))
+        k = np.arange(s)
+        flat = np.zeros(s, dtype=np.int64)
+        for _, q in qs:
+            flat = flat * q + k % q
+        coords = np.empty(s, dtype=object)
+        coords[flat] = self.counts
+        coords = coords.reshape([q for _, q in qs])
+        for ell, q in qs:  # the axis of q is first, and goes last once reduced
+            rest = coords.shape[1:]
+            coords = coords.reshape(ell, -1)
+            coords = (coords[:-1] - coords[-1]).reshape((q - q // ell,) + rest)
+            coords = np.moveaxis(coords, 0, -1)
+        return not coords.any()
 
     def magnitude_interval(self):
-        """Certified (lower, upper) float bounds on |value|."""
+        """Certified (lower, upper) float bounds on |value|.
+
+        Orders 1 and 2 are exact.  Above them the sum is evaluated at
+        IV_PREC = 136 bits, the precision passed explicitly to each libmp
+        call: every term c * (cos, sin) and every partial sum has its lower
+        endpoint rounded toward -inf and its upper one toward +inf (a
+        negative c swaps the endpoints it multiplies), then re^2 + im^2 and
+        its square root are taken on intervals, and the two endpoints are
+        rounded to floats outward (floor and ceiling).  The operation
+        sequence is the one mpmath's interval context runs at 40 digits, so
+        the result equals it bit for bit.
+        """
         if self.order <= 2:
             m = float(abs(self.value_int()))
             return m, m
-        with iv_precision():
-            re = iv.mpf(0)
-            im = iv.mpf(0)
-            for k, c in enumerate(self.counts):
-                if c:
-                    cos, sin = _unit_root(self.order, k)
-                    re += c * cos
-                    im += c * sin
-            # ** 2 (not self-multiplication) keeps the interval square nonnegative
-            mag = iv.sqrt(re ** 2 + im ** 2)
-            lo = float(iv.mpf(mag).a)
-            hi = float(iv.mpf(mag).b)
-            while lo > mag.a:
-                lo = math.nextafter(lo, -math.inf)
-            while hi < mag.b:
-                hi = math.nextafter(hi, math.inf)
-        return max(lo, 0.0), hi
+        prec = IV_PREC
+        re_lo = re_hi = im_lo = im_hi = fzero
+        for k, c in enumerate(self.counts):
+            if not c:
+                continue
+            c = operator.index(c)
+            if abs(c) >> prec:
+                raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
+            (cos_lo, cos_hi), (sin_lo, sin_hi) = _unit_root(self.order, k)
+            if c < 0:  # c * [a, b] = [c b, c a]
+                cos_lo, cos_hi = cos_hi, cos_lo
+                sin_lo, sin_hi = sin_hi, sin_lo
+            re_lo = mpf_add(re_lo, mpf_mul_int(cos_lo, c, prec, round_floor),
+                            prec, round_floor)
+            re_hi = mpf_add(re_hi, mpf_mul_int(cos_hi, c, prec, round_ceiling),
+                            prec, round_ceiling)
+            im_lo = mpf_add(im_lo, mpf_mul_int(sin_lo, c, prec, round_floor),
+                            prec, round_floor)
+            im_hi = mpf_add(im_hi, mpf_mul_int(sin_hi, c, prec, round_ceiling),
+                            prec, round_ceiling)
+        # squaring (not self-multiplication) keeps each interval square nonnegative
+        lo, hi = mpi_sqrt(mpi_add(mpi_pow_int((re_lo, re_hi), 2, prec),
+                                  mpi_pow_int((im_lo, im_hi), 2, prec), prec), prec)
+        return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
 
     def __eq__(self, other):
         return (isinstance(other, CycloSum) and self.order == other.order
@@ -129,10 +187,6 @@ class CycloSum:
 
     def __repr__(self):
         return f"CycloSum(order={self.order}, counts={self.counts})"
-
-
-def _is_prime_order(s: int) -> bool:
-    return len(prime_factors(s)) == 1 and prime_factors(s)[0] == s
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
     exps = (ka[live] + (s - 1) * kb[live]) % s
     total = CycloSum(s, [int(c) for c in np.bincount(exps, minlength=s)])
     rhs = lemmaD_rhs(ctx.p, ctx.r)
-    params = {"s": s, "j": index, "alpha": alpha.coords, "beta": beta.coords,
+    params = {"s": s, "j": index, "alpha": alpha.idx, "beta": beta.idx,
               "p": ctx.p, "r": ctx.r}
     return _report("D", params, total, rhs)
 

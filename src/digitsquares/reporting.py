@@ -18,14 +18,15 @@ VERDICTS = ("pass", "fail", "skip-hypothesis", "report-only")
 
 
 def fmt_value(x) -> str:
-    if x is None or x == "":
-        return ""
+    # type checks first: comparing a Fraction with "" is a slow Fraction.__eq__
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
+    if x is None:
+        return ""
     return str(x)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from digitsquares import (CycloSum, DigitBox, char_sum, characters, enumerate_box,
-                          field_generator, make_char, make_field,
+                          field_generator, make_char, make_field, oracles,
                           quad_char_coords)
 from digitsquares.characters import (DLOG_CAP, dlog_table, legendre_table,
                                      quad_table)
 from digitsquares.errors import InvariantViolation
-from digitsquares.fields import (FieldCtx, divisors, is_irreducible, is_prime,
-                                 smallest_irreducible, vec_norm)
+from digitsquares.fields import (FieldCtx, FieldElem, divisors, is_irreducible,
+                                 is_prime, prime_factors, smallest_irreducible,
+                                 vec_norm)
 
 GRID_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
 # r = 1; a tall tower; two fields just above the 2^20 table cap; large r; p near the cap
@@ -34,8 +36,8 @@ def brute_square_set(ctx):
 
 
 def magnitude_interval_uncached(total: CycloSum):
-    """CycloSum.magnitude_interval before the root cache, kept as its oracle:
-    every root's interval cos/sin recomputed, at 40 digits."""
+    """CycloSum.magnitude_interval in mpmath's interval context, kept as its
+    oracle: every root's interval cos/sin recomputed, at 40 digits."""
     if total.order <= 2:
         m = float(abs(total.value_int()))
         return m, m
@@ -59,6 +61,47 @@ def magnitude_interval_uncached(total: CycloSum):
     finally:
         iv.prec = saved
     return max(lo, 0.0), hi
+
+
+def coset_count(s: int) -> int:
+    """Number of coset indicator vectors of root order s, one per (ell, j)."""
+    return sum(s // ell for ell in prime_factors(s)) if s > 1 else 0
+
+
+def coset_relation(s: int, weights) -> list[int]:
+    """sum over prime ell | s and j < s/ell of w * [k = j mod s/ell]: each
+    indicator is zeta_s^j times the sum of the ell-th roots of unity, so 0."""
+    counts = [0] * s
+    weights = iter(weights)
+    for ell in (prime_factors(s) if s > 1 else []):
+        step = s // ell
+        for j in range(step):
+            w = next(weights)
+            for m in range(ell):
+                counts[j + m * step] += w
+    return counts
+
+
+def assert_zero_exactly_here(counts):
+    """A Z-relation among the s-th roots of unity is zero; moving any one
+    count by +-1 adds +-zeta_s^k, which is not."""
+    s = len(counts)
+    assert CycloSum(s, counts).is_zero()
+    for k in range(s):
+        for d in (1, -1):
+            moved = list(counts)
+            moved[k] += d
+            assert not CycloSum(s, moved).is_zero()
+
+
+def squared_magnitude(total: CycloSum) -> CycloSum:
+    """|sum|^2 = sum_{j,k} c_j c_k zeta^{j-k}, exactly."""
+    out = CycloSum(total.order)
+    for j, a in enumerate(total.counts):
+        for k, b in enumerate(total.counts):
+            if a and b:
+                out.add_root(j - k, a * b)
+    return out
 
 
 def quad_char(ctx, x) -> int:
@@ -335,12 +378,32 @@ class TestCycloSum:
     def test_is_zero_prime_order_exact(self):
         assert CycloSum(3, [4, 4, 4]).is_zero()
         assert not CycloSum(3, [4, 4, 5]).is_zero()
-        assert CycloSum(3, [0, 0, 0]).zero_test_is_exact()
 
-    def test_is_zero_composite_order_flagged_inexact(self):
-        s = CycloSum(4, [1, 1, 1, 1])  # 1 + i - 1 - i = 0
-        assert s.is_zero()
-        assert not s.zero_test_is_exact()
+    def test_is_zero_coset_relations_seeded(self):
+        assert_zero_exactly_here([1, 1, 1, 1])  # 1 + i - 1 - i
+        rng = np.random.default_rng(29)
+        for s in range(1, 61):
+            for _ in range(3):
+                counts = coset_relation(s, [int(w) for w in rng.integers(
+                    -9, 10, size=coset_count(s))])
+                assert_zero_exactly_here(counts)
+
+    def test_is_zero_linear_at_large_composite_order(self):
+        # s = 3 * 5^2 * 11 * 31 * 41; a quadratic reduction would take hours
+        s = (1 << 20) - 1
+        counts = coset_relation(s, [1] * coset_count(s))
+        start = time.perf_counter()
+        assert CycloSum(s, counts).is_zero()
+        counts[12345] -= 1
+        assert not CycloSum(s, counts).is_zero()
+        assert time.perf_counter() - start < 20
+
+    @given(st.integers(1, 60).flatmap(lambda s: st.tuples(st.just(s), st.lists(
+        st.integers(-1000, 1000), min_size=coset_count(s), max_size=coset_count(s)))))
+    @settings(max_examples=60, deadline=None)
+    def test_is_zero_coset_relations_generated(self, case):
+        s, weights = case
+        assert_zero_exactly_here(coset_relation(s, weights))
 
     def test_magnitude_interval_brackets_float_value(self):
         s = CycloSum(5, [3, 0, 2, 0, 1])
@@ -362,6 +425,88 @@ class TestCycloSum:
     def test_magnitude_interval_matches_uncached_generated(self, counts):
         total = CycloSum(len(counts), counts)
         assert total.magnitude_interval() == magnitude_interval_uncached(total)
+
+    def test_unit_root_matches_iv_cos_sin(self):
+        saved = iv.prec
+        iv.dps = 40
+        try:
+            for s in range(1, 201):
+                for k in range(s):
+                    ang = 2 * iv.pi * k / s
+                    assert characters._unit_root(s, k) == (iv.cos(ang)._mpi_,
+                                                           iv.sin(ang)._mpi_)
+        finally:
+            iv.prec = saved
+
+    def test_magnitude_interval_matches_uncached_on_artefact_classes(self, field,
+                                                                     monkeypatch):
+        cases = []
+        # exact zeros, printed as the midpoint of the interval width
+        for c in (1, 7, 4096, 999983, 10 ** 6):
+            cases += [CycloSum(s, [c] * s) for s in (3, 4, 6, 12, 13, 30, 60, 168)]
+            cases += [CycloSum(s, [-c] * s) for s in (3, 12, 60)]
+            cases += [CycloSum(4, [c, 0, c, 0]), CycloSum(6, [c, 0, 0, c, 0, 0]),
+                      CycloSum(6, [0, c, 0, c, 0, c]), CycloSum(12, [c, 0] * 6)]
+        # zeros with counts of either sign: coset relations up to 2^20
+        rng = np.random.default_rng(41)
+        for s in (4, 6, 12, 30, 60, 84, 168):
+            weights = rng.integers(-(1 << 20), (1 << 20) + 1, size=coset_count(s))
+            cases.append(CycloSum(s, coset_relation(s, [int(w) for w in weights])))
+        # |sum|^2 = q from seeded Lemma E instances on F_13^2
+        ctx = field(13, 2)
+        sums = []
+        monkeypatch.setattr(oracles, "_report",
+                            lambda lemma, params, total, rhs: sums.append(total))
+        rng = np.random.default_rng(13)
+        divs = [s for s in divisors(ctx.q - 1) if s > 2]
+        for _ in range(40):
+            t = int(rng.integers(1, 4))
+            chars = [make_char(ctx, int(s), int(rng.integers(1, s)))
+                     for s in rng.choice(divs, size=t)]
+            shifts = [FieldElem(ctx, int(ix))
+                      for ix in rng.choice(ctx.q, size=t, replace=False)]
+            oracles.lemmaE_check(ctx, chars, shifts)
+        root_q = [total for total in sums
+                  if (squared_magnitude(total)
+                      + CycloSum(total.order, [-ctx.q] + [0] * (total.order - 1))).is_zero()]
+        assert len(root_q) >= 10
+        cases += root_q
+        # counts of either sign up to 2^20
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            order = int(rng.integers(3, 121))
+            counts = rng.integers(-(1 << 20), (1 << 20) + 1, size=order)
+            cases.append(CycloSum(order, [int(c) for c in counts * (rng.random(order) < 0.5)]))
+        for total in cases:
+            assert total.magnitude_interval() == magnitude_interval_uncached(total)
+
+    @pytest.mark.parametrize("dps", [15, 100])
+    def test_magnitude_interval_ignores_caller_precision(self, dps):
+        totals = [CycloSum(7, [5, 0, -3, 1, 0, 0, 2]), CycloSum(8, [9, 0, 0, 0, 9, 0, 0, 0])]
+        expected = [magnitude_interval_uncached(total) for total in totals]
+        saved = iv.prec
+        iv.dps = dps
+        prec = iv.prec
+        try:
+            characters._unit_root.cache_clear()
+            assert [total.magnitude_interval() for total in totals] == expected
+            assert iv.prec == prec
+        finally:
+            iv.prec = saved
+
+    def test_raw_path_builds_no_interval_objects(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("mpmath's interval context was used")
+        monkeypatch.setattr(type(iv), "prec", property(untouchable, untouchable))
+        monkeypatch.setattr(type(iv), "dps", property(untouchable, untouchable))
+        monkeypatch.setattr(iv, "make_mpf", untouchable)
+        characters._unit_root.cache_clear()
+        lo, hi = CycloSum(9, [1, 0, 4, 0, 0, -2, 0, 0, 1]).magnitude_interval()
+        assert 0 < lo <= hi
+
+    def test_magnitude_interval_refuses_counts_beyond_the_precision(self):
+        with pytest.raises(ValueError):
+            CycloSum(3, [1 << characters.IV_PREC, 0, 0]).magnitude_interval()
 
     def test_value_matches_complex_sum(self):
         s = CycloSum(6, [1, 2, 0, 4, 0, 1])

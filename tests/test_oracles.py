@@ -60,6 +60,8 @@ class TestLemmaD:
         assert rep.lhs == 1.0
         assert rep.rhs == pytest.approx(3 * math.sqrt(3), rel=1e-14)
         assert rep.holds
+        assert rep.parameters == {"s": 2, "j": 1, "alpha": x.idx,
+                                  "beta": (F9.one() + x).idx, "p": 3, "r": 2}
 
     def test_conjugate_pair_refused(self, field):
         F9 = field(3, 2)

@@ -7,16 +7,18 @@ digest pins which of them wins on every instance.
 
 lemmaD (generator pairs that are not conjugate) and partition (tuples by
 subfield degree) rest on the Frobenius degree sieve; their reports on small
-fields are pinned byte for byte.
+fields are pinned byte for byte, and so are the strings a report cell
+renders each value type to.
 """
 
 import hashlib
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
 from digitsquares.cli import SweepConfig, main, run_config
-from digitsquares.reporting import rows_to_csv
+from digitsquares.reporting import fmt_value, rows_to_csv
 
 CENSUS_SUITES = ("identity", "est1", "thmA", "thmB", "thm1", "thm1-existence",
                  "thm2", "corC-report")
@@ -98,3 +100,13 @@ def test_frobenius_suites_golden_digest(capsys, fields, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value,text", [
+    (Fraction(6, 3), "2"), (Fraction(-7, 4), "-7/4"), (Fraction(0), "0"),
+    (0.1, "0.1"), (7.0, "7.0"), (float("inf"), "inf"),
+    (True, "true"), (False, "false"), (12, "12"), (0, "0"), (-3, "-3"),
+    (None, ""), ("", ""), ("trial1;t=2", "trial1;t=2"),
+])
+def test_cell_strings(value, text):
+    assert fmt_value(value) == text
