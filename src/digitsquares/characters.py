@@ -4,7 +4,9 @@ The quadratic character eta has one entry point, quad_char_coords.  For
 q <= DLOG_CAP it looks up a table built from the squaring image
 Q = {x^2 : x != 0}; above the cap it evaluates eta(x) = (N(x) / p), the
 Legendre symbol of the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies
-in F_p and costs O(log r) field multiplications per element.
+in F_p.  fields.vec_norm computes the norms of a block of elements in
+O(log r) field multiplications, on coefficient-major (r, n) arrays in the
+narrowest integer type that holds r p^2 (int32 while r p^2 < 2^31).
 
 A character of root order s (s | q-1) with index j sends x != 0 to
 zeta_s^{j * dlog(x) mod s} and 0 to 0.  Root orders 1 and 2 are powers of

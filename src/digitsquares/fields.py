@@ -18,8 +18,9 @@ shares; the generator, discrete logs and square counts live in ctx._cache,
 one per context.  Frobenius, subfield degrees and conjugates all go through
 the cached frobenius_matrix.
 
-Characteristic is capped at 2^20 so that coordinate products summed over
-r <= 64 terms never overflow int64 in the vector kernels.
+The vector kernels multiply coefficient-major (r, n) arrays in the
+narrowest integer type that holds r p^2 (_kernel_dtype); the characteristic
+cap of 2^20 keeps that within int64 for every r < 2^23.
 """
 
 from __future__ import annotations
@@ -504,23 +505,66 @@ def is_generator(a: FieldElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vector kernels (coords arrays of shape (n, r), dtype int64)
+# vector kernels.  The public ones take and return poly-coordinate rows,
+# int64 arrays of shape (n, r).  Field products run on coefficient-major
+# (r, n) arrays in _kernel_dtype(p, r): row i holds coefficient c_i of all
+# n elements, so every step is one operation on a contiguous slab.
+
+def _kernel_dtype(p: int, r: int):
+    """The narrowest integer type in which the coefficient-major kernels are exact.
+
+    Inputs are reduced, so every coefficient lies in 0..p-1, and so do the
+    rows of ctx._reduction and of every Frobenius matrix.  Each intermediate
+    is a sum of nonnegative terms, so every partial sum is at most the full
+    one, and each full sum is below r p^2:
+    - the convolution c_m = sum_{i+j=m} a_i b_j has at most r terms, so
+      c_m <= r (p-1)^2;
+    - after c %= p, the fold c_t + sum_s reduction[s, t] c_{r+s} adds r-1
+      products to c_t <= p-1: at most (p-1) + (r-1)(p-1)^2;
+    - a Frobenius image sum_j F[j, t] y_j has r terms: at most r (p-1)^2.
+    So int32 is exact when r p^2 < 2^31 and int64 when r p^2 < 2^63, which
+    P_CAP = 2^20 guarantees for every r < 2^23.
+    """
+    bound = r * p * p
+    if bound < 1 << 31:
+        return np.int32
+    if bound < 1 << 63:
+        return np.int64
+    raise ValueError(f"r p^2 = {bound} overflows int64 in the field kernels")
+
+
+def _mul_cm(A, B, red, p, full, out):
+    """out <- A * B on coefficient-major (r, n) arrays of reduced coefficients.
+
+    red is ctx._reduction.T and full a (2r-1, n) scratch buffer, both in the
+    kernel type.  r slab multiply-adds build the product's 2r-1 coefficients,
+    one % p reduces them, and the fold red @ full[r:] adds x^r..x^{2r-2}
+    back into the low r.  out may be A or B: both are read before out is
+    written.  The fold and the Frobenius images in vec_norm are contracted
+    with np.einsum, which sums in the same type as matmul: integer matmul has
+    no BLAS path, and its generic loop took 3.5x as long on (20, 3000) int32
+    slabs on a 2-core Xeon.
+    """
+    r = A.shape[0]
+    np.multiply(A[0], B, out=full[:r])
+    full[r:] = 0
+    for i in range(1, r):
+        full[i:i + r] += A[i] * B
+    full %= p
+    np.einsum("ts,sn->tn", red, full[r:], out=out)
+    out += full[:r]
+    out %= p
+    return out
+
 
 def vec_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise field multiplication of poly-coordinate arrays."""
-    p, r = ctx.p, ctx.r
-    n = A.shape[0]
-    if r == 1:
-        return (A * B) % p
-    full = np.zeros((n, 2 * r - 1), dtype=np.int64)
-    for i in range(r):
-        Ai = A[:, i]
-        for j in range(r):
-            full[:, i + j] += Ai * B[:, j]
-    full %= p
-    low = full[:, :r]
-    low = (low + full[:, r:] @ ctx._reduction) % p
-    return low
+    """Row-wise product of reduced poly-coordinate rows, (n, r) -> (n, r) int64."""
+    dt = _kernel_dtype(ctx.p, ctx.r)
+    a = np.array(A.T, dtype=dt, order="C")
+    b = np.array(B.T, dtype=dt, order="C")
+    full = np.empty((2 * ctx.r - 1, a.shape[1]), dtype=dt)
+    _mul_cm(a, b, ctx._reduction.T.astype(dt), ctx.p, full, out=a)
+    return np.ascontiguousarray(a.T, dtype=np.int64)
 
 
 def vec_pow(ctx: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
@@ -589,26 +633,33 @@ def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
 
     Doubling along the Frobenius orbit: with y_k = a * a^p * ... * a^{p^{k-1}},
     y_{2k} = y_k * Frob^k(y_k) and y_{k+1} = a * Frob(y_k), so the product
-    costs O(log r) field multiplications.  Raises InvariantViolation if a
-    result leaves the prime field.
+    costs O(log r) field multiplications.  The rows are transposed and cast
+    to the kernel type once; every step then runs coefficient-major, Frob^k
+    as F_k.T @ y and the product through _mul_cm, in scratch buffers
+    allocated once per call.  Raises InvariantViolation if a result leaves
+    the prime field.
     """
-    p = ctx.p
-    y = A
-    conj = np.empty_like(A)
+    p, r = ctx.p, ctx.r
+    dt = _kernel_dtype(p, r)
+    a = np.array(A.T, dtype=dt, order="C")
+    red = ctx._reduction.T.astype(dt)
+    conj, out = np.empty_like(a), np.empty_like(a)
+    full = np.empty((2 * r - 1, a.shape[1]), dtype=dt)
+    y = a
     k = 1
-    for bit in bin(ctx.r)[3:]:
-        np.matmul(y, frobenius_matrix(ctx, k), out=conj)
+    for bit in bin(r)[3:]:
+        np.einsum("ji,jn->in", frobenius_matrix(ctx, k).astype(dt), y, out=conj)
         conj %= p
-        y = vec_mul(ctx, y, conj)
+        y = _mul_cm(y, conj, red, p, full, out=out)
         k *= 2
         if bit == "1":
-            np.matmul(y, frobenius_matrix(ctx, 1), out=conj)
+            np.einsum("ji,jn->in", frobenius_matrix(ctx, 1).astype(dt), y, out=conj)
             conj %= p
-            y = vec_mul(ctx, A, conj)
+            y = _mul_cm(a, conj, red, p, full, out=out)
             k += 1
-    if y[:, 1:].any():
+    if y[1:].any():
         raise InvariantViolation("a norm N(x) landed outside the prime field F_p")
-    return y[:, 0]
+    return y[0].astype(np.int64)
 
 
 def vec_encode(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:

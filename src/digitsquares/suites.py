@@ -19,10 +19,11 @@ gets is decided in this order, the first that applies winning:
 
 The eight census suites (identity, est1, thmA, thmB, thm1, thm1-existence,
 thm2, corC-report) run steps 4-6 through one skeleton, _census.  Suites
-take their field from live_field, a one-entry cache, and their square
-counts from square_census, which keeps them on the field: a run orders its
-tasks field-major, so each (p, r) is built once and each digit set counted
-once per process.
+take their field from live_field, a one-entry cache, and their digit sets
+and square counts from digit_instances and square_census, which keep them
+on the field: a run orders its tasks field-major, so each (p, r) is built
+once, its digit sets drawn once and each digit set counted once per
+process.
 """
 
 from __future__ import annotations
@@ -76,16 +77,21 @@ def live_field(p: int, r: int) -> FieldCtx:
 def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
     """count_squares of the box D^r, kept in ctx._cache with the basis-tied tables.
 
-    Each call checks the budget exactly once: count_squares does on a miss,
-    check_budget on a hit, so a cached count never bypasses the budget.
+    Counts are looked up by the digit tuple and stored with their box, so a
+    hit builds no DigitBox.  Each call checks the budget exactly once:
+    count_squares does on a miss, check_budget on a hit, so a cached count
+    never bypasses the budget.
     """
-    box = DigitBox.uniform(ctx, digits)
     counts = ctx._cache.setdefault("counts", {})
-    rep = counts.get(box.digits[0])
-    if rep is None:
-        rep = counts[box.digits[0]] = count_squares(box, budget)
-    else:
-        check_budget(box, budget, what="exact square counting")
+    key = tuple(digits)
+    hit = counts.get(key)
+    if hit is None:
+        box = DigitBox.uniform(ctx, key)
+        rep = count_squares(box, budget)
+        counts[key] = box, rep
+        return rep
+    box, rep = hit
+    check_budget(box, budget, what="exact square counting")
     return rep
 
 
@@ -94,13 +100,18 @@ def _needs_seed(opts: TaskOptions, why: str):
         raise ValueError(f"a seed is required for {why}")
 
 
-def digit_instances(opts: TaskOptions) -> list[tuple[str, tuple[int, ...]]]:
-    """(label, digit set) pairs for one field, from the digit-set spec.
+def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(label, digit set) pairs for the field ctx, from the digit-set spec.
 
     Spec forms, combinable with '+': "intervals" (all {0..t-1}),
     "all-size-m", "random:n" or "random:n,m" (seeded), or an explicit
-    residue list like "0-4,7".
+    residue list like "0-4,7".  Built once per field: the pairs are kept in
+    ctx._cache, keyed by (spec, seed), and dropped with the field.
     """
+    cache = ctx._cache.setdefault("instances", {})
+    key = (opts.digits, opts.seed)
+    if key in cache:
+        return cache[key]
     p = opts.p
     spec = opts.digits or "intervals"
     out = []
@@ -128,7 +139,8 @@ def digit_instances(opts: TaskOptions) -> list[tuple[str, tuple[int, ...]]]:
         else:
             ds = parse_digit_spec(part, p)
             out.append((format_digit_set(ds), ds))
-    return out
+    cache[key] = tuple(out)
+    return cache[key]
 
 
 def _skip_row(suite, opts, instance, note) -> Row:
@@ -181,7 +193,7 @@ def suite_identity(opts: TaskOptions) -> list[Row]:
         return [Row("identity", opts.p, opts.r, label, lhs=rep.count_q, rhs=expected,
                     verdict="pass" if ok else "fail")]
     ctx = live_field(opts.p, opts.r)
-    return _census("identity", opts, ctx, digit_instances(opts), rows_of)
+    return _census("identity", opts, ctx, digit_instances(ctx, opts), rows_of)
 
 
 def suite_est1(opts: TaskOptions) -> list[Row]:
@@ -192,13 +204,13 @@ def suite_est1(opts: TaskOptions) -> list[Row]:
                     lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
                     verdict="pass" if rep.deviation <= rhs else "fail")]
     ctx = live_field(opts.p, opts.r)
-    return _census("est1", opts, ctx, digit_instances(opts), rows_of)
+    return _census("est1", opts, ctx, digit_instances(ctx, opts), rows_of)
 
 
 def suite_thmA(opts: TaskOptions) -> list[Row]:
     """Digit sets with 2 <= |D| <= p-1; the others are left out."""
     ctx = live_field(opts.p, opts.r)
-    instances = [(label, ds) for label, ds in digit_instances(opts)
+    instances = [(label, ds) for label, ds in digit_instances(ctx, opts)
                  if 2 <= len(ds) <= opts.p - 1]
     return _census(
         "thmA", opts, ctx, instances,
@@ -224,7 +236,7 @@ def suite_thm1(opts: TaskOptions) -> list[Row]:
         return [_skip_row("thm1", opts, "all", "needs 2r-1 <= sqrt(p)")]
     ctx = live_field(opts.p, opts.r)
     return _census(
-        "thm1", opts, ctx, digit_instances(opts),
+        "thm1", opts, ctx, digit_instances(ctx, opts),
         lambda label, ds, rep, rhs: [_bound_row("thm1", opts, label, rep, "Thm1",
                                                 {"d": len(ds)}, rhs)],
         lambda ds: bounds.thm1_rhs(opts.p, opts.r, len(ds)))
@@ -262,7 +274,7 @@ def suite_thm2(opts: TaskOptions) -> list[Row]:
                            bounds.thm2_rhs(opts.p, opts.r, d, k, nu))
                 for k in range(1, opts.r) for nu in range(1, opts.nu_max + 1)]
     ctx = live_field(opts.p, opts.r)
-    return _census("thm2", opts, ctx, digit_instances(opts), rows_of)
+    return _census("thm2", opts, ctx, digit_instances(ctx, opts), rows_of)
 
 
 def suite_corC_report(opts: TaskOptions) -> list[Row]:
@@ -362,7 +374,7 @@ def suite_partition(opts: TaskOptions) -> list[Row]:
         return [_skip_row("partition", opts, "all", "needs r >= 2")]
     ctx = live_field(opts.p, opts.r)
     rows = []
-    for label, ds in digit_instances(opts):
+    for label, ds in digit_instances(ctx, opts):
         try:
             part = subfield_partition(ctx, ds, budget=opts.budget)
         except BudgetExceeded:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from digitsquares import boxes, cli, counting, fields, suites
-from digitsquares.cli import ConfigError, SweepConfig, main, run_config
+from digitsquares.cli import NU_MAX_CAP, ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
 from digitsquares.suites import TaskOptions, live_field, square_census
@@ -248,6 +248,7 @@ class TestRunConfig:
         (("--suite", "identity", "--p", "1"), "--p"),
         (("--suite", "identity", "--p", "0,5"), "--p"),
         (("--suite", "identity", "--p", "-3"), "--p"),
+        (("--suite", "thm2", "--digits", "0-2", "--nu-max", "65"), "--nu-max"),
     ])
     def test_bad_flag_value_is_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", "--p", "5", "--r", "2", *argv)
@@ -267,6 +268,9 @@ class TestRunConfig:
     def test_smallest_accepted_inputs(self):
         SweepConfig(ps=[5], rs=[2], suites=["lemma1"], seed=0, trials=1, h=0,
                     nu_max=1, orders=(2,)).validate()
+
+    def test_largest_accepted_nu_max(self):
+        SweepConfig(ps=[5], rs=[2], suites=["thm2"], nu_max=NU_MAX_CAP).validate()
 
     def test_errored_instance_becomes_fail_row(self):
         # p = 9 is composite: the task errors and the sweep reports, not crashes
@@ -324,10 +328,32 @@ class TestFieldMajorRuns:
         assert len(counted) == len(set(counted)) == 3 + 3 + 5 + 5  # t = 1..p per field
         assert live_field.cache_info().currsize == 0
 
+    def test_digit_sets_drawn_and_boxes_built_once_per_field(self, monkeypatch):
+        parsed, boxed = [], []
+
+        def parse_digit_spec(spec, p):
+            parsed.append(p)
+            return boxes.parse_digit_spec(spec, p)
+
+        class CountingBox(boxes.DigitBox):
+            @classmethod
+            def uniform(cls, ctx, digits):
+                boxed.append((ctx.p, ctx.r, tuple(digits)))
+                return boxes.DigitBox.uniform(ctx, digits)
+
+        monkeypatch.setattr(suites, "parse_digit_spec", parse_digit_spec)
+        monkeypatch.setattr(suites, "DigitBox", CountingBox)
+        rows, _ = run_config(SweepConfig(ps=[3, 5], rs=[1, 2], digits="0-1+2",
+                                         suites=["identity", "est1", "thm1"]))
+        assert parsed == [3, 3, 3, 3, 5, 5, 5, 5]  # two parts, once per field
+        assert boxed == [(p, r, ds) for p in (3, 5) for r in (1, 2) for ds in ((0, 1), (2,))]
+        assert len(rows) > len(boxed)
+
     def test_cached_count_never_bypasses_budget(self):
         ctx = live_field(5, 2)
         full = square_census(ctx, range(3), None)
-        assert ctx._cache["counts"] == {(0, 1, 2): full}  # dropped with the field
+        box = boxes.DigitBox.uniform(ctx, range(3))
+        assert ctx._cache["counts"] == {(0, 1, 2): (box, full)}  # dropped with the field
         assert square_census(ctx, range(3), 9) is full
         with pytest.raises(BudgetExceeded):
             square_census(ctx, range(3), 8)

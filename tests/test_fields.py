@@ -1,5 +1,7 @@
 """Field construction, arithmetic, Frobenius machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from digitsquares import (InvariantViolation, conjugates, element_degree,
                           field_generator, frobenius, is_generator, make_field)
 from digitsquares.characters import dlog_table, legendre_table, quad_table
-from digitsquares.fields import (FieldCtx, all_poly_coords, divisors, frobenius_matrix,
-                                 is_irreducible, is_prime, poly_str,
+from digitsquares.fields import (FieldCtx, _kernel_dtype, all_poly_coords, divisors,
+                                 frobenius_matrix, is_irreducible, is_prime, poly_str,
                                  smallest_irreducible, vec_degrees, vec_encode,
                                  vec_from_coords, vec_mul, vec_norm, vec_pow)
 from digitsquares.oracles import generator_elements
@@ -17,6 +19,10 @@ from digitsquares.suites import square_census
 
 # every element of these fields is checked against the scalar oracles
 ORACLE_FIELDS = [(3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (3, 6)]
+# the kernels' integer type switches at r p^2 = 2^31: 2 144 994 002 below it
+# at F_32749^2, 2 147 876 882 above it at F_32771^2
+SWITCH_FIELDS = [(32749, 2), (32771, 2)]
+ODD_PRIMES_16 = [p for p in range(3, 1 << 16, 2) if is_prime(p)]
 
 
 def brute_irreducible(coeffs, p):
@@ -354,6 +360,13 @@ class TestVectorKernels:
                 prod = prod * b
             assert prod.poly_coords == (int(got[i]),) + (0,) * (r - 1)
 
+    def test_kernel_dtype_switches_at_2_31(self):
+        assert [_kernel_dtype(p, r) for p, r in SWITCH_FIELDS] == [np.int32, np.int64]
+        assert _kernel_dtype(101, 20) is np.int32
+        assert _kernel_dtype((1 << 20) - 3, (1 << 23) - 1) is np.int64
+        with pytest.raises(ValueError):
+            _kernel_dtype(3, 1 << 60)
+
     def test_vec_from_coords_matches_scalar(self, field):
         ctx = field(7, 3)
         x = ctx.from_poly_coords((0, 1, 0))
@@ -383,6 +396,97 @@ class TestVectorKernels:
         idx = np.arange(ctx.q, dtype=np.int64)
         from digitsquares.fields import vec_decode
         assert (vec_encode(ctx, vec_decode(ctx, idx)) == idx).all()
+
+
+def kernel_rows(ctx, n, seed):
+    """n seeded random reduced poly-coordinate rows, then the all-(p-1) row,
+    whose square drives the convolution sums to their largest value."""
+    rows = np.random.default_rng(seed).integers(0, ctx.p, size=(n, ctx.r))
+    return np.vstack([rows, np.full((1, ctx.r), ctx.p - 1)]).astype(np.int64)
+
+
+def conjugate_product(ctx, idx):
+    """N(a) by scalar arithmetic alone: a * a^p * ... * a^{p^{r-1}}."""
+    prod, conj = 1, idx
+    for _ in range(ctx.r):
+        prod = ctx.mul_idx(prod, conj)
+        conj = ctx.pow_idx(conj, ctx.p)
+    return prod
+
+
+def check_kernels(ctx, euler, n, seed):
+    """vec_mul against mul_idx, vec_norm against the conjugate product and
+    its Legendre symbol against the Euler criterion, row by row."""
+    A, B = kernel_rows(ctx, n, seed), kernel_rows(ctx, n, seed + 1)
+    prod = vec_mul(ctx, A, B)
+    norm = vec_norm(ctx, A)
+    assert prod.dtype == norm.dtype == np.int64
+    assert prod.shape == A.shape and norm.shape == (A.shape[0],)
+    legendre = legendre_table(ctx)
+    for a, b, ab, na in zip(A, B, prod, norm):
+        ia, ib = ctx.poly_coords_to_index(a), ctx.poly_coords_to_index(b)
+        assert ctx.poly_coords_to_index(ab) == ctx.mul_idx(ia, ib)
+        assert conjugate_product(ctx, ia) == na
+        assert legendre[na] == euler(ctx, ia)
+
+
+class TestKernelOracles:
+    """The coefficient-major kernels against scalar field arithmetic."""
+
+    @pytest.mark.parametrize("p,r", SWITCH_FIELDS)
+    def test_both_sides_of_the_int32_switch(self, field, euler, p, r):
+        check_kernels(field(p, r), euler, 64, seed=20)
+
+    def test_f101_20(self, field, euler):
+        check_kernels(field(101, 20), euler, 6, seed=21)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_generated_fields(self, euler, data):
+        # a random irreducible modulus: dense reduction rows, and no slow
+        # smallest-modulus scan at large p
+        r = data.draw(st.integers(1, 6))
+        p = data.draw(st.sampled_from([p for p in ODD_PRIMES_16 if p ** r < 1 << 64]))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        rng = np.random.default_rng(seed)
+        modulus = [int(c) for c in rng.integers(0, p, size=r)] + [1]
+        while not is_irreducible(modulus, p):
+            modulus[:r] = [int(c) for c in rng.integers(0, p, size=r)]
+        check_kernels(FieldCtx(p, r, tuple(modulus)), euler, 8, seed)
+
+
+class TestKernelSafety:
+    @pytest.mark.parametrize("p,r", [(101, 20), (32771, 2)])
+    def test_inputs_not_mutated(self, field, p, r):
+        ctx = field(p, r)
+        A, B = kernel_rows(ctx, 100, seed=22), kernel_rows(ctx, 100, seed=23)
+        A0, B0 = A.copy(), B.copy()
+        vec_mul(ctx, A, B)
+        vec_norm(ctx, A)
+        vec_mul(ctx, A, np.broadcast_to(B[0], A.shape))  # read-only, as in dlog_table
+        assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+    @pytest.mark.parametrize("p,r", [(101, 20), (32771, 2)])
+    def test_norm_peak_memory(self, field, p, r):
+        # the cast rows, two (r, n) buffers, the (2r-1, n) product and one
+        # slab temporary: 6r-1 rows of n, under 6 copies of the block in the
+        # kernel type (the int64 column loop peaked near 6 int64 copies)
+        ctx = field(p, r)
+        A = np.random.default_rng(24).integers(0, p, size=(1 << 15, r))
+        limit = 6.5 * A.size * np.dtype(_kernel_dtype(p, r)).itemsize
+        vec_norm(ctx, A[:8])  # Frobenius matrices cached outside the window
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            vec_norm(ctx, A)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < limit <= 6.5 * A.nbytes
 
 
 def test_poly_str():
