@@ -110,15 +110,7 @@ def _poly_gcd(a, b, p):
     while b:
         inv_lead = pow(b[-1], p - 2, p)
         bm = [(c * inv_lead) % p for c in b]  # monic divisor
-        # a mod bm
-        a = list(a)
-        db = len(bm) - 1
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - c * bm[j]) % p
-        a, b = b, _poly_trim(a[:db])
+        a, b = b, _poly_trim(_poly_mod(a, bm, p))
     return a
 
 
@@ -534,24 +526,24 @@ def _kernel_dtype(p: int, r: int):
 
 
 def _mul_cm(A, B, red, p, full, out):
-    """out <- A * B on coefficient-major (r, n) arrays of reduced coefficients.
+    """out <- A * B on coefficient-major arrays of reduced coefficients.
 
-    red is ctx._reduction.T and full a (2r-1, n) scratch buffer, both in the
-    kernel type.  r slab multiply-adds build the product's 2r-1 coefficients,
-    one % p reduces them, and the fold red @ full[r:] adds x^r..x^{2r-2}
-    back into the low r.  out may be A or B: both are read before out is
-    written.  The fold and the Frobenius images in vec_norm are contracted
-    with np.einsum, which sums in the same type as matmul: integer matmul has
-    no BLAS path, and its generic loop took 3.5x as long on (20, 3000) int32
-    slabs on a 2-core Xeon.
+    A and B broadcast to out's (r, ...) shape, e.g. (r, k, 1) by (r, 1, m)
+    for all k m pairs; red is ctx._reduction.T and full a (2r-1, ...)
+    buffer, in the kernel type, with full and out contiguous past axis 0.
+    r slab multiply-adds build the 2r-1 product coefficients, one % p
+    reduces them, and the fold red @ full[r:] adds x^r..x^{2r-2} back into
+    the low r.  out may be A or B: both are read before out is written.
+    np.einsum contracts the fold and vec_norm's Frobenius images: integer
+    matmul has no BLAS path and took 3.5x as long on (20, 3000) int32 slabs.
     """
-    r = A.shape[0]
+    r, n = A.shape[0], out[0].size
     np.multiply(A[0], B, out=full[:r])
     full[r:] = 0
     for i in range(1, r):
         full[i:i + r] += A[i] * B
     full %= p
-    np.einsum("ts,sn->tn", red, full[r:], out=out)
+    np.einsum("ts,sn->tn", red, full[r:].reshape(r - 1, n), out=out.reshape(r, n))
     out += full[:r]
     out %= p
     return out

@@ -11,7 +11,8 @@ so sweep drivers can mark the row skipped rather than failed.
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
 slack ratios and never asserted; the only asserted energy fact is the
-unconditional diagonal lower bound E >= |B|^2.
+unconditional diagonal lower bound E >= |B|^2, counted exactly from the
+field-kernel products of all pairs in B for every q, with no discrete logs.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ import numpy as np
 from mpmath import iv
 
 from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
-                    default_budget, index_blocks)
+                    default_budget, index_blocks, poly_blocks)
 from .bounds import _certified, _float_above, _memoised, _upper
-from .characters import (CycloSum, DLOG_CAP, MultChar, char_sum_indices,
-                         dlog_table, make_char, quad_char_coords)
+from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
+                         quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
-from .fields import (FieldCtx, FieldElem, all_poly_coords, conjugates,
-                     element_degree, vec_decode, vec_degrees, vec_encode,
-                     vec_from_coords)
+from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
+                     conjugates, element_degree, vec_decode, vec_degrees,
+                     vec_encode, vec_from_coords)
+
+PAIR_CHUNK = 1 << 19  # product coefficients per kernel call in energy_count
 
 
 @dataclass(frozen=True)
@@ -226,33 +229,35 @@ def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
 
     E = sum_w f(w)^2 with f(w) = #{(x, y) in B^2 : x y = w}; collisions of
     the product map are exactly the quadruple solutions, at O(|B|^2) cost.
+    The nonzero elements x are decoded once; k of them at a time meet all
+    m in one broadcast kernel call (k m r <= PAIR_CHUNK), and np.unique
+    counts merge into one sorted (w, f(w)) pair: O(min(q, |B|^2)) memory.
     """
     ctx = box.ctx
     n = box.size()
     budget = default_budget() if budget is None else budget
     if n * n > budget:
         raise BudgetExceeded(n * n, budget, "pairwise products for the energy count")
-    idx = np.concatenate(list(index_blocks(box)))
-    has_zero = bool((idx == 0).any())
-    nz = idx[idx != 0]
-    if ctx.q <= DLOG_CAP:
-        dl = dlog_table(ctx)[nz]
-        m = ctx.q - 1
-        hist = np.zeros(m, dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(1, nz.size))
-        for lo in range(0, nz.size, chunk):
-            part = (dl[lo:lo + chunk, None] + dl[None, :]) % m
-            hist += np.bincount(part.ravel(), minlength=m)
-        energy = int((hist.astype(object) ** 2).sum())
-    else:
-        from collections import Counter
-        counts = Counter()
-        elems = [int(i) for i in nz]
-        for a in elems:
-            for b in elems:
-                counts[ctx.mul_idx(a, b)] += 1
-        energy = sum(c * c for c in counts.values())
-    if has_zero:
+    rows = np.concatenate([blk[blk.any(axis=1)] for blk in poly_blocks(box)])
+    p, r, m = ctx.p, ctx.r, rows.shape[0]
+    dt = _kernel_dtype(p, r)
+    cols, red = np.array(rows.T, dtype=dt), ctx._reduction.T.astype(dt)
+    k = max(1, PAIR_CHUNK // max(1, r * m))
+    full, prod = np.empty((2 * r - 1, k, m), dtype=dt), np.empty((r, k, m), dtype=dt)
+    ws, fs = vec_encode(ctx, rows[:0]), np.zeros(0, dtype=np.int64)
+    for lo in range(0, m, k):
+        kk = min(k, m - lo)  # x_lo..x_{lo+kk-1} times every x: (r, kk, 1) by (r, 1, m)
+        out = _mul_cm(cols[:, lo:lo + kk, None], cols[:, None], red, p, full[:, :kk], prod[:, :kk])
+        w, c = np.unique(vec_encode(ctx, out.reshape(r, -1).T), return_counts=True)
+        pos = np.searchsorted(ws, w)
+        hit = pos < ws.size
+        hit[hit] = ws[pos[hit]] == w[hit]
+        fs[pos[hit]] += c[hit]
+        ws, fs = np.insert(ws, pos[~hit], w[~hit]), np.insert(fs, pos[~hit], c[~hit])
+    # f(w) <= |B| and sum_w f(w) <= |B|^2, so E <= |B|^3
+    fs = fs.astype(object) if n ** 3 >= 1 << 63 else fs
+    energy = int(fs @ fs)
+    if m < n:
         f0 = 2 * n - 1  # pairs with x = 0 or y = 0
         energy += f0 * f0
     if energy < n * n:

@@ -208,10 +208,12 @@ def suite_est1(opts: TaskOptions) -> list[Row]:
 
 
 def suite_thmA(opts: TaskOptions) -> list[Row]:
-    """Digit sets with 2 <= |D| <= p-1; the others are left out."""
+    """Digit sets with 2 <= |D| <= p-1; one skip row when there is none."""
     ctx = live_field(opts.p, opts.r)
     instances = [(label, ds) for label, ds in digit_instances(ctx, opts)
                  if 2 <= len(ds) <= opts.p - 1]
+    if not instances:
+        return [_skip_row("thmA", opts, "all", "no digit set with 2 <= |D| <= p-1")]
     return _census(
         "thmA", opts, ctx, instances,
         lambda label, ds, rep, rhs: [_bound_row("thmA", opts, label, rep, "ThmA",

@@ -89,6 +89,15 @@ class TestVerify:
         assert len(rows) == 100 - 61 + 1  # t = 61..100
         assert all(int(r[4]) >= 1 for r in rows)
 
+    def test_thmA_without_a_digit_set_says_so(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "thmA", "--p", "5",
+                                 "--r", "2", "--digits", "0")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows == [["thmA", "5", "2", "all;no digit set with 2 <= |D| <= p-1",
+                         "", "", "", "skip-hypothesis"]]
+        assert "summary: passed=0 failed=0 skipped-hypothesis=1 report-only=0" in err
+
     def test_thmB_skips_t_p_minus_1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "thmB", "--p", "5", "--r", "1")
         assert code == 0

@@ -1,5 +1,6 @@
 """Field construction, arithmetic, Frobenius machinery."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,42 @@ def brute_irreducible(coeffs, p):
     return True
 
 
+# smallest_irreducible(p, r) for r = 1..6, recorded before _poly_gcd took
+# its remainders from _poly_mod
+SMALLEST_IRREDUCIBLE = {
+    3: [(0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 1, 0, 0, 1), (1, 2, 0, 0, 0, 1),
+        (2, 1, 0, 0, 0, 0, 1)],
+    5: [(0, 1), (2, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0, 1), (1, 4, 0, 0, 0, 1),
+        (2, 1, 0, 0, 0, 0, 1)],
+    7: [(0, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 0, 1), (3, 1, 0, 0, 0, 1),
+        (2, 0, 0, 0, 0, 0, 1)],
+    11: [(0, 1), (1, 0, 1), (4, 1, 0, 1), (2, 1, 0, 0, 1), (2, 0, 0, 0, 0, 1),
+         (2, 1, 0, 0, 0, 0, 1)],
+    13: [(0, 1), (2, 0, 1), (2, 0, 0, 1), (2, 0, 0, 0, 1), (2, 4, 0, 0, 0, 1),
+         (2, 0, 0, 0, 0, 0, 1)],
+    101: [(0, 1), (2, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0, 1), (2, 0, 0, 0, 0, 1),
+          (3, 1, 0, 0, 0, 0, 1)],
+}
+
+
+def low_degree_irreducible(f, p):
+    """Independent oracle for monic f of degree <= 4: a unit is not
+    irreducible, a linear f is; otherwise f has no root in F_p and, at
+    degree 4, is not a product of two monic quadratics."""
+    deg = len(f) - 1
+    if deg < 2:
+        return deg == 1
+    if any(sum(c * x ** j for j, c in enumerate(f)) % p == 0 for x in range(p)):
+        return False
+    if deg == 4:
+        quadratics = [(a, b, 1) for a in range(p) for b in range(p)]
+        for (a0, a1, _), (b0, b1, _) in itertools.product(quadratics, repeat=2):
+            product = [a0 * b0, a0 * b1 + a1 * b0, a0 + a1 * b1 + b0, a1 + b1, 1]
+            if [c % p for c in product] == list(f):
+                return False
+    return True
+
+
 class TestMakeField:
     def test_prime_field_modulus_is_x(self):
         assert make_field(3, 1).modulus == (0, 1)
@@ -79,6 +116,17 @@ class TestMakeField:
         for n in range(n_chosen):
             g = [(n // p ** j) % p for j in range(r)] + [1]
             assert not brute_irreducible(g, p)
+
+    @pytest.mark.parametrize("p", sorted(SMALLEST_IRREDUCIBLE))
+    def test_smallest_irreducible_pinned(self, p):
+        assert [smallest_irreducible(p, r) for r in range(1, 7)] == SMALLEST_IRREDUCIBLE[p]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_is_irreducible_matches_root_oracle(self, p):
+        for deg in range(5):
+            for n in range(p ** deg):
+                f = [(n // p ** j) % p for j in range(deg)] + [1]
+                assert is_irreducible(f, p) == low_degree_irreducible(f, p), f
 
     def test_rejections(self):
         with pytest.raises(ValueError):

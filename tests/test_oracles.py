@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
                           lemma1_check, lemmaD_check, lemmaE_check, make_char,
                           subfield_partition)
-from digitsquares import boxes, oracles
-from digitsquares.fields import divisors
+from digitsquares import boxes, characters, make_field, oracles
+from digitsquares.fields import FieldCtx, divisors
 from digitsquares.oracles import generator_elements
 
 
@@ -330,6 +331,16 @@ class TestSubfieldPartition:
             subfield_partition(field(5, 3), (0, 1, 2, 3, 4), budget=10)
 
 
+# the energy tests draw fields from both sides of the 2^20 table cap
+ENERGY_FIELDS = [(5, 1), (7, 2), (3, 3), (13, 2), (101, 3), (1031, 2), (37, 4)]
+# (p, r, offset, h) -> energy of the cubic box, recorded with the discrete-log
+# path below the cap and the scalar Counter loop above it
+PINNED_ENERGIES = {
+    (7, 2, 6, 3): 461, (13, 2, 0, 3): 161, (101, 3, 0, 4): 9656,
+    (1031, 2, 0, 4): 588, (1031, 2, 1030, 3): 449, (37, 4, 36, 2): 1616,
+}
+
+
 def brute_energy(ctx, elems):
     """O(n^4) oracle: count quadruples x1 x2 = x3 x4 directly."""
     count = 0
@@ -395,11 +406,84 @@ class TestEnergy:
         assert rep.energy == brute_energy(ctx, list(enumerate_box(box)))
 
     def test_counter_fallback_above_dlog_cap(self, field):
-        # q > 2^20 has no dlog table; products are histogrammed directly
+        # q > 2^20, where the count once left discrete logs for a scalar
+        # Counter loop; the kernel product stream is the same on both sides
         ctx = field(1031, 2)
         box = IntervalBox(ctx, (0, 0), (3, 3))
         rep = energy_count(box)
         assert rep.energy == brute_energy(ctx, list(enumerate_box(box)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hypothesis_boxes_match_brute_force(self, field, data):
+        # fields on both sides of the 2^20 table cap; at most 8 elements,
+        # so the O(n^4) oracle stays cheap
+        p, r = data.draw(st.sampled_from(ENERGY_FIELDS))
+        ctx = field(p, r)
+        zero = data.draw(st.booleans())
+        if data.draw(st.booleans()):
+            sets, n = [], 1
+            for _ in range(r):
+                most = max(1, min(3, 8 // n))
+                s = data.draw(st.sets(st.integers(int(zero), p - 1), min_size=1 - zero,
+                                      max_size=most - zero))
+                sets.append(tuple(s | {0}) if zero else tuple(s))
+                n *= len(sets[-1])
+            box = DigitBox(ctx, tuple(sets))
+        else:
+            lengths = data.draw(st.sampled_from([(1,) * r, (2,) + (1,) * (r - 1),
+                                                 (2, 2) + (1,) * (r - 2) if r > 1 else (3,)]))
+            # offset p - 1 starts a window at 0, so zero lands in the box
+            offsets = [p - 1 if zero else data.draw(st.integers(0, p - 1)) for _ in range(r)]
+            box = IntervalBox(ctx, tuple(offsets), lengths)
+        assert box.contains_zero() or not zero
+        rep = energy_count(box)
+        assert rep.energy == brute_energy(ctx, list(enumerate_box(box)))
+
+    def test_f101_20_boxes(self, field, monkeypatch):
+        # q >= 2^62: element indices are Python ints in object arrays
+        ctx = field(101, 20)
+        assert energy_count(DigitBox.uniform(ctx, (1,))).energy == 1
+        box = DigitBox(ctx, ((1, 2), (0, 5)) + ((0,),) * 18)
+        energy = brute_energy(ctx, list(enumerate_box(box)))
+        assert energy_count(box).energy == energy
+        assert energy_count(DigitBox(ctx, ((0, 1),) + ((0,),) * 19)).energy == 10
+        monkeypatch.setattr(oracles, "PAIR_CHUNK", 1)  # merge object arrays too
+        assert energy_count(box).energy == energy
+
+    def test_no_discrete_logs_or_scalar_products(self, monkeypatch):
+        # energies recorded with the discrete-log / Counter fork; fresh fields,
+        # so no table built earlier can answer
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy_count must not need this")
+        for name in ("dlog_table", "field_generator"):
+            monkeypatch.setattr(characters, name, refuse)
+        monkeypatch.setattr(FieldCtx, "mul_idx", refuse)
+        for (p, r, offset, h), energy in PINNED_ENERGIES.items():
+            box = IntervalBox(make_field(p, r), (offset,) * r, (h,) * r)
+            assert energy_count(box).energy == energy, (p, r, offset, h)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 200])
+    def test_chunks_merge_into_one_count(self, field, monkeypatch, chunk):
+        # one left factor (or a few) per kernel call: every product count
+        # goes through the sorted merge
+        monkeypatch.setattr(oracles, "PAIR_CHUNK", chunk)
+        for (p, r, offset, h), energy in PINNED_ENERGIES.items():
+            box = IntervalBox(field(p, r), (offset,) * r, (h,) * r)
+            assert energy_count(box).energy == energy, (p, r, offset, h)
+
+    def test_peak_memory(self, field):
+        # 390 625 ordered pairs in 3 chunks; the discrete-log path peaked at
+        # 31.2 MiB here
+        box = IntervalBox(field(31, 4), (0,) * 4, (5,) * 4)
+        tracemalloc.start()
+        try:
+            energy = energy_count(box).energy
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == 1009833
+        assert peak < 20 << 20
 
 
 class TestDeltaH:

@@ -9,6 +9,9 @@ lemmaD (generator pairs that are not conjugate) and partition (tuples by
 subfield degree) rest on the Frobenius degree sieve; their reports on small
 fields are pinned byte for byte, and so are the strings a report cell
 renders each value type to.
+
+The energy suite's exact counts are pinned on fields on both sides of the
+2^20 table cap, as recorded when it still forked on q.
 """
 
 import hashlib
@@ -97,6 +100,19 @@ def test_hypothesis_skip_wins_over_budget(census_rows):
 ], ids=["p3,5-r2", "p3-r3"])
 def test_frobenius_suites_golden_digest(capsys, fields, digest):
     code = main(["verify", "--suite", "lemmaD,partition", "--digits", "intervals"] + fields)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fields,digest", [
+    (["--p", "3,5,7,11,13", "--r", "1,2,3"],
+     "33514e381a5066100f78ec53f52c0874459c9153208fe3de1e3c60b0a758296d"),
+    (["--p", "1031", "--r", "2", "--h", "8"],
+     "1e93c23a9fbf5cc9e1fe2a897506c1ce68d39e49c755f5b11d3840653a2ae1c5"),
+], ids=["small-fields", "p1031-r2-h8"])
+def test_energy_suite_golden_digest(capsys, fields, digest):
+    code = main(["verify", "--suite", "energy"] + fields)
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -6,7 +6,8 @@ deleted one would only show when a traced benchmark round runs.  Every
 report a benchmark command writes must keep the digest recorded in
 perfbench/digests.json.  The README's list of config keys must be the keys
 of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
-never through assert, which python -O strips.
+never through assert, which python -O strips.  Every demo prints the bytes
+recorded in DEMO_DIGESTS.
 """
 
 import ast
@@ -60,6 +61,33 @@ def test_benchmark_reports_match_digests(capsys, seed):
             key = " ".join(cmd)
             assert code == 0, key
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key
+
+
+# stdout sha256 of each demos/*.py, recorded when energy_count still used
+# discrete logs below the 2^20 table cap
+DEMO_DIGESTS = {
+    "01_field_tour.py": "ff8d1e4d8dfa124a90f98003749d9d799e78fee3f3b71b4a53888c164b64a2d8",
+    "02_digit_boxes_and_square_counts.py":
+        "34606b9850bfdcf115584d96f7d43b6180721120d87f223756450c6ce73284b3",
+    "03_bound_gallery.py": "41f545c83b6055e6eb6d20a63ac24295b3dd2daeb79b4c67995767d64f1a4f29",
+    "04_lemma_oracles.py": "a6f34efb89d69ac3d96dbae7a512dd7d98618d41fee8bdbe5b5b83f763f14afa",
+    "05_energy_and_box_sums.py":
+        "e8a470ffadfee55189ab0f76db299f60926c92c08ce2e45ca581bbbf41241406",
+}
+
+
+def test_every_demo_has_a_digest():
+    assert sorted(path.name for path in (ROOT / "demos").glob("*.py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_output_matches_digest(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[name]
 
 
 def test_src_has_no_assert():
