@@ -5,14 +5,21 @@ exact expression, so a bound check can compare an exact integer or rational
 left-hand side against it and a reported violation is never a rounding
 artifact.  Two kinds of evaluation give that float:
 
-* The Theorem 2 moment bound (and Lemma 1 in `oracles`, its U + V form) is
-  an algebraic number ((A + B sqrt(q))^(1/n) + shift) / scale with integer
-  A, B, q.  `_float_above` places it exactly, by an integer n-th root and
-  exact integer comparisons, and returns the smallest float strictly above.
-* Every other right-hand side involves pi, logarithms or real exponents and
-  is evaluated in interval arithmetic at IV_DPS = 40 decimal digits, then
-  rounded up.  The precision is set for each call (never read from mpmath's
-  global state).
+* The algebraic right-hand sides are placed exactly, by integer roots and
+  exact integer comparisons, with no intervals and no mpmath; each is the
+  smallest float strictly above its exact value (but a Lemma E bound at
+  square q, an integer, is returned as it is).
+  - Theorem A, (d + p sqrt(p - d))^r / 2 sqrt(q), and the Theorem 2 moment
+    bound (with Lemma 1, its U + V form, and Lemmas D and E in `oracles`)
+    are ((A + B sqrt(q))^(1/n) + shift) / scale with integers A, B, q;
+    `_float_above` places them.
+  - Theorem 1 is a sum of fourth roots of integers; each root is bracketed
+    between integer roots, more finely until no float lies in the bracket.
+* The right-hand sides that involve pi, logarithms or real exponents
+  (Theorem B, Corollary C, the existence thresholds) are evaluated in
+  interval arithmetic at IV_DPS = 40 decimal digits, then rounded up.  The
+  precision is set for each call (never read from mpmath's global state).
+  Only these evaluators import mpmath, on their first call.
 
 Each evaluator is a pure function of its arguments and is memoised: a sweep
 asks for the same few hundred values thousands of times.  Natural logarithms
@@ -28,18 +35,20 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import iv, mpf
-
 from .errors import HypothesisNotMet, InvariantViolation
 
 IV_DPS = 40            # decimal digits of every interval evaluation
 RHS_CACHE_SIZE = 1 << 14
 ROOT_BITS = 70         # bits of the integer root that places _float_above's guess
 ULP_STEPS = 8          # _float_above's guess is at most 2 ulps off
+THM1_BITS = 64         # first scale 2^K of thm1_rhs's fourth-root bracket
+THM1_DOUBLINGS = 8     # thm1_rhs doubles K at most this many times
 
 
 def _upper(x) -> float:
     """Float upper bound of an interval (or exact mpf) value."""
+    from mpmath import mpf
+
     b = x.b if hasattr(x, "b") else mpf(x)
     f = float(b)
     while f < b:
@@ -53,6 +62,8 @@ def iv_precision():
 
     mpmath's interval context has no workdps of its own.
     """
+    from mpmath import iv
+
     saved = iv.prec
     iv.dps = IV_DPS
     try:
@@ -154,19 +165,42 @@ def _float_above(A: int, B: int, q: int, n: int, scale: int = 1, shift: int = 0)
         f"{ULP_STEPS} ulps of the integer-root guess")
 
 
-def _root(x, k: int):
-    """Interval k-th root of a positive interval value."""
-    return iv.exp(iv.log(x) / k)
+def _float_past(lo: int, hi: int, den: int) -> float | None:
+    """The smallest float strictly above hi / den, if no float lies in
+    [lo / den, hi / den]; None if one does.  inf beyond the float range."""
+    try:
+        f = hi / den  # correctly rounded
+    except OverflowError:
+        return math.inf
+    fn, fd = f.as_integer_ratio()
+    if fn * den <= hi * fd:
+        f = math.nextafter(f, math.inf)
+    gn, gd = math.nextafter(f, -math.inf).as_integer_ratio()
+    return f if gn * den < lo * gd else None
 
 
-@_certified
+@_memoised
 def thmA_rhs(p: int, r: int, d: int) -> float:
-    """(1 / 2 sqrt(q)) * (d + p * sqrt(p - d))^r, for 2 <= d <= p-1."""
+    """(1 / 2 sqrt(q)) * (d + p * sqrt(p - d))^r, for 2 <= d <= p-1, exactly.
+
+    (d + p sqrt(m))^r = X + Y sqrt(m) with m = p - d.  At even r,
+    sqrt(q) = p^{r/2}; at odd r the sqrt(p) left over from
+    sqrt(q) = p^{(r-1)/2} sqrt(p) moves to the numerator, which is then
+    placed as the square root of (X + Y sqrt(m))^2 p.
+    """
+    p, r, d = map(operator.index, (p, r, d))
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
     if not 2 <= d <= p - 1:
         raise ValueError(f"|D| = {d} outside [2, {p - 1}]")
-    q = iv.mpf(p) ** r
-    val = (d + p * iv.sqrt(iv.mpf(p - d))) ** r / (2 * iv.sqrt(q))
-    return _upper(val)
+    m = p - d
+    X, Y = 1, 0
+    for _ in range(r):
+        X, Y = d * X + p * m * Y, p * X + d * Y
+    if r % 2 == 0:
+        return _float_above(X, Y, m, 1, scale=2 * p ** (r // 2))
+    return _float_above((X * X + Y * Y * m) * p, 2 * X * Y * p, m, 2,
+                        scale=2 * p ** ((r + 1) // 2))
 
 
 def thmA_heuristic_nontrivial(p: int, d: int) -> bool:
@@ -178,6 +212,8 @@ def thmA_heuristic_nontrivial(p: int, d: int) -> bool:
 @_certified
 def thmB_C(p: int, t: int) -> float:
     """The piecewise constant C(p, t); undefined at t = p-1."""
+    from mpmath import iv
+
     if t == p - 1:
         raise HypothesisNotMet(f"C(p, t) is undefined at t = p - 1 (p = {p})")
     if not 2 <= t <= p - 2:
@@ -194,6 +230,8 @@ def thmB_C(p: int, t: int) -> float:
 @_certified
 def thmB_rhs(p: int, r: int, t: int) -> float:
     """(1/2) * (C(p, t) * t * sqrt(p))^r for initial-interval digit sets."""
+    from mpmath import iv
+
     c = iv.mpf(thmB_C(p, t))  # already an upper bound; safe to reuse
     val = (c * t * iv.sqrt(iv.mpf(p))) ** r / 2
     return _upper(val)
@@ -204,23 +242,40 @@ def thm1_hypothesis(p: int, r: int) -> bool:
     return (2 * r - 1) ** 2 <= p
 
 
-@_certified
+@_memoised
 def thm1_rhs(p: int, r: int, d: int) -> float:
-    """Deviation bound for |W ∩ Q| via the subfield partition of the digits."""
+    """Deviation bound for |W ∩ Q| via the subfield partition of the digits.
+
+    sqrt(d) (p^{1/4} sqrt(2r-1) d^{r-1} + p^{3/4} r^{3/2} / 4 + sqrt(p)) / 2 + 1/2
+    = (4 d^{r-1} a^{1/4} + b^{1/4} + 4 c^{1/4} + 4) / 8, exactly, with
+    a = d^2 p (2r-1)^2, b = d^2 p^3 r^6 and c = d^2 p^2.  Each fourth root
+    lies in [L, L + 1) / 2^K with L = floor(root 2^K), an integer root; K
+    doubles from THM1_BITS until that bracket of the sum holds no float.
+    """
+    p, r, d = map(operator.index, (p, r, d))
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
     if d < 1:
         raise ValueError("|D| must be positive")
-    pv = iv.mpf(p)
-    dv = iv.mpf(d)
-    inner = (_root(pv, 4) * iv.sqrt(iv.mpf(2 * r - 1)) * dv ** (r - 1)
-             + _root(pv ** 3, 4) * iv.sqrt(iv.mpf(r) ** 3) / 4
-             + iv.sqrt(pv))
-    val = iv.sqrt(dv) * inner / 2 + iv.mpf(1) / 2
-    return _upper(val)
+    lead = 4 * d ** (r - 1)
+    a, b, c = d * d * p * (2 * r - 1) ** 2, d * d * p ** 3 * r ** 6, d * d * p * p
+    k = THM1_BITS
+    for _ in range(THM1_DOUBLINGS):
+        lo = (lead * _iroot(a << 4 * k, 4) + _iroot(b << 4 * k, 4)
+              + 4 * _iroot(c << 4 * k, 4) + (4 << k))
+        f = _float_past(lo, lo + lead + 1 + 4, 8 << k)  # each root < its floor + 1
+        if f is not None:
+            return f
+        k *= 2
+    raise InvariantViolation(
+        f"thm1_rhs({p}, {r}, {d}): a float still lies in the bracket at 2^-{k // 2}")
 
 
 @_certified
 def thm1_threshold(p: int, r: int) -> float:
     """|D| at or above this forces a square in W (needs 2r - 1 <= sqrt(p), r >= 2)."""
+    from mpmath import iv
+
     if r < 2:
         raise ValueError("the existence threshold needs r >= 2")
     base = iv.sqrt(iv.mpf(p)) * (2 * r - 1)
@@ -267,6 +322,8 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
 @_certified
 def thm2_Cr(r: int) -> float:
     """C(r) = exp((4 log r + 8) / r), the threshold's leading constant."""
+    from mpmath import iv
+
     rv = iv.mpf(r)
     return _upper(iv.exp((4 * iv.log(rv) + 8) / rv))
 
@@ -274,6 +331,8 @@ def thm2_Cr(r: int) -> float:
 @_certified
 def thm2_threshold(p: int, r: int) -> float:
     """Existence threshold C(r) sqrt(p) exp((log p + 4 log log p) / r), r >= 20."""
+    from mpmath import iv
+
     if r < 20:
         raise HypothesisNotMet(f"the thm2 existence threshold needs r >= 20, got r = {r}")
     pv = iv.mpf(p)
@@ -289,6 +348,8 @@ def corC_hypothesis(p: int, t: int, eps: float) -> bool:
     False unless certified: where the intervals overlap, mpmath's `>=`
     gives None, and the hypothesis counts as not met.
     """
+    from mpmath import iv
+
     bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
     return (iv.mpf(t) >= bound) is True
 
@@ -301,6 +362,8 @@ def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
     so the caller supplies the constant and no verdict is ever asserted
     from this value.
     """
+    from mpmath import iv
+
     if not 0 < eps <= 0.25:
         raise ValueError(f"eps = {eps} outside (0, 1/4]")
     if constant <= 0:
@@ -332,11 +395,12 @@ class BoundReport:
 def check_bound(name: str, parameters: dict, rhs_value: float,
                 observed: Fraction, size_w: int) -> BoundReport:
     """Exact-LHS vs upper-bounded-RHS comparison."""
+    rhs = Fraction(rhs_value)
     return BoundReport(
         bound_name=name,
         parameters=parameters,
         rhs_value=rhs_value,
         observed=observed,
-        nontrivial=Fraction(rhs_value) < Fraction(size_w, 2),
-        holds=observed <= Fraction(rhs_value),
+        nontrivial=rhs < Fraction(size_w, 2),
+        holds=observed <= rhs,
     )

@@ -19,12 +19,13 @@ Sums of character values are held exactly as CycloSum: integer
 multiplicities of the s-th roots of unity.  Whether a sum vanishes is
 decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
 O(s) steps per prime factor of s.  Its magnitude is certified in interval
-arithmetic at IV_DPS = 40 digits (IV_PREC = 136 bits), run directly on
-mpmath.libmp endpoint pairs with the precision passed to every call, so
-mpmath's interval context and its global precision are neither read nor
-written.  Lower endpoints are rounded toward -inf and upper ones toward
-+inf, and the result is rounded outward to floats, so a reported bound
-violation can never be a rounding artifact.
+arithmetic at IV_PREC = 136 bits (the 40 digits of bounds.IV_DPS), run
+directly on mpmath.libmp endpoint pairs with the precision passed to every
+call, so mpmath's interval context and its global precision are neither
+read nor written; mpmath is imported by the first magnitude that needs it,
+and no other function here uses it.  Lower endpoints are rounded toward
+-inf and upper ones toward +inf, and the result is rounded outward to
+floats, so a reported bound violation can never be a rounding artifact.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ import functools
 import operator
 
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_int, fzero, mpf_add, mpf_mul_int,
-                          mpf_pi, mpi_add, mpi_cos_sin, mpi_div, mpi_mul,
-                          mpi_pow_int, mpi_sqrt, round_ceiling, round_floor,
-                          to_float)
 
-from .bounds import IV_DPS
 from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
@@ -47,11 +43,13 @@ from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
 ROOT_CACHE_SIZE = 1 << 13
-IV_PREC = dps_to_prec(IV_DPS)  # 136 bits
+IV_PREC = 136  # bits of the 40 digits bounds.IV_DPS: mpmath's dps_to_prec(40)
 
 
 def _point(n: int):
     """The interval [n, n]; exact for |n| < 2^IV_PREC."""
+    from mpmath.libmp import from_int
+
     x = from_int(n)
     return x, x
 
@@ -64,6 +62,9 @@ def _unit_root(s: int, k: int):
     2 * pi * k / s, and one mpi_cos_sin gives both intervals, so every
     endpoint equals that of iv.cos and iv.sin at 40 digits.
     """
+    from mpmath.libmp import (mpf_pi, mpi_cos_sin, mpi_div, mpi_mul,
+                              round_ceiling, round_floor)
+
     prec = IV_PREC
     pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
     ang = mpi_mul(mpi_mul(_point(2), pi, prec), _point(k), prec)
@@ -158,6 +159,9 @@ class CycloSum:
         if self.order <= 2:
             m = float(abs(self.value_int()))
             return m, m
+        from mpmath.libmp import (fzero, mpf_add, mpf_mul_int, mpi_add, mpi_pow_int,
+                                  mpi_sqrt, round_ceiling, round_floor, to_float)
+
         prec = IV_PREC
         re_lo = re_hi = im_lo = im_hi = fzero
         for k, c in enumerate(self.counts):

@@ -18,7 +18,6 @@ Exit codes: 0 all checks passed, 1 any check failed or an instance errored,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -185,6 +184,8 @@ def run_config(cfg: SweepConfig) -> tuple[list[Row], int]:
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
     try:
         if jobs > 1:
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 done = list(pool.map(_run_task, [tasks[i] for i in order]))
         else:

@@ -2,11 +2,13 @@
 
 Each check computes its left-hand side exactly (an integer for quadratic
 characters, a CycloSum magnitude interval otherwise) and compares it with a
-certified float upper bound of the right-hand side: the Lemma 1 moment bound
-is placed exactly by integer arithmetic (`bounds._float_above`), the Lemma D
-and Lemma E bounds in 40-digit interval arithmetic.  Each check reports
-holds / slack.  Mathematical preconditions that fail raise HypothesisNotMet
-so sweep drivers can mark the row skipped rather than failed.
+certified float upper bound of the right-hand side.  The Lemma 1 moment
+bound and the Lemma D and Lemma E bounds are algebraic and placed exactly by
+integer arithmetic (`bounds._float_above`), with no intervals and no mpmath;
+a Lemma E bound at square q is an integer and is returned as it is.  Each
+check reports holds / slack.  Mathematical preconditions that fail raise
+HypothesisNotMet so sweep drivers can mark the row skipped rather than
+failed.
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -23,11 +25,10 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import iv
 
 from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
                     default_budget, index_blocks, poly_blocks)
-from .bounds import _certified, _float_above, _memoised, _upper
+from .bounds import _float_above, _memoised
 from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
                          quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
@@ -92,10 +93,13 @@ def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
     return _report("D", params, total, rhs)
 
 
-@_certified
+@_memoised
 def lemmaD_rhs(p: int, r: int) -> float:
-    """(2r - 1) sqrt(p)."""
-    return _upper((2 * r - 1) * iv.sqrt(iv.mpf(p)))
+    """(2r - 1) sqrt(p), exactly, for a prime p."""
+    p, r = operator.index(p), operator.index(r)
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+    return _float_above(0, 2 * r - 1, p, 1)
 
 
 def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
@@ -137,10 +141,22 @@ def lemmaE_check(ctx: FieldCtx, chars: list[MultChar], shifts: list[FieldElem]) 
     return _report("E", params, total, rhs)
 
 
-@_certified
+@_memoised
 def lemmaE_rhs(q: int, t: int, t0: int) -> float:
-    """(t - t0 - 1) sqrt(q) + t0 + 1."""
-    return _upper((t - t0 - 1) * iv.sqrt(iv.mpf(q)) + t0 + 1)
+    """(t - t0 - 1) sqrt(q) + t0 + 1, exactly, for t0 < t.
+
+    At square q the value is an integer, returned as the float at or
+    above it (the integer itself below 2^53).
+    """
+    q, t, t0 = map(operator.index, (q, t, t0))
+    if t0 >= t:
+        raise ValueError(f"t0 = {t0} must be below t = {t}")
+    s = math.isqrt(q)
+    if s * s != q:
+        return _float_above(0, t - t0 - 1, q, 1, shift=t0 + 1)
+    n = (t - t0 - 1) * s + t0 + 1
+    f = float(n)
+    return f if f >= n else math.nextafter(f, math.inf)
 
 
 # ---------------------------------------------------------------------------

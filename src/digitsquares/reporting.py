@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +67,8 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> str:
+    import json
+
     payload = [dict(zip(ROW_FIELDS, row.as_strings())) for row in rows]
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 

@@ -5,7 +5,7 @@ import pytest
 from mpmath import iv
 
 from digitsquares import make_field
-from digitsquares.bounds import _root, _upper, iv_precision
+from digitsquares.bounds import _upper, iv_precision
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import quad_char_coords
 from digitsquares.fields import (FieldElem, vec_decode, vec_encode, vec_mul,
@@ -90,6 +90,41 @@ def squaring_table():
     return get
 
 
+def _root(x, k: int):
+    """Interval k-th root of a positive interval value."""
+    return iv.exp(iv.log(x) / k)
+
+
+def _interval_thmA_rhs(p, r, d) -> float:
+    """thmA_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        q = iv.mpf(p) ** r
+        return _upper((d + p * iv.sqrt(iv.mpf(p - d))) ** r / (2 * iv.sqrt(q)))
+
+
+def _interval_thm1_rhs(p, r, d) -> float:
+    """thm1_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        pv = iv.mpf(p)
+        dv = iv.mpf(d)
+        inner = (_root(pv, 4) * iv.sqrt(iv.mpf(2 * r - 1)) * dv ** (r - 1)
+                 + _root(pv ** 3, 4) * iv.sqrt(iv.mpf(r) ** 3) / 4
+                 + iv.sqrt(pv))
+        return _upper(iv.sqrt(dv) * inner / 2 + iv.mpf(1) / 2)
+
+
+def _interval_lemmaD_rhs(p, r) -> float:
+    """lemmaD_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        return _upper((2 * r - 1) * iv.sqrt(iv.mpf(p)))
+
+
+def _interval_lemmaE_rhs(q, t, t0) -> float:
+    """lemmaE_rhs in 40-digit interval arithmetic, rounded up to a float."""
+    with iv_precision():
+        return _upper((t - t0 - 1) * iv.sqrt(iv.mpf(q)) + t0 + 1)
+
+
 def _interval_thm2_rhs(p, r, d, k, nu) -> float:
     """thm2_rhs in 40-digit interval arithmetic, rounded up to a float."""
     with iv_precision():
@@ -109,6 +144,14 @@ def _interval_lemma1_rhs(q, nu, size_u, size_v) -> float:
                  + iv.mpf(size_v) ** (2 * nu) * 4 * nu * iv.sqrt(iv.mpf(q)))
         return _upper(iv.exp(iv.log(iv.mpf(size_u)) * (2 * nu - 1) / (2 * nu))
                       * _root(inner, 2 * nu))
+
+
+@pytest.fixture(scope="session")
+def interval_rhs():
+    """Oracles for the exact algebraic right-hand sides, by evaluator name:
+    the 136-bit interval evaluations they replaced."""
+    return {"thmA_rhs": _interval_thmA_rhs, "thm1_rhs": _interval_thm1_rhs,
+            "lemmaD_rhs": _interval_lemmaD_rhs, "lemmaE_rhs": _interval_lemmaE_rhs}
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@
 The oracle here is mpmath.mp at 60 digits, evaluated directly from the
 formulas; the implementation must sit within a hair above (never below) the
 oracle value, because its contract is a certified upper bound.  The exact
-moment-bound evaluators (thm2_rhs, lemma1_rhs) must moreover equal, float for
-float, the 40-digit interval evaluation they replaced (conftest oracles).
+algebraic evaluators (thmA_rhs, thm1_rhs, thm2_rhs, lemma1_rhs, lemmaD_rhs,
+lemmaE_rhs) must moreover equal, float for float, the 40-digit interval
+evaluation they replaced (conftest oracles).
 """
 
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import iv, mp, mpf
 
 from digitsquares import (CycloSum, HypothesisNotMet, check_bound, corC_rhs,
@@ -21,11 +23,14 @@ from digitsquares import (CycloSum, HypothesisNotMet, check_bound, corC_rhs,
                           thm2_best, thm2_rhs, thm2_threshold,
                           thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
 from digitsquares import bounds, oracles
-from digitsquares.bounds import _float_above, _iroot, corC_hypothesis
+from digitsquares.bounds import _float_above, _float_past, _iroot, corC_hypothesis
 from digitsquares.errors import InvariantViolation
 from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 mp.dps = 60
+
+GRID_PRIMES = (3, 5, 7, 11, 13)
+PRIMES_BELOW_1100 = [n for n in range(2, 1100) if all(n % k for k in range(2, math.isqrt(n) + 1))]
 
 
 def mp_thmA(p, r, d):
@@ -237,18 +242,25 @@ class TestExactMomentBounds:
         # 1^{1/2} (2 * 3 * 9 + 4 * 9 * 3)^{1/2} = 18 exactly; the bound is the next float
         assert lemma1_rhs(9, 1, 2, 3) == 18.000000000000004 == math.nextafter(18.0, math.inf)
 
-    def test_no_interval_arithmetic(self, monkeypatch, interval_thm2_rhs, interval_lemma1_rhs):
-        want = ([interval_thm2_rhs(*a) for a in self.LARGE_NU[2:] + [(5, 2, 3, 1, 1)]],
-                [interval_lemma1_rhs(*a) for a in [(9, 1, 2, 3), (10007, 2, 13, 17)]])
+    def test_no_interval_arithmetic(self, monkeypatch, interval_thm2_rhs, interval_lemma1_rhs,
+                                    interval_rhs):
+        calls = ([(thm2_rhs, interval_thm2_rhs, a)
+                  for a in self.LARGE_NU[2:] + [(5, 2, 3, 1, 1)]]
+                 + [(lemma1_rhs, interval_lemma1_rhs, a) for a in [(9, 1, 2, 3), (10007, 2, 13, 17)]]
+                 + [(fn, interval_rhs[fn.__name__], a) for fn, a in [
+                     (thmA_rhs, (101, 3, 60)), (thmA_rhs, (29, 2, 20)), (thm1_rhs, (29, 3, 5)),
+                     (lemmaD_rhs, (101, 3)), (lemmaE_rhs, (101 ** 3, 4, 1)),
+                     (lemmaE_rhs, (101 ** 2, 4, 1))]])
+        want = [oracle(*a) for _, oracle, a in calls]
 
         class NoIntervals:
             def __getattr__(self, name):
                 raise AssertionError(f"interval arithmetic used: iv.{name}")
 
-        monkeypatch.setattr(bounds, "iv", NoIntervals())
-        monkeypatch.setattr(oracles, "iv", NoIntervals())
-        got = ([thm2_rhs.__wrapped__(*a) for a in self.LARGE_NU[2:] + [(5, 2, 3, 1, 1)]],
-               [lemma1_rhs.__wrapped__(*a) for a in [(9, 1, 2, 3), (10007, 2, 13, 17)]])
+        # the interval evaluators import mpmath.iv when called; none is held at module level
+        assert not hasattr(bounds, "iv") and not hasattr(oracles, "iv")
+        monkeypatch.setattr(mpmath, "iv", NoIntervals())
+        got = [fn.__wrapped__(*a) for fn, _, a in calls]
         assert got == want
 
     def test_zero_sizes_are_exact(self):
@@ -301,6 +313,68 @@ class TestExactMomentBounds:
         assert x ** n <= y < (x + 1) ** n
 
 
+class TestExactAlgebraicBounds:
+    """thmA_rhs, thm1_rhs, lemmaD_rhs and lemmaE_rhs by integer roots, against
+    their interval oracles."""
+
+    def test_match_interval_oracle_on_acceptance_grid(self, interval_rhs):
+        # every argument the acceptance grid and the benchmark census fields ask for
+        fields = [(p, r) for p in GRID_PRIMES for r in (1, 2, 3)] + [(101, 2), (101, 3), (37, 4)]
+        calls = []
+        for p, r in fields:
+            calls += [(thmA_rhs, (p, r, d)) for d in range(2, p)]
+            calls += [(thm1_rhs, (p, r, d)) for d in range(1, p + 1)]
+            calls += [(lemmaD_rhs, (p, r))]
+            calls += [(lemmaE_rhs, (p ** r, t, t0)) for t in range(1, 5) for t0 in range(t)]
+        for fn, args in calls:
+            assert fn.__wrapped__(*args) == interval_rhs[fn.__name__](*args), (fn.__name__, args)
+        assert len(calls) == 874
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from(PRIMES_BELOW_1100), r=st.integers(1, 24), data=st.data())
+    def test_match_interval_oracle_generated(self, interval_rhs, p, r, data):
+        d = data.draw(st.integers(1, p), label="d")
+        t = data.draw(st.integers(1, 8), label="t")
+        t0 = data.draw(st.integers(0, t - 1), label="t0")
+        calls = [(thm1_rhs, (p, r, d)), (lemmaD_rhs, (p, r)), (lemmaE_rhs, (p ** r, t, t0))]
+        if 2 <= d <= p - 1:
+            calls.append((thmA_rhs, (p, r, d)))
+        for fn, args in calls:
+            assert fn.__wrapped__(*args) == interval_rhs[fn.__name__](*args), (fn.__name__, args)
+
+    def test_lemmaE_at_square_q_is_the_integer(self):
+        # (t - t0 - 1) sqrt(q) + t0 + 1 = 2 * 5 + 1 + 1 at q = 25: no ulp above
+        assert lemmaE_rhs(25, 4, 1) == 12.0
+        assert lemmaE_rhs(13 ** 4, 1, 0) == 1.0
+        assert lemmaE_rhs(13 ** 3, 1, 0) == 1.0  # t = t0 + 1: the shift alone
+        f = lemmaE_rhs(13 ** 3, 2, 0)  # sqrt(13^3) + 1, irrational: the float just above
+        assert (Fraction(math.nextafter(f, -math.inf)) - 1) ** 2 < 13 ** 3 < (Fraction(f) - 1) ** 2
+
+    @pytest.mark.parametrize("fn,args", [
+        (thmA_rhs, (5, 0, 3)), (thmA_rhs, (5, -1, 3)), (thm1_rhs, (29, 0, 5)),
+        (lemmaD_rhs, (5, 0)), (lemmaD_rhs, (5, -2)), (lemmaE_rhs, (25, 2, 2)),
+        (lemmaE_rhs, (25, 1, 3))])
+    def test_outside_the_domain_raises(self, fn, args):
+        with pytest.raises(ValueError, match="must be"):
+            fn.__wrapped__(*args)
+
+    def test_float_past(self):
+        # [1/3, 1/3]: no float inside, so the float above 1/3
+        assert _float_past(1, 1, 3) == math.nextafter(1 / 3, math.inf)
+        assert _float_past(1, 2, 3) is None            # [1/3, 2/3] holds floats
+        assert _float_past(2, 2, 2) is None            # [1, 1] holds the float 1
+        assert _float_past(6, 6, 5) == math.nextafter(1.2, math.inf)  # 6/5 is no float
+        assert _float_past(10 ** 400, 10 ** 400, 1) == math.inf
+
+    def test_thm1_bracket_refinement_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(bounds, "THM1_BITS", 1)
+        monkeypatch.setattr(bounds, "THM1_DOUBLINGS", 2)
+        with pytest.raises(InvariantViolation, match="bracket"):
+            thm1_rhs.__wrapped__(29, 2, 10)
+        monkeypatch.setattr(bounds, "THM1_DOUBLINGS", 8)  # K = 1, 2, ..., 128
+        assert thm1_rhs.__wrapped__(29, 2, 10) == thm1_rhs(29, 2, 10)
+
+
 class TestCorollaryC:
     def test_scaling_in_constant(self):
         a = corC_rhs(101, 2, 40, 0.25, 1.0)
@@ -339,6 +413,8 @@ class TestCheckBound:
         assert rep.slack == pytest.approx(0.75)
         rep2 = check_bound("ThmA", {}, rhs_value=1.0, observed=Fraction(3, 2), size_w=2)
         assert not rep2.holds and not rep2.nontrivial
+        rep3 = check_bound("ThmA", {}, rhs_value=5.0, observed=Fraction(0), size_w=10)
+        assert rep3.holds and not rep3.nontrivial  # rhs = |W| / 2 is not below it
 
     def test_exact_comparison_at_boundary(self):
         # observed equal to rhs counts as holding; a hair above does not

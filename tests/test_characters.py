@@ -504,6 +504,12 @@ class TestCycloSum:
         lo, hi = CycloSum(9, [1, 0, 4, 0, 0, -2, 0, 0, 1]).magnitude_interval()
         assert 0 < lo <= hi
 
+    def test_iv_prec_is_the_bits_of_iv_dps(self):
+        from mpmath.libmp import dps_to_prec
+
+        from digitsquares.bounds import IV_DPS
+        assert dps_to_prec(IV_DPS) == characters.IV_PREC == 136
+
     def test_magnitude_interval_refuses_counts_beyond_the_precision(self):
         with pytest.raises(ValueError):
             CycloSum(3, [1 << characters.IV_PREC, 0, 0]).magnitude_interval()

@@ -1,13 +1,18 @@
 """CLI subcommands, config files, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from digitsquares import boxes, cli, counting, fields, suites
+from digitsquares import bounds, boxes, cli, counting, fields, suites
 from digitsquares.cli import NU_MAX_CAP, ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
@@ -408,7 +413,8 @@ class TestJobsClamp:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.made = []
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        # run_config imports concurrent.futures only for a pool, and finds the fake there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
 
     @pytest.mark.parametrize("jobs,cpus,n_ps,workers", [
         (64, 4, 2, 4),     # clamped to the cores
@@ -430,3 +436,30 @@ class TestJobsClamp:
         submitted = [(suite, opts.p, opts.r) for suite, opts in FakePool.made[0].submitted]
         assert submitted == [(s, p, r) for p in (3, 5) for r in (1, 2)
                              for s in ("identity", "est1")]
+
+
+COLD_START = """
+import contextlib, io, sys
+import digitsquares.cli
+assert "mpmath" not in sys.modules, "imported by digitsquares.cli"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [digitsquares.cli.main(["verify", "--suite", "identity,est1,thmA,thm1",
+                                    "--p", "101", "--r", "3"]),
+             digitsquares.cli.main(["estimate", "--p", "101", "--r", "20", "--digits", "0-46",
+                                    "--n", "300", "--seed", "0"])]
+assert codes == [0, 0], codes
+assert "mpmath" not in sys.modules, "imported by a census or estimate command"
+from digitsquares.bounds import thmB_rhs
+print(repr(thmB_rhs(5, 3, 2)))
+"""
+
+
+def test_census_and_estimate_never_import_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the later interval evaluation still runs at 40 digits (at mpmath's default
+    # 53 bits this value would be 121.85820068498376)
+    assert proc.stdout.strip() == repr(bounds.thmB_rhs(5, 3, 2)) == "121.85820068498374"
