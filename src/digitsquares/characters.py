@@ -1,12 +1,17 @@
 """Multiplicative characters on F_q and exact character-sum accumulation.
 
 The quadratic character eta has one entry point, quad_char_coords.  For
-q <= DLOG_CAP it looks up a table built from the squaring image
-Q = {x^2 : x != 0}; above the cap it evaluates eta(x) = (N(x) / p), the
-Legendre symbol of the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies
-in F_p.  fields.vec_norm computes the norms of a block of elements in
-O(log r) field multiplications, on coefficient-major (r, n) arrays in the
-narrowest integer type that holds r p^2 (int32 while r p^2 < 2^31).
+q <= DLOG_CAP it looks up a table built from the monic elements (top
+nonzero poly coordinate 1) alone: eta is multiplicative, and on F_p* it
+is the Legendre symbol to the power r, since c^((q-1)/2) =
+(c^((p-1)/2))^(1 + p + ... + p^(r-1)) and that exponent is odd exactly
+when r is.  So eta(l m) = (l / p)^r eta(m), and squaring the (q-1)/(p-1)
+monic m fixes the table (quad_table).  Above the cap it evaluates
+eta(x) = (N(x) / p), the Legendre symbol of the norm
+N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.  fields.vec_norm
+computes the norms of a block of elements in O(log r) field
+multiplications, on coefficient-major (r, n) arrays in the narrowest
+integer type that holds r p^2 (int32 while r p^2 < 2^31).
 
 A character of root order s (s | q-1) with index j sends x != 0 to
 zeta_s^{j * dlog(x) mod s} and 0 to 0.  Root orders 1 and 2 are powers of
@@ -249,20 +254,136 @@ def dlog_table(ctx: FieldCtx) -> np.ndarray:
     return tab
 
 
+def _monic_blocks(p: int, k: int, dtype):
+    """The poly coordinates a_0..a_k of the monic slab [p^k, 2 p^k) in
+    blocks of at most SQUARE_BLOCK elements.
+
+    a_k = 1; the axes of a_0..a_{t-1} run in full, a_t over a slice of at
+    most SQUARE_BLOCK // p^t values, and a_{t+1}..a_{k-1} are fixed ints.
+    In each yielded list the arange of a_j (j <= t) is shaped to run along
+    block axis t - j.
+    """
+    t = k - 1
+    while t and p ** t > SQUARE_BLOCK:
+        t -= 1
+    step = SQUARE_BLOCK // p ** t
+    low = [np.arange(p, dtype=dtype).reshape((p,) + (1,) * j) for j in range(t)]
+    for h in range(p ** (k - 1 - t)):
+        fixed = [h // p ** j % p for j in range(k - 1 - t)]  # a_{t+1}..a_{k-1}
+        for s in range(0, p, step):
+            top = np.arange(s, min(s + step, p), dtype=dtype).reshape((-1,) + (1,) * t)
+            yield low + [top] + fixed + [1]
+
+
+def _unit_powers(p: int) -> np.ndarray:
+    """int64 g^i mod p, i = 0..p-2, for the smallest primitive root g mod p."""
+    g = next(g for g in range(1, p)
+             if all(pow(g, (p - 1) // ell, p) != 1 for ell in prime_factors(p - 1)))
+    pows = np.ones(p - 1, dtype=np.int64)
+    for j in range((p - 2).bit_length()):
+        n = min(1 << j, p - 1 - (1 << j))
+        pows[1 << j:(1 << j) + n] = pows[:n] * pow(g, 1 << j, p) % p
+    return pows
+
+
+def _square_monic(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.ndarray):
+    """Step 1 of quad_table: eta(y / l) = sign[l] for the square y of every
+    monic m in the slabs k = 1..r-1, l the top coordinate of y.
+
+    x - x // p * p stands for x % p: numpy divides an integer array by a
+    scalar with a multiply and a shift, but has no such loop for %, which
+    took 10x as long on int16 and 4x on int32.
+    """
+    p, r = ctx.p, ctx.r
+    # the narrowest signed type, int16 or wider, that holds (2r-1)(p-1)^2
+    dt = np.promote_types(np.min_scalar_type(-(2 * r - 1) * (p - 1) ** 2 - 1), np.int16)
+    inv = np.empty(p, dtype=dt)
+    inv[pows] = pows[-np.arange(p - 1) % (p - 1)]  # (g^i)^-1 = g^-i
+    ppow = np.asarray(ctx._ppow, dtype=np.int64)
+    red = [[int(v) for v in row] for row in ctx._reduction]
+    for k in range(1, r):
+        for a in _monic_blocks(p, k, dt):
+            Y = np.zeros((r,) + np.broadcast_shapes(*map(np.shape, a)), dtype=dt)
+            for n in range(2 * k + 1):
+                c = sum((2 if i < n - i else 1) * a[i] * a[n - i]
+                        for i in range(max(0, n - k), n // 2 + 1))
+                if n < r:
+                    Y[n] += c
+                    continue
+                c = c - c // p * p
+                for t in range(r):
+                    if red[n - r][t]:
+                        Y[t] += red[n - r][t] * c
+            Y -= Y // p * p
+            lead = Y[r - 1].copy()
+            for t in range(r - 2, -1, -1):
+                np.copyto(lead, Y[t], where=lead == 0)
+            Y *= inv[lead]
+            Y -= Y // p * p
+            idx = ppow[0] * Y[0]
+            for t in range(1, r):
+                idx += ppow[t] * Y[t]
+            tab[idx] = sign[lead]
+
+
+def _fill_multiples(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.ndarray):
+    """Step 2 of quad_table: the rows [c p^k, (c+1) p^k), c = 2..p-1, of
+    slabs k = 1..r-1 from the monic rows c = 1, in ceil(log2(p-1)) rounds;
+    each np.take moves max(1, SQUARE_BLOCK // p^k) rows of p^k entries."""
+    p, r = ctx.p, ctx.r
+    filled = 1  # the rows of g^i, i < filled, are known in every slab
+    while filled < p - 1:
+        n = min(filled, p - 1 - filled)
+        e = int(pows[filled])
+        digit = np.arange(p, dtype=np.int64) * pow(e, -1, p) % p
+        perm = digit  # perm[index(a)] = index(a / e) over a_0..a_{r-2}
+        for j in range(1, r - 1):
+            perm = ((digit * ctx._ppow[j])[:, None] + perm).ravel()
+        for k in range(1, r):
+            slab = tab[ctx._ppow[k]:ctx._ppow[k] * p].reshape(p - 1, -1)  # row c-1: c m
+            step = max(1, SQUARE_BLOCK // ctx._ppow[k])
+            for lo in range(0, n, step):
+                src = pows[lo:min(lo + step, n)]
+                rows = np.take(slab[src - 1], perm[:ctx._ppow[k]], axis=1)
+                if sign[e] < 0:
+                    np.negative(rows, out=rows)
+                slab[pows[filled + lo:filled + lo + src.size] - 1] = rows
+        filled += n
+
+
 def quad_table(ctx: FieldCtx) -> np.ndarray:
     """int8 table of the quadratic character over all element indices.
 
-    Built from the squaring map: Q = {x^2 : x != 0} and (-x)^2 = x^2, so
-    only the x whose top poly coordinate a_{r-1} lies in 0..(p-1)/2 are
-    squared.  In F_p[x]/(f), x^2 is a fixed quadratic form in the poly
-    coordinates a_0..a_{r-1}: its coefficients before reduction are
-    c_m = sum_{i+j=m} a_i a_j, m = 0..2r-2, and c_r..c_{2r-2} fold into the
-    low r through ctx._reduction.  So the p x ... x p coordinate grid is
-    squared slab by slab, max(1, SQUARE_BLOCK // p^{r-1}) values of a_{r-1}
-    at a time, with one arange per axis broadcast into each c_m: a term
-    a_i a_j costs only as many multiplies as its two axes span.  Every
-    intermediate stays below 2^41, so int64 is exact.  Only for table-sized
-    fields; larger ones go through the norm in quad_char_coords.
+    Built from the monic elements alone.  Every x != 0 is l m with l in
+    F_p* the top nonzero poly coordinate of x and m monic (top nonzero
+    coordinate 1).  Slab k, the index range [p^k, p^(k+1)), holds the
+    x whose top nonzero coordinate is a_k; its rows [c p^k, (c+1) p^k)
+    hold c m for the monic m of row 1.  For c in F_p*,
+    c^((q-1)/2) = (c^((p-1)/2))^(1 + p + ... + p^(r-1)), and that exponent
+    is odd exactly when r is, so eta(c) = (c / p)^r (slab 0 is F_p*) and
+    eta(l m) = (l / p)^r eta(m).
+
+    Step 1 squares the (q-1)/(p-1) monic m.  In F_p[x]/(f), m^2 is a fixed
+    quadratic form in the poly coordinates a_0..a_k of m (a_k = 1): before
+    reduction its coefficients are c_n = sum_{i+j=n} a_i a_j, n = 0..2k,
+    and c_r..c_{2k}, reduced mod p, fold into the low r through
+    ctx._reduction.  Each block of _monic_blocks broadcasts one arange per
+    axis into each c_n, so a term a_i a_j costs only as many multiplies as
+    its two axes span.  Every intermediate is at most (2r-1)(p-1)^2, so
+    the narrowest integer type holding that is exact.  Each square y is
+    divided by its top coordinate l (a p-entry inverse table), and
+    eta(y / l) = eta(l) = (l / p)^r is written at the index of y / l.  For
+    odd r that reaches every monic entry; for even r it reaches the lines
+    of squares only, and the other monic entries keep -1.
+
+    Step 2 fills the rows c = 2..p-1 of slabs 1..r-1: the row of c e is
+    (e / p)^r times the row of c, permuted by a -> a / e on each
+    coordinate of a_0..a_{k-1}.  With g a primitive root mod p, the rows
+    of g^i, i < 2^j, give those of g^(i + 2^j) through np.take along the
+    rows, so ceil(log2(p-1)) rounds fill the table; the permutation of the
+    top slab is an outer sum over its r-1 axes, and its prefixes serve the
+    lower slabs.  Only for table-sized fields; larger ones go through the
+    norm in quad_char_coords.
     """
     tab = ctx._tables.get("quad")
     if tab is not None:
@@ -271,25 +392,14 @@ def quad_table(ctx: FieldCtx) -> np.ndarray:
         raise ValueError(f"q = {ctx.q} above the table cap {DLOG_CAP}; "
                          f"use quad_char_coords on element blocks instead")
     p, r = ctx.p, ctx.r
+    sign = legendre_table(ctx) if r % 2 else np.ones(p, dtype=np.int8)  # (c / p)^r
     tab = np.full(ctx.q, -1, dtype=np.int8)
-    # poly coordinate a_i on grid axis r-1-i, so C order is index order
-    axes = [np.arange(p, dtype=np.int64).reshape((p,) + (1,) * i)
-            for i in range(r - 1)]
-    step = max(1, SQUARE_BLOCK // (ctx.q // p))
-    half = (p + 1) // 2
-    for lo in range(0, half, step):
-        top = np.arange(lo, min(lo + step, half), dtype=np.int64)
-        a = axes + [top.reshape(top.shape + (1,) * (r - 1))]
-        c = [sum((2 if i < m - i else 1) * a[i] * a[m - i]
-                 for i in range(max(0, m - r + 1), m // 2 + 1))
-             for m in range(2 * r - 1)]
-        idx = np.zeros(top.shape + (p,) * (r - 1), dtype=np.int64)
-        for t in range(r):
-            coef = c[t] + sum(int(ctx._reduction[s, t]) * c[r + s]
-                              for s in range(r - 1) if ctx._reduction[s, t])
-            idx += (coef % p) * ctx._ppow[t]
-        tab[idx.ravel()] = 1
+    tab[:p] = sign  # slab 0: eta(c) = (c / p)^r
     tab[0] = 0
+    if r > 1:
+        pows = _unit_powers(p)
+        _square_monic(ctx, tab, sign, pows)
+        _fill_multiples(ctx, tab, sign, pows)
     ctx._tables["quad"] = tab
     return tab
 

@@ -9,13 +9,14 @@ before returning.  For q <= 2^20 under the polynomial basis no element of W
 is enumerated: the quad table reshaped to p x ... x p is chi as an r-way
 tensor in coordinates, and both sums are r single-axis reductions of it,
 one of chi and one of [chi = 1], so the identity checks the table.  The
-table itself is built once per field by squaring the coordinate grid slab
-by slab (characters.quad_table).  The first reduction, the only one over
-|D_r| * p^{r-1} entries, sums at most p values in {-1, 0, 1} per entry and
-so runs in the narrowest signed integer type that holds -p; the later ones
-run in int64.  Larger fields and other bases walk the box once in blocks
-through quad_char_coords (the Legendre symbol of the norm N(x) above 2^20).
-Sampling uses quad_char_coords too.  No path builds a discrete-log table.
+table itself is built once per field by squaring the (q-1)/(p-1) monic
+elements and filling in their F_p* multiples (characters.quad_table).
+The first reduction, the only one over |D_r| * p^{r-1} entries, sums at
+most p values in {-1, 0, 1} per entry and so runs in the narrowest signed
+integer type that holds -p; the later ones run in int64.  Larger fields
+and other bases walk the box once in blocks through quad_char_coords (the
+Legendre symbol of the norm N(x) above 2^20).  Sampling uses
+quad_char_coords too.  No path builds a discrete-log table.
 Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
 in this module ever compares floats.
 """

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InvariantViolation
 
 P_CAP = 1 << 20
+ROOT_CHUNK = 1 << 12  # points of F_p per root-sieve step in smallest_irreducible
 
 
 def is_prime(n: int) -> bool:
@@ -146,13 +147,33 @@ def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_p.
 
     Coefficient tuples are compared constant-term-last, i.e. candidates are
-    scanned in the order x^r, x^r + 1, x^r + 2, ..., x^r + x, ...
+    scanned in the order x^r, x^r + 1, x^r + 2, ..., x^r + x, ...: in
+    groups of p that share c_1..c_{r-1}.  For r >= 2 a candidate with a
+    root in F_p is reducible (x + c_0 is irreducible although it has one),
+    and x^r + c_{r-1} x^{r-1} + ... + c_0 has one exactly when -c_0 lies in
+    g(F_p), g(a) = a^r + c_{r-1} a^{r-1} + ... + c_1 a.  So each group
+    evaluates g on F_p, ROOT_CHUNK points before each candidate not yet
+    known to have a root, and sends only the candidates still not known to
+    have one to is_irreducible, in order.  A group of p <= ROOT_CHUNK is
+    sieved whole before its first call (for r <= 3 that call succeeds);
+    a larger one costs at most one chunk per call.  The modulus is the
+    scan's either way: only reducible candidates are skipped.
     """
-    for n in range(p ** r):
-        coeffs = [(n // p ** j) % p for j in range(r)]
-        f = coeffs + [1]
-        if is_irreducible(f, p):
-            return tuple(f)
+    for n in range(p ** (r - 1)):
+        upper = [(n // p ** j) % p for j in range(r - 1)]  # c_1..c_{r-1}
+        rooted = np.zeros(p, dtype=bool)
+        seen = 0 if r > 1 else p  # g(a) is known for a < seen
+        for c0 in range(p):
+            if seen < p and not rooted[c0]:
+                a = np.arange(seen, min(seen + ROOT_CHUNK, p), dtype=np.int64)
+                g = np.ones_like(a)
+                for c in [*reversed(upper), 0]:
+                    g = (g * a + c) % p
+                rooted[-g % p] = True
+                seen += a.size
+            f = [c0] + upper + [1]
+            if not rooted[c0] and is_irreducible(f, p):
+                return tuple(f)
     raise RuntimeError(f"no irreducible polynomial of degree {r} over F_{p}")  # unreachable
 
 

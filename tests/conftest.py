@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from digitsquares import make_field
 from digitsquares.bounds import _upper, iv_precision
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import quad_char_coords
-from digitsquares.fields import (FieldElem, vec_decode, vec_encode, vec_mul,
-                                 vec_pow)
+from digitsquares.fields import (FieldElem, is_irreducible, vec_decode, vec_encode,
+                                 vec_mul, vec_pow)
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +59,23 @@ def euler():
 def euler_rows():
     """Independent oracle for the quadratic character on poly-coordinate rows."""
     return _euler_rows
+
+
+def _scan_irreducible(p: int, r: int) -> tuple[int, ...]:
+    """The lexicographically smallest monic irreducible of degree r over F_p,
+    by sending every candidate, in scan order, to is_irreducible."""
+    for n in range(p ** r):
+        f = [(n // p ** j) % p for j in range(r)] + [1]
+        if is_irreducible(f, p):
+            return tuple(f)
+    raise AssertionError(f"no irreducible polynomial of degree {r} over F_{p}")
+
+
+@pytest.fixture(scope="session")
+def scan_irreducible():
+    """Oracle for fields.smallest_irreducible: the scan without the root
+    sieve, memoised for the session."""
+    return functools.lru_cache(maxsize=None)(_scan_irreducible)
 
 
 def _squaring_table(ctx) -> np.ndarray:

@@ -28,6 +28,10 @@ ORACLE_FIELDS = [(13, 1), (1048573, 1), (3, 13), (37, 4), (101, 20),
 # table-sized fields from r = 1 at the cap to r = 12 at p = 3
 TABLE_FIELDS = [(1048573, 1), (3, 12), (5, 8), (7, 7), (13, 5), (31, 4),
                 (101, 3), (1021, 2)]
+# edges of the monic build: r = 1 (the sign table alone), p = 3 (one round
+# of step 2), even r with p = 3 mod 4 (every (c / p)^r is 1)
+BUILD_EDGE_FIELDS = [(3, 1), (65537, 1), (3, 2), (3, 3), (3, 5), (7, 2), (11, 2),
+                     (19, 2), (7, 4), (3, 6)]
 
 
 def brute_square_set(ctx):
@@ -217,16 +221,21 @@ class TestQuadCharOracle:
 
 
 class TestQuadTableBuild:
-    """The slab-wise grid squaring against the blocked vec_mul squaring."""
+    """The monic-slab build against the blocked vec_mul squaring."""
 
-    @pytest.mark.parametrize("p,r", TABLE_FIELDS)
+    @pytest.mark.parametrize("p,r", TABLE_FIELDS + BUILD_EDGE_FIELDS)
     def test_matches_vec_mul_squaring(self, field, squaring_table, p, r):
         ctx = field(p, r)
         assert np.array_equal(quad_table(ctx), squaring_table(ctx))
 
-    @pytest.mark.parametrize("p,r", [(5, 4), (101, 3)])
+    @pytest.mark.parametrize("p", [3, 13, 65537, 1048573])
+    def test_prime_field_is_legendre(self, field, p):
+        assert np.array_equal(quad_table(field(p, 1)), legendre_table(field(p, 1)))
+
+    @pytest.mark.parametrize("p,r", [(5, 4), (101, 3), (7, 2), (1021, 2), (13, 3),
+                                     (7, 4), (5, 5)])
     def test_non_default_modulus(self, squaring_table, p, r):
-        # the fold of c_r..c_{2r-2} goes through the modulus's reduction rows
+        # the fold of c_r..c_{2k} goes through the modulus's reduction rows
         modulus = largest_irreducible(p, r)
         assert modulus != smallest_irreducible(p, r)
         ctx = FieldCtx(p, r, modulus)
@@ -251,10 +260,10 @@ class TestQuadTableBuild:
             ctx = make_field(p, r)  # fresh: no cached table
             assert np.array_equal(quad_table(ctx), squaring_table(ctx))
 
-    @pytest.mark.parametrize("p,r", [(101, 3), (1021, 2)])
+    @pytest.mark.parametrize("p,r", [(101, 3), (1021, 2), (31, 4), (3, 12)])
     def test_build_peak_memory(self, p, r):
-        # the table itself is q ~ 1 MB of int8; the slabs add about as much
-        # again, where squaring the whole grid at once would take ~20 MB
+        # the table itself is q <= 1 MB of int8; the blocks of step 1 and the
+        # rows and permutation of step 2 add about as much again
         ctx = make_field(p, r)
         tracing = tracemalloc.is_tracing()
         if not tracing:

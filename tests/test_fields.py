@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares import (InvariantViolation, conjugates, element_degree,
-                          field_generator, frobenius, is_generator, make_field)
+                          field_generator, fields, frobenius, is_generator,
+                          make_field)
 from digitsquares.characters import dlog_table, legendre_table, quad_table
 from digitsquares.fields import (FieldCtx, _kernel_dtype, all_poly_coords, divisors,
                                  frobenius_matrix, is_irreducible, is_prime, poly_str,
@@ -120,6 +121,39 @@ class TestMakeField:
     @pytest.mark.parametrize("p", sorted(SMALLEST_IRREDUCIBLE))
     def test_smallest_irreducible_pinned(self, p):
         assert [smallest_irreducible(p, r) for r in range(1, 7)] == SMALLEST_IRREDUCIBLE[p]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1031])
+    def test_smallest_irreducible_matches_scan(self, scan_irreducible, p):
+        for r in range(1, 5):
+            assert smallest_irreducible(p, r) == scan_irreducible(p, r), r
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_smallest_irreducible_generated(self, scan_irreducible, data):
+        r = data.draw(st.integers(1, 6))
+        p = data.draw(st.sampled_from([p for p in ODD_PRIMES_16 if p ** r <= 1 << 20]))
+        assert smallest_irreducible(p, r) == scan_irreducible(p, r)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_root_sieve_in_chunks(self, scan_irreducible, r):
+        # p above ROOT_CHUNK: g(F_p) is evaluated a chunk per candidate; with
+        # p = 2 mod 3 every x^3 + c has a root, one of them past the first chunk
+        p = next(p for p in range(fields.ROOT_CHUNK + 1, 1 << 20, 2)
+                 if is_prime(p) and p % 3 == 2)
+        assert smallest_irreducible(p, r) == scan_irreducible(p, r)
+
+    def test_root_sieve_leaves_one_candidate(self, monkeypatch):
+        # x^3 + c is never irreducible over F_101 (3 does not divide 100) and
+        # x^3 + x has the root 0; x^3 + x + 1 is the first rootless candidate
+        calls = []
+
+        def counting(f, p):
+            calls.append(tuple(f))
+            return is_irreducible(f, p)
+
+        monkeypatch.setattr(fields, "is_irreducible", counting)
+        assert smallest_irreducible(101, 3) == (1, 1, 0, 1)
+        assert calls == [(1, 1, 0, 1)]
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_is_irreducible_matches_root_oracle(self, p):
