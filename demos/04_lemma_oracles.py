@@ -7,8 +7,8 @@ how far the worst observed instances sit below the bounds.
 
 import numpy as np
 
-from digitsquares import (lemma1_check, lemmaD_check, lemmaE_check, make_char,
-                          make_field, subfield_partition, HypothesisNotMet)
+from digitsquares import (lemma1_check, lemmaD_reports, lemmaE_check, make_char,
+                          make_field, subfield_partition)
 from digitsquares.oracles import generator_elements
 
 # ── two-generator sums over the prime subfield ───────────────────────
@@ -16,18 +16,9 @@ from digitsquares.oracles import generator_elements
 print("Sums over xi in F_p of chi((xi + alpha)(xi + beta)^(s-1)), bound (2r-1) sqrt(p):")
 for p, r, s in [(3, 2, 2), (5, 2, 2), (5, 2, 4), (3, 3, 2)]:
     ctx = make_field(p, r)
-    gens = generator_elements(ctx)
-    worst = None
-    n = 0
-    for alpha in gens:
-        for beta in gens:
-            try:
-                rep = lemmaD_check(ctx, alpha, beta, s)
-            except HypothesisNotMet:
-                continue
-            n += 1
-            if worst is None or rep.slack > worst.slack:
-                worst = rep
+    reps = [rep for _, _, rep in lemmaD_reports(ctx, generator_elements(ctx), s)]
+    n = len(reps)
+    worst = max(reps, key=lambda rep: rep.slack)
     print(f"  F_{p}^{r}, s = {s}: {n} ordered non-conjugate generator pairs, "
           f"worst slack {worst.slack:.3f} (lhs {worst.lhs:.3f} vs rhs {worst.rhs:.3f})")
 

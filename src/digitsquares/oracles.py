@@ -8,7 +8,10 @@ integer arithmetic (`bounds._float_above`), with no intervals and no mpmath;
 a Lemma E bound at square q is an integer and is returned as it is.  Each
 check reports holds / slack.  Mathematical preconditions that fail raise
 HypothesisNotMet so sweep drivers can mark the row skipped rather than
-failed.
+failed.  lemmaD_reports proves the Lemma D hypotheses once for all its
+pairs and yields only instances of the lemma, so its suite skips no pair;
+a walk over the whole field that exceeds the budget is refused once per
+task, before any check runs (see suites).
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -33,8 +36,8 @@ from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
                          quad_char_coords)
 from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
-                     conjugates, element_degree, vec_decode, vec_degrees,
-                     vec_encode, vec_from_coords)
+                     frobenius_matrix, vec_decode, vec_degrees, vec_encode,
+                     vec_from_coords)
 
 PAIR_CHUNK = 1 << 19  # product coefficients per kernel call in energy_count
 
@@ -58,39 +61,69 @@ def _report(lemma: str, params: dict, total: CycloSum, rhs: float) -> LemmaRepor
     return LemmaReport(lemma, params, lhs=(lo + hi) / 2.0, rhs=rhs, holds=lo <= rhs)
 
 
-def _subfield_shift_indices(ctx: FieldCtx, alpha_idx: int) -> np.ndarray:
-    """Indices of xi + alpha for xi = 0..p-1 (only the constant digit moves)."""
+def _subfield_shift_indices(ctx: FieldCtx, alpha_idx: np.ndarray) -> np.ndarray:
+    """(G, p) indices of xi + alpha for xi = 0..p-1, one row per index in
+    alpha_idx (only the constant digit moves)."""
     p = ctx.p
-    c0 = alpha_idx % p
-    rest = alpha_idx - c0
-    return rest + (c0 + np.arange(p, dtype=np.int64)) % p
+    c0 = alpha_idx[:, None] % p
+    return alpha_idx[:, None] - c0 + (c0 + np.arange(p, dtype=np.int64)) % p
 
 
 # ---------------------------------------------------------------------------
 # two-generator Weil-type sums over the prime subfield (the lemmaD check)
 
-def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
-                 s: int, index: int = 1) -> LemmaReport:
-    """|sum_xi chi((xi+alpha)(xi+beta)^{s-1})| <= (2r - 1) sqrt(p)."""
+def lemmaD_reports(ctx: FieldCtx, gens, s: int, index: int = 1):
+    """Yield (alpha, beta, report) for every ordered non-conjugate pair of
+    gens, alpha the outer loop: |sum_xi chi((xi+alpha)(xi+beta)^{s-1})| <=
+    (2r - 1) sqrt(p).
+
+    Both hypotheses are proved once, on the Frobenius orbits of gens: an
+    element generates F_q exactly when no Frob^k with 0 < k < r fixes it
+    (else HypothesisNotMet), and two generators are conjugate exactly when
+    their orbits share their smallest index.  The character and the (G, p)
+    exponent rows of xi + alpha are built once, and the certified report
+    once per distinct count vector.
+    """
     if s < 2 or (ctx.q - 1) % s != 0:
         raise ValueError(f"character order s = {s} must be >= 2 and divide q - 1")
     if math.gcd(index, s) != 1:
         raise ValueError(f"index {index} gives a character of order below {s}")
-    if element_degree(alpha) != ctx.r or element_degree(beta) != ctx.r:
-        raise HypothesisNotMet("alpha and beta must generate F_q over F_p")
-    if beta in conjugates(alpha):
-        raise HypothesisNotMet("alpha and beta must not be conjugate")
+    idx = np.asarray([a.idx for a in gens], dtype=np.int64)
+    orbit, least = vec_decode(ctx, idx), idx.copy()
+    for _ in range(1, ctx.r):
+        orbit = orbit @ frobenius_matrix(ctx) % ctx.p
+        image = vec_encode(ctx, orbit)
+        if (image == idx).any():
+            raise HypothesisNotMet("alpha and beta must generate F_q over F_p")
+        np.minimum(least, image, out=least)
+    pairs = [(i, j) for i in range(idx.size) for j in range(idx.size)
+             if least[i] != least[j]]
+    if not pairs:
+        return
     chi = make_char(ctx, s, index)
-    ka = chi.exponents_for_indices(_subfield_shift_indices(ctx, alpha.idx))
-    kb = chi.exponents_for_indices(_subfield_shift_indices(ctx, beta.idx))
-    live = (ka >= 0) & (kb >= 0)  # chi(0) = 0 kills terms with a vanished factor
-    # chi(a b^{s-1}) = zeta_s^{ k_a + (s-1) k_b mod s }
-    exps = (ka[live] + (s - 1) * kb[live]) % s
-    total = CycloSum(s, [int(c) for c in np.bincount(exps, minlength=s)])
+    shifts = _subfield_shift_indices(ctx, idx)
+    k = chi.exponents_for_indices(shifts.ravel()).reshape(shifts.shape)
     rhs = lemmaD_rhs(ctx.p, ctx.r)
-    params = {"s": s, "j": index, "alpha": alpha.idx, "beta": beta.idx,
-              "p": ctx.p, "r": ctx.r}
-    return _report("D", params, total, rhs)
+    reports = {}  # pairs with equal counts differ only in their parameters
+    for i, j in pairs:
+        live = (k[i] >= 0) & (k[j] >= 0)  # chi(0) = 0 kills terms with a vanished factor
+        # chi(a b^{s-1}) = zeta_s^{ k_a + (s-1) k_b mod s }
+        exps = (k[i][live] + (s - 1) * k[j][live]) % s
+        counts = tuple(np.bincount(exps, minlength=s).tolist())
+        params = {"s": s, "j": index, "alpha": int(idx[i]), "beta": int(idx[j]),
+                  "p": ctx.p, "r": ctx.r}
+        if counts not in reports:
+            reports[counts] = _report("D", params, CycloSum(s, counts), rhs)
+        rep = reports[counts]
+        yield gens[i], gens[j], LemmaReport("D", params, rep.lhs, rep.rhs, rep.holds)
+
+
+def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
+                 s: int, index: int = 1) -> LemmaReport:
+    """|sum_xi chi((xi+alpha)(xi+beta)^{s-1})| <= (2r - 1) sqrt(p), for one pair."""
+    for _, _, rep in lemmaD_reports(ctx, [alpha, beta], s, index):
+        return rep
+    raise HypothesisNotMet("alpha and beta must not be conjugate")
 
 
 @_memoised

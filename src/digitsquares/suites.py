@@ -10,7 +10,9 @@ gets is decided in this order, the first that applies winning:
 2. the field cannot be built: one error row (run_config turns any
    exception a suite raises into the task's error row);
 3. a precondition checked once the field is built fails (thm1-existence:
-   the threshold exceeds p-1): one skip row;
+   the threshold exceeds p-1), or a suite that walks the whole field would
+   exceed the budget (lemmaD, lemmaE): one skip row, "all;budget" for the
+   budget;
 4. per instance: its right-hand side raises HypothesisNotMet: a skip row;
 5. per instance: its exhaustive count would exceed the budget: a budget
    skip row;
@@ -37,14 +39,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
-                    parse_digit_spec)
+from .boxes import (DigitBox, IntervalBox, check_budget, default_budget,
+                    format_digit_set, parse_digit_spec)
 from .characters import make_char
 from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
 from .fields import FieldCtx, FieldElem, divisors, make_field
 from .oracles import (delta_H, energy_count, generator_elements, lemma1_check,
-                      lemmaD_check, lemmaE_check, subfield_partition)
+                      lemmaD_reports, lemmaE_check, subfield_partition)
 from .reporting import Row, slack_of
 
 
@@ -302,30 +304,41 @@ def _lemma_row(suite, opts, label, rep) -> Row:
                verdict="pass" if rep.holds else "fail")
 
 
+def _over_budget(opts: TaskOptions, n: int) -> bool:
+    """True when a walk over n elements or terms would exceed the task's budget."""
+    return n > (default_budget() if opts.budget is None else opts.budget)
+
+
 def suite_lemmaD(opts: TaskOptions) -> list[Row]:
-    """Exhaustive over ordered non-conjugate generator pairs, per character order."""
+    """Exhaustive over ordered non-conjugate generator pairs, per character order.
+
+    One budget skip row when q (the degree sieve) or p G^2 (the terms of
+    the G^2 pair sums) exceeds the budget.
+    """
     ctx = live_field(opts.p, opts.r)
-    orders = opts.orders or tuple(s for s in (2, 3, 4) if (ctx.q - 1) % s == 0)
+    if _over_budget(opts, ctx.q):
+        return [_skip_row("lemmaD", opts, "all", "budget")]
     gens = generator_elements(ctx)
+    if _over_budget(opts, opts.p * len(gens) ** 2):
+        return [_skip_row("lemmaD", opts, "all", "budget")]
+    orders = opts.orders or tuple(s for s in (2, 3, 4) if (ctx.q - 1) % s == 0)
     rows = []
     for s in orders:
         if (ctx.q - 1) % s != 0:
             rows.append(_skip_row("lemmaD", opts, f"s={s}", "s does not divide q-1"))
             continue
-        for alpha in gens:
-            for beta in gens:
-                try:
-                    rep = lemmaD_check(ctx, alpha, beta, s)
-                except HypothesisNotMet:
-                    continue  # conjugate pairs are not instances of the lemma
-                rows.append(_lemma_row("lemmaD", opts,
-                                       f"s={s};a={alpha.idx};b={beta.idx}", rep))
+        rows.extend(_lemma_row("lemmaD", opts, f"s={s};a={alpha.idx};b={beta.idx}", rep)
+                    for alpha, beta, rep in lemmaD_reports(ctx, gens, s))
     return rows
 
 
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
+    """Seeded shifted-product instances; one budget skip row when q exceeds
+    the budget, since every instance sums over all of F_q."""
     _needs_seed(opts, "random shifted-product instances")
     ctx = live_field(opts.p, opts.r)
+    if _over_budget(opts, ctx.q):
+        return [_skip_row("lemmaE", opts, "all", "budget")]
     trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
     divs = [s for s in divisors(ctx.q - 1)]

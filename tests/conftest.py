@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from digitsquares import make_field
+from digitsquares import HypothesisNotMet, LemmaReport, make_field
 from digitsquares.bounds import _upper, iv_precision
 from digitsquares.boxes import poly_blocks
-from digitsquares.characters import quad_char_coords
-from digitsquares.fields import (FieldElem, is_irreducible, vec_decode, vec_encode,
-                                 vec_mul, vec_pow)
+from digitsquares.characters import CycloSum, make_char, quad_char_coords
+from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
+                                 vec_decode, vec_encode, vec_mul, vec_pow)
+from digitsquares.oracles import lemmaD_rhs
 
 
 @pytest.fixture(scope="session")
@@ -253,3 +254,38 @@ def scalar_conjugates():
 def scalar_generators():
     """Independent oracle for oracles.generator_elements."""
     return _scalar_generators
+
+
+def _pairwise_lemmaD_check(ctx, alpha, beta, s, index=1) -> LemmaReport:
+    """lemmaD_check one pair at a time: both hypotheses proved by degree and
+    conjugate list, the character built and the magnitude certified per call."""
+    if s < 2 or (ctx.q - 1) % s != 0:
+        raise ValueError(f"character order s = {s} must be >= 2 and divide q - 1")
+    if math.gcd(index, s) != 1:
+        raise ValueError(f"index {index} gives a character of order below {s}")
+    if element_degree(alpha) != ctx.r or element_degree(beta) != ctx.r:
+        raise HypothesisNotMet("alpha and beta must generate F_q over F_p")
+    if beta in conjugates(alpha):
+        raise HypothesisNotMet("alpha and beta must not be conjugate")
+    chi = make_char(ctx, s, index)
+
+    def shifted(a):  # xi + a for xi = 0..p-1: only the constant digit moves
+        c0 = a.idx % ctx.p
+        return a.idx - c0 + (c0 + np.arange(ctx.p, dtype=np.int64)) % ctx.p
+
+    ka = chi.exponents_for_indices(shifted(alpha))
+    kb = chi.exponents_for_indices(shifted(beta))
+    live = (ka >= 0) & (kb >= 0)
+    exps = (ka[live] + (s - 1) * kb[live]) % s
+    lo, hi = CycloSum(s, [int(c) for c in np.bincount(exps, minlength=s)]).magnitude_interval()
+    rhs = lemmaD_rhs(ctx.p, ctx.r)
+    params = {"s": s, "j": index, "alpha": alpha.idx, "beta": beta.idx,
+              "p": ctx.p, "r": ctx.r}
+    return LemmaReport("D", params, lhs=(lo + hi) / 2.0, rhs=rhs, holds=lo <= rhs)
+
+
+@pytest.fixture(scope="session")
+def pairwise_lemmaD_check():
+    """Oracle for oracles.lemmaD_check and lemmaD_reports: the per-pair body
+    they replaced."""
+    return _pairwise_lemmaD_check

@@ -119,6 +119,37 @@ class TestVerify:
         assert any("budget" in r[3] and r[-1] == "skip-hypothesis" for r in rows)
         assert not any(r[-1] == "fail" for r in rows)
 
+    def test_lemma_walks_over_budget_skip_per_task(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemmaD,lemmaE", "--p", "5",
+                                 "--r", "3", "--seed", "0", "--budget", "100")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            ["lemmaD", "5", "3", "all;budget", "", "", "", "skip-hypothesis"],
+            ["lemmaE", "5", "3", "all;budget", "", "", "", "skip-hypothesis"]]
+        assert "summary: passed=0 failed=0 skipped-hypothesis=2 report-only=0" in err
+
+    @pytest.mark.parametrize("suite,budget,rows", [
+        ("lemmaD", 108, 48), ("lemmaD", 107, 0),  # p G^2 = 3 * 6^2 terms on F_9
+        ("lemmaE", 9, 12), ("lemmaE", 8, 0),      # q = 9 elements per instance
+    ])
+    def test_lemma_budget_edges(self, capsys, suite, budget, rows):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--p", "3", "--r", "2",
+                               "--seed", "0", "--trials", "12", "--budget", str(budget))
+        assert code == 0
+        got = list(csv.reader(io.StringIO(out)))[1:]
+        if rows:
+            assert len(got) == rows and all(r[-1] == "pass" for r in got)
+        else:
+            assert got == [[suite, "3", "2", "all;budget", "", "", "", "skip-hypothesis"]]
+
+    def test_lemmaD_budget_checked_before_the_sieve(self, monkeypatch):
+        def sieve(ctx):
+            raise AssertionError("the degree sieve walks all q elements")
+
+        monkeypatch.setattr(suites, "generator_elements", sieve)
+        [row] = suites.suite_lemmaD(TaskOptions(3, 2, budget=8))
+        assert (row.instance, row.verdict) == ("all;budget", "skip-hypothesis")
+
     def test_json_format_mirrors_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "est1",
                                "--p", "3", "--r", "1", "--format", "json")

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
-                          lemma1_check, lemmaD_check, lemmaE_check, make_char,
-                          subfield_partition)
+                          lemma1_check, lemmaD_check, lemmaD_reports, lemmaE_check,
+                          make_char, subfield_partition)
 from digitsquares import boxes, characters, make_field, oracles
 from digitsquares.fields import FieldCtx, divisors
 from digitsquares.oracles import generator_elements
+from digitsquares.suites import TaskOptions, suite_lemmaD
 
 
 def degree_r_count(p, r):
@@ -125,6 +126,88 @@ class TestLemmaD:
                 assert rep.holds
                 checked += 1
         assert checked == 20 * 18  # ordered pairs minus the 2 conjugates each
+
+
+def _lemmaD_outcome(check, ctx, a, b, s, index):
+    """(lhs, rhs, holds, parameters) of a lemmaD report, or the refusal."""
+    try:
+        rep = check(ctx, a, b, s, index)
+    except (HypothesisNotMet, ValueError) as exc:
+        return type(exc), str(exc)
+    return rep.lhs, rep.rhs, rep.holds, rep.parameters
+
+
+def _lemmaD_cases(q):
+    """(s, index) for s in {2, 3, 4, 8} dividing q - 1, index in {1, s - 1}."""
+    return [(s, j) for s in (2, 3, 4, 8) if (q - 1) % s == 0 for j in sorted({1, s - 1})]
+
+
+class TestLemmaDAgainstPairwiseOracle:
+    """lemmaD_check and lemmaD_reports against the per-pair body they replaced."""
+
+    @pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3)])
+    def test_every_generator_pair(self, field, pairwise_lemmaD_check, p, r):
+        ctx = field(p, r)
+        gens = generator_elements(ctx)
+        # F_9: every element, so non-generators and alpha = beta are refused alike
+        elems = list(ctx.elements()) if ctx.q == 9 else gens
+        for s, j in _lemmaD_cases(ctx.q):
+            expected = []
+            for a in elems:
+                for b in elems:
+                    want = _lemmaD_outcome(pairwise_lemmaD_check, ctx, a, b, s, j)
+                    assert _lemmaD_outcome(lemmaD_check, ctx, a, b, s, j) == want
+                    if a in gens and b in gens and want[0] is not HypothesisNotMet:
+                        expected.append(((a.idx, b.idx), want))
+            got = [((a.idx, b.idx), (rep.lhs, rep.rhs, rep.holds, rep.parameters))
+                   for a, b, rep in lemmaD_reports(ctx, gens, s, j)]
+            assert got == expected
+
+    @pytest.mark.parametrize("p,r", [(7, 2), (3, 4)])
+    def test_seeded_generator_pairs(self, field, pairwise_lemmaD_check, p, r):
+        ctx = field(p, r)
+        gens = generator_elements(ctx)
+        rng = np.random.default_rng([p, r])
+        for i, k in rng.integers(0, len(gens), size=(200, 2)):
+            for s, j in _lemmaD_cases(ctx.q):
+                args = (ctx, gens[i], gens[k], s, j)
+                assert (_lemmaD_outcome(lemmaD_check, *args)
+                        == _lemmaD_outcome(pairwise_lemmaD_check, *args))
+
+    def test_same_refusals(self, field, pairwise_lemmaD_check):
+        ctx = field(5, 2)
+        gens = generator_elements(ctx)
+        a, b = gens[0], gens[3]
+        conj = a ** 5  # Frobenius
+        cases = [
+            (ctx.one(), a, 2, 1), (a, ctx.from_int(3), 4, 1),   # non-generators
+            (a, conj, 2, 1), (a, a, 4, 3), (a, conj, 4, 5),     # conjugate, alpha = beta
+            (a, b, 1, 1), (a, b, 5, 1), (a, b, 0, 1),           # bad s
+            (a, b, 4, 2), (a, b, 4, 0), (a, b, 4, 5), (a, b, 3, -1),  # bad index
+            (ctx.one(), a, 4, 5),
+        ]
+        for x, y, s, j in cases:
+            want = _lemmaD_outcome(pairwise_lemmaD_check, ctx, x, y, s, j)
+            assert want[0] in (HypothesisNotMet, ValueError)
+            assert _lemmaD_outcome(lemmaD_check, ctx, x, y, s, j) == want
+
+    def test_reports_refuse_a_non_generator(self, field):
+        ctx = field(5, 2)
+        gens = generator_elements(ctx)
+        with pytest.raises(HypothesisNotMet):
+            list(lemmaD_reports(ctx, gens + [ctx.from_int(2)], 2))
+
+    def test_suite_proves_hypotheses_once_per_order(self, monkeypatch):
+        chars, sieves = [], []
+        make_char, vec_degrees = oracles.make_char, oracles.vec_degrees
+        monkeypatch.setattr(oracles, "make_char",
+                            lambda ctx, s, j: chars.append(s) or make_char(ctx, s, j))
+        monkeypatch.setattr(oracles, "vec_degrees",
+                            lambda ctx, A: sieves.append(len(A)) or vec_degrees(ctx, A))
+        rows = suite_lemmaD(TaskOptions(5, 2))
+        assert chars == [2, 3, 4]  # one character per order, none per pair
+        assert sieves == [25]      # the generator sieve; no per-pair degree proof
+        assert len(rows) == 3 * 20 * 18
 
 
 class TestLemmaE:

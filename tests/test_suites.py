@@ -105,6 +105,23 @@ def test_frobenius_suites_golden_digest(capsys, fields, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fields,lines,digest", [
+    (["--p", "5", "--r", "3"], 28081,
+     "052e72c9f91adc168a51f0aeb696add9b226bd974057943b70b6bbc85625485f"),
+    (["--p", "7", "--r", "2"], 5041,
+     "37dcf9bcfed8e7a3ee79752e904dc075fc70720dd82216c7bba93a3f2b4d2b6b"),
+    (["--p", "13", "--r", "2"], 72073,
+     "e927e8910f31b92b1baeebdcad9a7bc32045f9c51a4f1ecd4a8723408057ee77"),
+], ids=["p5-r3", "p7-r2", "p13-r2"])
+def test_lemmaD_golden_digest(capsys, fields, lines, digest):
+    """Recorded when every pair re-proved both hypotheses and rebuilt chi."""
+    code = main(["verify", "--suite", "lemmaD"] + fields)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fields,digest", [
     (["--p", "3,5,7,11,13", "--r", "1,2,3"],
      "33514e381a5066100f78ec53f52c0874459c9153208fe3de1e3c60b0a758296d"),
