@@ -17,9 +17,11 @@ artifact.  Two kinds of evaluation give that float:
     between integer roots, more finely until no float lies in the bracket.
 * The right-hand sides that involve pi, logarithms or real exponents
   (Theorem B, Corollary C, the existence thresholds) are evaluated in
-  interval arithmetic at IV_DPS = 40 decimal digits, then rounded up.  The
-  precision is set for each call (never read from mpmath's global state).
-  Only these evaluators import mpmath, on their first call.
+  interval arithmetic at IV_PREC = 136 bits (40 decimal digits), then
+  rounded up.  They run in one private mpmath interval context, built at
+  that precision on first use (_iv), so mpmath's global contexts are never
+  read or written.  Only these evaluators import mpmath, on their first
+  call.
 
 Each evaluator is a pure function of its arguments and is memoised: a sweep
 asks for the same few hundred values thousands of times.  Natural logarithms
@@ -28,7 +30,6 @@ throughout.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 from .errors import HypothesisNotMet, InvariantViolation
 
-IV_DPS = 40            # decimal digits of every interval evaluation
+IV_PREC = 136          # bits of every interval evaluation: mpmath's dps_to_prec(40)
 RHS_CACHE_SIZE = 1 << 14
 ROOT_BITS = 70         # bits of the integer root that places _float_above's guess
 ULP_STEPS = 8          # _float_above's guess is at most 2 ulps off
@@ -46,30 +47,26 @@ THM1_DOUBLINGS = 8     # thm1_rhs doubles K at most this many times
 
 
 def _upper(x) -> float:
-    """Float upper bound of an interval (or exact mpf) value."""
-    from mpmath import mpf
-
-    b = x.b if hasattr(x, "b") else mpf(x)
+    """Float upper bound of an interval value."""
+    b = x.b
     f = float(b)
     while f < b:
         f = math.nextafter(f, math.inf)
     return f
 
 
-@contextlib.contextmanager
-def iv_precision():
-    """Run the block at IV_DPS interval digits, then restore the caller's.
+@functools.cache
+def _iv():
+    """The interval context of every evaluator here: private, at IV_PREC bits.
 
-    mpmath's interval context has no workdps of its own.
+    Built on the first call, which imports mpmath; nothing sets its
+    precision again.
     """
-    from mpmath import iv
+    from mpmath.ctx_iv import MPIntervalContext
 
-    saved = iv.prec
-    iv.dps = IV_DPS
-    try:
-        yield
-    finally:
-        iv.prec = saved
+    ctx = MPIntervalContext()
+    ctx.prec = IV_PREC
+    return ctx
 
 
 def _memoised(fn):
@@ -79,15 +76,6 @@ def _memoised(fn):
     takes 2 but not 2.0).
     """
     return functools.lru_cache(maxsize=RHS_CACHE_SIZE, typed=True)(fn)
-
-
-def _certified(fn):
-    """Evaluate fn at IV_DPS interval digits, memoised on its arguments."""
-    @functools.wraps(fn)
-    def at_iv_dps(*args, **kwargs):
-        with iv_precision():
-            return fn(*args, **kwargs)
-    return _memoised(at_iv_dps)
 
 
 def _iroot(y: int, n: int) -> int:
@@ -209,11 +197,10 @@ def thmA_heuristic_nontrivial(p: int, d: int) -> bool:
     return (2 * d + p) ** 2 >= 5 * p * p
 
 
-@_certified
+@_memoised
 def thmB_C(p: int, t: int) -> float:
     """The piecewise constant C(p, t); undefined at t = p-1."""
-    from mpmath import iv
-
+    iv = _iv()
     if t == p - 1:
         raise HypothesisNotMet(f"C(p, t) is undefined at t = p - 1 (p = {p})")
     if not 2 <= t <= p - 2:
@@ -227,11 +214,10 @@ def thmB_C(p: int, t: int) -> float:
     return _upper(val)
 
 
-@_certified
+@_memoised
 def thmB_rhs(p: int, r: int, t: int) -> float:
     """(1/2) * (C(p, t) * t * sqrt(p))^r for initial-interval digit sets."""
-    from mpmath import iv
-
+    iv = _iv()
     c = iv.mpf(thmB_C(p, t))  # already an upper bound; safe to reuse
     val = (c * t * iv.sqrt(iv.mpf(p))) ** r / 2
     return _upper(val)
@@ -271,11 +257,10 @@ def thm1_rhs(p: int, r: int, d: int) -> float:
         f"thm1_rhs({p}, {r}, {d}): a float still lies in the bracket at 2^-{k // 2}")
 
 
-@_certified
+@_memoised
 def thm1_threshold(p: int, r: int) -> float:
     """|D| at or above this forces a square in W (needs 2r - 1 <= sqrt(p), r >= 2)."""
-    from mpmath import iv
-
+    iv = _iv()
     if r < 2:
         raise ValueError("the existence threshold needs r >= 2")
     base = iv.sqrt(iv.mpf(p)) * (2 * r - 1)
@@ -319,20 +304,18 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
     return best
 
 
-@_certified
+@_memoised
 def thm2_Cr(r: int) -> float:
     """C(r) = exp((4 log r + 8) / r), the threshold's leading constant."""
-    from mpmath import iv
-
+    iv = _iv()
     rv = iv.mpf(r)
     return _upper(iv.exp((4 * iv.log(rv) + 8) / rv))
 
 
-@_certified
+@_memoised
 def thm2_threshold(p: int, r: int) -> float:
     """Existence threshold C(r) sqrt(p) exp((log p + 4 log log p) / r), r >= 20."""
-    from mpmath import iv
-
+    iv = _iv()
     if r < 20:
         raise HypothesisNotMet(f"the thm2 existence threshold needs r >= 20, got r = {r}")
     pv = iv.mpf(p)
@@ -341,20 +324,19 @@ def thm2_threshold(p: int, r: int) -> float:
     return _upper(val)
 
 
-@_certified
+@_memoised
 def corC_hypothesis(p: int, t: int, eps: float) -> bool:
     """t >= p^{1/4 + eps}, certified via interval arithmetic.
 
     False unless certified: where the intervals overlap, mpmath's `>=`
     gives None, and the hypothesis counts as not met.
     """
-    from mpmath import iv
-
+    iv = _iv()
     bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
     return (iv.mpf(t) >= bound) is True
 
 
-@_certified
+@_memoised
 def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
     """Report-only bound constant * (r^4 / eps) * p^{-eps^2/2} * |W|.
 
@@ -362,8 +344,7 @@ def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
     so the caller supplies the constant and no verdict is ever asserted
     from this value.
     """
-    from mpmath import iv
-
+    iv = _iv()
     if not 0 < eps <= 0.25:
         raise ValueError(f"eps = {eps} outside (0, 1/4]")
     if constant <= 0:

@@ -174,9 +174,15 @@ class IntervalBox:
 Box = DigitBox | IntervalBox
 
 
-def check_budget(box: Box, budget: int | None = None, what="enumeration of the box"):
+def check_budget(n: int, budget: int | None = None, what="enumeration of the box") -> int:
+    """n, if a walk over n elements or terms fits the budget.
+
+    The one place the budget rule lives: None means the default (the
+    environment variable, else DEFAULT_BUDGET), and above the budget the
+    walk is refused with BudgetExceeded.  A run resolves the default once
+    and passes an int.
+    """
     budget = default_budget() if budget is None else budget
-    n = box.size()
     if n > budget:
         raise BudgetExceeded(n, budget, what)
     return n
@@ -233,7 +239,7 @@ def index_blocks(box: Box, block: int = BLOCK):
 
 def enumerate_box(box: Box, budget: int | None = None):
     """Stream every element of the box exactly once, lex coordinate order."""
-    check_budget(box, budget)
+    check_budget(box.size(), budget)
     ctx = box.ctx
     for idx in index_blocks(box):
         for i in idx:

@@ -24,13 +24,13 @@ Sums of character values are held exactly as CycloSum: integer
 multiplicities of the s-th roots of unity.  Whether a sum vanishes is
 decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
 O(s) steps per prime factor of s.  Its magnitude is certified in interval
-arithmetic at IV_PREC = 136 bits (the 40 digits of bounds.IV_DPS), run
-directly on mpmath.libmp endpoint pairs with the precision passed to every
-call, so mpmath's interval context and its global precision are neither
-read nor written; mpmath is imported by the first magnitude that needs it,
-and no other function here uses it.  Lower endpoints are rounded toward
--inf and upper ones toward +inf, and the result is rounded outward to
-floats, so a reported bound violation can never be a rounding artifact.
+arithmetic at bounds.IV_PREC = 136 bits, the precision of every interval
+bound, run directly on mpmath.libmp endpoint pairs with the precision
+passed to every call, so no mpmath context is read or written; mpmath is
+imported by the first magnitude that needs it, and no other function here
+uses it.  Lower endpoints are rounded toward -inf and upper ones toward
++inf, and the result is rounded outward to floats, so a reported bound
+violation can never be a rounding artifact.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import operator
 
 import numpy as np
 
+from .bounds import IV_PREC
 from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
@@ -48,7 +49,6 @@ from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
 ROOT_CACHE_SIZE = 1 << 13
-IV_PREC = 136  # bits of the 40 digits bounds.IV_DPS: mpmath's dps_to_prec(40)
 
 
 def _point(n: int):

@@ -8,8 +8,10 @@ configurations produce byte-identical files.
 
 Every verify/sweep option is declared once, in OPTIONS.  A config value
 and its flag share one parser, and SweepConfig.validate bounds the result,
-so a bad value exits 2 from either source.  Suites read options as the
-TaskOptions fields of the same names, whose defaults SweepConfig reuses.
+so a bad value exits 2 from either source.  validate also resolves an
+unset budget once per run, from the environment, so every task carries an
+int.  Suites read options as the TaskOptions fields of the same names,
+whose defaults SweepConfig reuses.
 
 Exit codes: 0 all checks passed, 1 any check failed or an instance errored,
 2 usage or configuration errors.
@@ -23,7 +25,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
-from .boxes import BUDGET_ENV_VAR, DigitBox, parse_digit_spec
+from .boxes import BUDGET_ENV_VAR, DigitBox, default_budget, parse_digit_spec
 from .counting import count_squares, estimate_square_fraction
 from .errors import BudgetExceeded
 from .fields import make_field, poly_str
@@ -80,7 +82,12 @@ class SweepConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is None:  # resolved once per run; tasks carry the int
+            try:
+                self.budget = default_budget()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        elif self.budget <= 0:
             raise ConfigError("--budget must be positive")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("--seed must be >= 0")
@@ -92,6 +99,10 @@ class SweepConfig:
             raise ConfigError(f"--nu-max must be in [1, {NU_MAX_CAP}]")
         if any(s < 2 for s in self.orders or ()):
             raise ConfigError("--orders must all be >= 2")
+        if not 0 < self.eps <= 0.25:
+            raise ConfigError("--eps must be in (0, 1/4]")
+        if not self.const > 0:
+            raise ConfigError("--const must be positive")
         needs_seed = (any(s in ("lemmaE", "lemma1") for s in self.suites)
                       or (self.digits or "").find("random") >= 0)
         if needs_seed and self.seed is None:
@@ -164,6 +175,8 @@ def _run_task(task) -> list[Row]:
     suite, opts = task
     try:
         return SUITES[suite](opts)
+    except BudgetExceeded:  # a walk over the whole field: one skip for the task
+        return [Row(suite, opts.p, opts.r, "all;budget", verdict="skip-hypothesis")]
     except Exception as exc:  # an errored instance must not kill the sweep
         return [Row(suite, opts.p, opts.r, f"error:{type(exc).__name__}:{exc}",
                     verdict="fail")]

@@ -62,7 +62,7 @@ class SquareCountReport:
 def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     """Exact square census of a box; refuses boxes larger than the budget."""
     ctx = box.ctx
-    size = check_budget(box, budget, what="exact square counting")
+    size = check_budget(box.size(), budget, what="exact square counting")
     zero_in = box.contains_zero()
     if ctx.q <= DLOG_CAP and ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r)):
         count_q, char_sum = _table_sums(box)

@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
-                    default_budget, index_blocks, poly_blocks)
+                    index_blocks, poly_blocks)
 from .bounds import _float_above, _memoised
 from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
                          quad_char_coords)
-from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
+from .errors import HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
                      frobenius_matrix, vec_decode, vec_degrees, vec_encode,
                      vec_from_coords)
@@ -250,7 +250,7 @@ def subfield_partition(ctx: FieldCtx, digits, basis=None,
         raise ValueError(f"digits {digits} invalid for F_{ctx.p}")
     nctx = (ctx if basis is None else ctx.with_basis(basis)).normalized_basis()
     box = DigitBox(nctx, ((0,),) + (ds,) * (ctx.r - 1))
-    check_budget(box, budget, "subfield partition of the digit tuples")
+    check_budget(box.size(), budget, "subfield partition of the digit tuples")
     out: dict[int, list[tuple[int, ...]]] = {}
     for coords in coords_blocks(box):
         # degrees of c_2 b_2 + ... + c_r b_r
@@ -284,9 +284,7 @@ def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
     """
     ctx = box.ctx
     n = box.size()
-    budget = default_budget() if budget is None else budget
-    if n * n > budget:
-        raise BudgetExceeded(n * n, budget, "pairwise products for the energy count")
+    check_budget(n * n, budget, "pairwise products for the energy count")
     rows = np.concatenate([blk[blk.any(axis=1)] for blk in poly_blocks(box)])
     p, r, m = ctx.p, ctx.r, rows.shape[0]
     dt = _kernel_dtype(p, r)
@@ -340,13 +338,9 @@ def delta_H(ctx: FieldCtx, H: int, chi: MultChar,
     """max over boxes with sides in [H, 2H] of |sum_B chi| / |B|, by exhaustion."""
     if not 1 <= H <= ctx.p:
         raise ValueError(f"H = {H} outside [1, p]")
-    budget = default_budget() if budget is None else budget
     lengths = range(H, min(2 * H, ctx.p) + 1)
-    n_len = len(lengths)
-    n_boxes = (ctx.p * n_len) ** ctx.r
-    if n_boxes * (2 * H) ** ctx.r > budget:
-        raise BudgetExceeded(n_boxes * (2 * H) ** ctx.r, budget,
-                             "exhaustive search over parallelepipeds")
+    n_boxes = (ctx.p * len(lengths)) ** ctx.r
+    check_budget(n_boxes * (2 * H) ** ctx.r, budget, "exhaustive search over parallelepipeds")
     best = None
     count = 0
     for hs in itertools.product(lengths, repeat=ctx.r):

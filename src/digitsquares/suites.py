@@ -8,11 +8,12 @@ gets is decided in this order, the first that applies winning:
 1. a precondition on (p, r) alone fails (r >= 2, 2r-1 <= sqrt(p)): one
    skip row, and the field is not built;
 2. the field cannot be built: one error row (run_config turns any
-   exception a suite raises into the task's error row);
+   other exception a suite raises into the task's error row);
 3. a precondition checked once the field is built fails (thm1-existence:
-   the threshold exceeds p-1), or a suite that walks the whole field would
-   exceed the budget (lemmaD, lemmaE): one skip row, "all;budget" for the
-   budget;
+   the threshold exceeds p-1): one skip row; or a suite that walks the
+   whole field would exceed the budget (lemmaD, lemmaE): the suite raises
+   BudgetExceeded and run_config writes the task's one "all;budget" skip
+   row;
 4. per instance: its right-hand side raises HypothesisNotMet: a skip row;
 5. per instance: its exhaustive count would exceed the budget: a budget
    skip row;
@@ -39,8 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds
-from .boxes import (DigitBox, IntervalBox, check_budget, default_budget,
-                    format_digit_set, parse_digit_spec)
+from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
+                    parse_digit_spec)
 from .characters import make_char
 from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
@@ -79,21 +80,18 @@ def live_field(p: int, r: int) -> FieldCtx:
 def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountReport:
     """count_squares of the box D^r, kept in ctx._cache with the basis-tied tables.
 
-    Counts are looked up by the digit tuple and stored with their box, so a
-    hit builds no DigitBox.  Each call checks the budget exactly once:
-    count_squares does on a miss, check_budget on a hit, so a cached count
-    never bypasses the budget.
+    Reports are looked up by the digit tuple, so a hit builds no DigitBox.
+    Each call checks the budget exactly once: count_squares does on a miss,
+    check_budget on the report's |W| on a hit, so a cached count never
+    bypasses the budget.
     """
     counts = ctx._cache.setdefault("counts", {})
     key = tuple(digits)
-    hit = counts.get(key)
-    if hit is None:
-        box = DigitBox.uniform(ctx, key)
-        rep = count_squares(box, budget)
-        counts[key] = box, rep
-        return rep
-    box, rep = hit
-    check_budget(box, budget, what="exact square counting")
+    rep = counts.get(key)
+    if rep is None:
+        rep = counts[key] = count_squares(DigitBox.uniform(ctx, key), budget)
+    else:
+        check_budget(rep.size_w, budget, what="exact square counting")
     return rep
 
 
@@ -132,7 +130,11 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
             _needs_seed(opts, "random digit sets")
             args = part[len("random:"):].split(",")
             n = int(args[0])
+            if n < 1:
+                raise ValueError(f"random digit-set count {n} must be >= 1")
             fixed = int(args[1]) if len(args) > 1 else None
+            if fixed is not None and not 1 <= fixed <= p:
+                raise ValueError(f"subset size {fixed} outside [1, {p}]")
             rng = np.random.default_rng([opts.seed, p, opts.r])
             for i in range(n):
                 size = fixed if fixed is not None else int(rng.integers(1, p + 1))
@@ -304,23 +306,17 @@ def _lemma_row(suite, opts, label, rep) -> Row:
                verdict="pass" if rep.holds else "fail")
 
 
-def _over_budget(opts: TaskOptions, n: int) -> bool:
-    """True when a walk over n elements or terms would exceed the task's budget."""
-    return n > (default_budget() if opts.budget is None else opts.budget)
-
-
 def suite_lemmaD(opts: TaskOptions) -> list[Row]:
     """Exhaustive over ordered non-conjugate generator pairs, per character order.
 
-    One budget skip row when q (the degree sieve) or p G^2 (the terms of
-    the G^2 pair sums) exceeds the budget.
+    Raises BudgetExceeded when q (the degree sieve) or p G^2 (the terms of
+    the G^2 pair sums) exceeds the budget; the task becomes one budget skip
+    row.
     """
     ctx = live_field(opts.p, opts.r)
-    if _over_budget(opts, ctx.q):
-        return [_skip_row("lemmaD", opts, "all", "budget")]
+    check_budget(ctx.q, opts.budget, "the degree sieve over F_q")
     gens = generator_elements(ctx)
-    if _over_budget(opts, opts.p * len(gens) ** 2):
-        return [_skip_row("lemmaD", opts, "all", "budget")]
+    check_budget(opts.p * len(gens) ** 2, opts.budget, "the terms of the generator-pair sums")
     orders = opts.orders or tuple(s for s in (2, 3, 4) if (ctx.q - 1) % s == 0)
     rows = []
     for s in orders:
@@ -333,12 +329,12 @@ def suite_lemmaD(opts: TaskOptions) -> list[Row]:
 
 
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
-    """Seeded shifted-product instances; one budget skip row when q exceeds
-    the budget, since every instance sums over all of F_q."""
+    """Seeded shifted-product instances; raises BudgetExceeded (one budget
+    skip row for the task) when q exceeds the budget, since every instance
+    sums over all of F_q."""
     _needs_seed(opts, "random shifted-product instances")
     ctx = live_field(opts.p, opts.r)
-    if _over_budget(opts, ctx.q):
-        return [_skip_row("lemmaE", opts, "all", "budget")]
+    check_budget(ctx.q, opts.budget, "complete sums over F_q")
     trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
     divs = [s for s in divisors(ctx.q - 1)]

@@ -1,12 +1,13 @@
+import contextlib
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from mpmath import iv
 
 from digitsquares import HypothesisNotMet, LemmaReport, make_field
-from digitsquares.bounds import _upper, iv_precision
+from digitsquares.bounds import _iv, _upper
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import CycloSum, make_char, quad_char_coords
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
@@ -110,59 +111,59 @@ def squaring_table():
 
 
 def _root(x, k: int):
-    """Interval k-th root of a positive interval value."""
-    return iv.exp(iv.log(x) / k)
+    """Interval k-th root of a positive interval value, in its own context."""
+    return x.ctx.exp(x.ctx.log(x) / k)
 
 
 def _interval_thmA_rhs(p, r, d) -> float:
-    """thmA_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        q = iv.mpf(p) ** r
-        return _upper((d + p * iv.sqrt(iv.mpf(p - d))) ** r / (2 * iv.sqrt(q)))
+    """thmA_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    q = iv.mpf(p) ** r
+    return _upper((d + p * iv.sqrt(iv.mpf(p - d))) ** r / (2 * iv.sqrt(q)))
 
 
 def _interval_thm1_rhs(p, r, d) -> float:
-    """thm1_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        pv = iv.mpf(p)
-        dv = iv.mpf(d)
-        inner = (_root(pv, 4) * iv.sqrt(iv.mpf(2 * r - 1)) * dv ** (r - 1)
-                 + _root(pv ** 3, 4) * iv.sqrt(iv.mpf(r) ** 3) / 4
-                 + iv.sqrt(pv))
-        return _upper(iv.sqrt(dv) * inner / 2 + iv.mpf(1) / 2)
+    """thm1_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    pv = iv.mpf(p)
+    dv = iv.mpf(d)
+    inner = (_root(pv, 4) * iv.sqrt(iv.mpf(2 * r - 1)) * dv ** (r - 1)
+             + _root(pv ** 3, 4) * iv.sqrt(iv.mpf(r) ** 3) / 4
+             + iv.sqrt(pv))
+    return _upper(iv.sqrt(dv) * inner / 2 + iv.mpf(1) / 2)
 
 
 def _interval_lemmaD_rhs(p, r) -> float:
-    """lemmaD_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        return _upper((2 * r - 1) * iv.sqrt(iv.mpf(p)))
+    """lemmaD_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    return _upper((2 * r - 1) * iv.sqrt(iv.mpf(p)))
 
 
 def _interval_lemmaE_rhs(q, t, t0) -> float:
-    """lemmaE_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        return _upper((t - t0 - 1) * iv.sqrt(iv.mpf(q)) + t0 + 1)
+    """lemmaE_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    return _upper((t - t0 - 1) * iv.sqrt(iv.mpf(q)) + t0 + 1)
 
 
 def _interval_thm2_rhs(p, r, d, k, nu) -> float:
-    """thm2_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        dv = iv.mpf(d)
-        q = iv.mpf(p) ** r
-        lead = _root(dv ** ((r - k) * (2 * nu - 1)), 2 * nu)
-        inner = (iv.mpf(2 * nu) ** nu * dv ** (k * nu) * q
-                 + dv ** (2 * k * nu) * 4 * nu * iv.sqrt(q))
-        return _upper(lead * _root(inner, 2 * nu) / 2 + iv.mpf(1) / 2)
+    """thm2_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    dv = iv.mpf(d)
+    q = iv.mpf(p) ** r
+    lead = _root(dv ** ((r - k) * (2 * nu - 1)), 2 * nu)
+    inner = (iv.mpf(2 * nu) ** nu * dv ** (k * nu) * q
+             + dv ** (2 * k * nu) * 4 * nu * iv.sqrt(q))
+    return _upper(lead * _root(inner, 2 * nu) / 2 + iv.mpf(1) / 2)
 
 
 def _interval_lemma1_rhs(q, nu, size_u, size_v) -> float:
-    """lemma1_rhs in 40-digit interval arithmetic, rounded up to a float."""
-    with iv_precision():
-        fac = math.factorial(2 * nu) // math.factorial(nu)
-        inner = (iv.mpf(fac) * iv.mpf(size_v) ** nu * q
-                 + iv.mpf(size_v) ** (2 * nu) * 4 * nu * iv.sqrt(iv.mpf(q)))
-        return _upper(iv.exp(iv.log(iv.mpf(size_u)) * (2 * nu - 1) / (2 * nu))
-                      * _root(inner, 2 * nu))
+    """lemma1_rhs in 136-bit interval arithmetic, rounded up to a float."""
+    iv = _iv()
+    fac = math.factorial(2 * nu) // math.factorial(nu)
+    inner = (iv.mpf(fac) * iv.mpf(size_v) ** nu * q
+             + iv.mpf(size_v) ** (2 * nu) * 4 * nu * iv.sqrt(iv.mpf(q)))
+    return _upper(iv.exp(iv.log(iv.mpf(size_u)) * (2 * nu - 1) / (2 * nu))
+                  * _root(inner, 2 * nu))
 
 
 @pytest.fixture(scope="session")
@@ -171,6 +172,97 @@ def interval_rhs():
     the 136-bit interval evaluations they replaced."""
     return {"thmA_rhs": _interval_thmA_rhs, "thm1_rhs": _interval_thm1_rhs,
             "lemmaD_rhs": _interval_lemmaD_rhs, "lemmaE_rhs": _interval_lemmaE_rhs}
+
+
+@contextlib.contextmanager
+def _global_iv():
+    """mpmath's global interval context at 40 digits for the block, then the
+    caller's precision again: how the interval evaluators of bounds ran
+    before they had a private context."""
+    iv = mpmath.iv
+    saved = iv.prec
+    iv.dps = 40
+    try:
+        yield iv
+    finally:
+        iv.prec = saved
+
+
+def _global_thmB_C(p, t) -> float:
+    with _global_iv() as iv:
+        if t == p - 1:
+            raise HypothesisNotMet(f"C(p, t) is undefined at t = p - 1 (p = {p})")
+        if not 2 <= t <= p - 2:
+            raise ValueError(f"t = {t} outside [2, {p - 2}]")
+        if t == p - 2:
+            pv = iv.mpf(p)
+            val = 2 / pv + (2 / (iv.pi * (pv - 1))) * (1 - iv.log(2 * iv.sin(iv.pi / (2 * pv))))
+        else:
+            tv = iv.mpf(t)
+            val = iv.log(iv.mpf(p)) / tv + (iv.mpf(4) / 3 - iv.log(iv.mpf(3)) / 2) / tv + iv.mpf(1) / p
+        return _upper(val)
+
+
+def _global_thmB_rhs(p, r, t) -> float:
+    with _global_iv() as iv:
+        c = iv.mpf(_global_thmB_C(p, t))
+        return _upper((c * t * iv.sqrt(iv.mpf(p))) ** r / 2)
+
+
+def _global_thm1_threshold(p, r) -> float:
+    with _global_iv() as iv:
+        if r < 2:
+            raise ValueError("the existence threshold needs r >= 2")
+        base = iv.sqrt(iv.mpf(p)) * (2 * r - 1)
+        delta = base ** (2 - r)
+        return _upper((1 + delta) * (2 * r - 1) * iv.sqrt(iv.mpf(p)))
+
+
+def _global_thm2_Cr(r) -> float:
+    with _global_iv() as iv:
+        rv = iv.mpf(r)
+        return _upper(iv.exp((4 * iv.log(rv) + 8) / rv))
+
+
+def _global_thm2_threshold(p, r) -> float:
+    with _global_iv() as iv:
+        if r < 20:
+            raise HypothesisNotMet(f"the thm2 existence threshold needs r >= 20, got r = {r}")
+        pv = iv.mpf(p)
+        cr = iv.exp((4 * iv.log(iv.mpf(r)) + 8) / r)
+        return _upper(cr * iv.sqrt(pv) * iv.exp((iv.log(pv) + 4 * iv.log(iv.log(pv))) / r))
+
+
+def _global_corC_hypothesis(p, t, eps) -> bool:
+    with _global_iv() as iv:
+        bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
+        return (iv.mpf(t) >= bound) is True
+
+
+def _global_corC_rhs(p, r, t, eps, constant) -> float:
+    with _global_iv() as iv:
+        if not 0 < eps <= 0.25:
+            raise ValueError(f"eps = {eps} outside (0, 1/4]")
+        if constant <= 0:
+            raise ValueError("the user constant must be positive")
+        if not _global_corC_hypothesis(p, t, eps):
+            raise HypothesisNotMet(f"t = {t} below p^(1/4 + eps)")
+        ev = iv.mpf(eps)
+        size_w = iv.mpf(t) ** r
+        val = (iv.mpf(constant) * (iv.mpf(r) ** 4 / ev)
+               * iv.exp(-ev * ev / 2 * iv.log(iv.mpf(p))) * size_w)
+        return _upper(val)
+
+
+@pytest.fixture(scope="session")
+def global_iv_evaluators():
+    """Oracles for the interval evaluators of bounds, by name: their bodies
+    as they ran in mpmath's global interval context at 40 digits, each
+    saving and restoring that context's precision."""
+    return {"thmB_C": _global_thmB_C, "thmB_rhs": _global_thmB_rhs,
+            "thm1_threshold": _global_thm1_threshold, "thm2_Cr": _global_thm2_Cr,
+            "thm2_threshold": _global_thm2_threshold,
+            "corC_hypothesis": _global_corC_hypothesis, "corC_rhs": _global_corC_rhs}
 
 
 @pytest.fixture(scope="session")

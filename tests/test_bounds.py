@@ -5,7 +5,9 @@ formulas; the implementation must sit within a hair above (never below) the
 oracle value, because its contract is a certified upper bound.  The exact
 algebraic evaluators (thmA_rhs, thm1_rhs, thm2_rhs, lemma1_rhs, lemmaD_rhs,
 lemmaE_rhs) must moreover equal, float for float, the 40-digit interval
-evaluation they replaced (conftest oracles).
+evaluation they replaced, and the interval evaluators in their private
+context must equal their bodies in mpmath's global interval context
+(conftest oracles).
 """
 
 import math
@@ -257,9 +259,11 @@ class TestExactMomentBounds:
             def __getattr__(self, name):
                 raise AssertionError(f"interval arithmetic used: iv.{name}")
 
-        # the interval evaluators import mpmath.iv when called; none is held at module level
+        # the interval evaluators take their context from bounds._iv when called;
+        # no iv is held at module level
         assert not hasattr(bounds, "iv") and not hasattr(oracles, "iv")
         monkeypatch.setattr(mpmath, "iv", NoIntervals())
+        monkeypatch.setattr(bounds, "_iv", NoIntervals)
         got = [fn.__wrapped__(*a) for fn, _, a in calls]
         assert got == want
 
@@ -404,6 +408,56 @@ class TestCorollaryC:
         assert corC_hypothesis.__wrapped__(16, 2, iv.mpf(["-0.01", "0.01"])) is False
         assert corC_hypothesis.__wrapped__(16, 3, iv.mpf(["-0.01", "0.01"])) is True
         assert corC_hypothesis.__wrapped__(16, 1, iv.mpf(["-0.01", "0.01"])) is False
+
+
+class TestPrivateIntervalContext:
+    """Each interval evaluator, in its private 136-bit context, against its
+    body as it ran in mpmath's global interval context at 40 digits."""
+
+    PRIMES_BELOW_60 = [p for p in PRIMES_BELOW_1100 if p < 60]
+
+    @staticmethod
+    def assert_same(fn, oracle, *args):
+        try:
+            want = ("value", oracle(*args))
+        except (ValueError, HypothesisNotMet) as exc:
+            want = ("raises", type(exc))
+        try:
+            got = ("value", fn.__wrapped__(*args))
+        except (ValueError, HypothesisNotMet) as exc:
+            got = ("raises", type(exc))
+        assert got == want, (fn.__name__, args)
+
+    def test_thmB_below_60(self, global_iv_evaluators):
+        for p in self.PRIMES_BELOW_60:
+            for t in range(2, p - 1):
+                self.assert_same(thmB_C, global_iv_evaluators["thmB_C"], p, t)
+                for r in (1, 2, 3):
+                    self.assert_same(thmB_rhs, global_iv_evaluators["thmB_rhs"], p, r, t)
+
+    def test_thmB_C_branches_below_1100(self, global_iv_evaluators):
+        # the log branch (t = 2), the p - 2 branch, and the undefined t = p - 1
+        for p in PRIMES_BELOW_1100:
+            for t in {2, p - 2, p - 1}:
+                self.assert_same(thmB_C, global_iv_evaluators["thmB_C"], p, t)
+
+    def test_thresholds(self, global_iv_evaluators):
+        for r in list(range(1, 7)) + list(range(20, 27)):
+            self.assert_same(thm2_Cr, global_iv_evaluators["thm2_Cr"], r)
+            for p in self.PRIMES_BELOW_60 + [101, 1009, 1097]:
+                self.assert_same(thm1_threshold, global_iv_evaluators["thm1_threshold"], p, r)
+                self.assert_same(thm2_threshold, global_iv_evaluators["thm2_threshold"], p, r)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.25])
+    def test_corC(self, global_iv_evaluators, eps):
+        for p in self.PRIMES_BELOW_60 + [101, 1009]:
+            for t in range(2, min(p, 60) + 1):
+                self.assert_same(corC_hypothesis, global_iv_evaluators["corC_hypothesis"],
+                                 p, t, eps)
+                for r in (1, 2, 3):
+                    for const in (1.0, 2.5):
+                        self.assert_same(corC_rhs, global_iv_evaluators["corC_rhs"],
+                                         p, r, t, eps, const)
 
 
 class TestCheckBound:

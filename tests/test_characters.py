@@ -514,10 +514,12 @@ class TestCycloSum:
         assert 0 < lo <= hi
 
     def test_iv_prec_is_the_bits_of_iv_dps(self):
+        # one precision for every interval: the bounds context and the raw
+        # magnitude path both run at the bits of 40 decimal digits
         from mpmath.libmp import dps_to_prec
 
-        from digitsquares.bounds import IV_DPS
-        assert dps_to_prec(IV_DPS) == characters.IV_PREC == 136
+        from digitsquares import bounds
+        assert bounds._iv().prec == bounds.IV_PREC == characters.IV_PREC == dps_to_prec(40)
 
     def test_magnitude_interval_refuses_counts_beyond_the_precision(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from digitsquares import bounds, boxes, cli, counting, fields, suites
+import mpmath
+
+from digitsquares import bounds, boxes, cli, counting, fields, oracles, suites
 from digitsquares.cli import NU_MAX_CAP, ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
@@ -143,12 +145,14 @@ class TestVerify:
             assert got == [[suite, "3", "2", "all;budget", "", "", "", "skip-hypothesis"]]
 
     def test_lemmaD_budget_checked_before_the_sieve(self, monkeypatch):
+        # the task's "all;budget" row is written by the task runner
+        # (test_lemma_budget_edges); the suite only refuses, and refuses first
         def sieve(ctx):
             raise AssertionError("the degree sieve walks all q elements")
 
         monkeypatch.setattr(suites, "generator_elements", sieve)
-        [row] = suites.suite_lemmaD(TaskOptions(3, 2, budget=8))
-        assert (row.instance, row.verdict) == ("all;budget", "skip-hypothesis")
+        with pytest.raises(BudgetExceeded):
+            suites.suite_lemmaD(TaskOptions(3, 2, budget=8))
 
     def test_json_format_mirrors_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "est1",
@@ -225,7 +229,7 @@ OPTION_SAMPLES = {
     "const": ("2.5", 2.5, "0.5", 0.5),
     "trials": ("10", 10, "20", 20),
     "h": ("1", 1, "2", 2),
-    "eps": ("0.1", 0.1, "0.3", 0.3),
+    "eps": ("0.1", 0.1, "0.2", 0.2),
     "nu-max": ("2", 2, "3", 3),
     "orders": ("2,3", (2, 3), "4", (4,)),
 }
@@ -294,6 +298,9 @@ class TestRunConfig:
         (("--suite", "identity", "--p", "0,5"), "--p"),
         (("--suite", "identity", "--p", "-3"), "--p"),
         (("--suite", "thm2", "--digits", "0-2", "--nu-max", "65"), "--nu-max"),
+        (("--suite", "corC-report", "--eps", "0.5"), "--eps"),
+        (("--suite", "corC-report", "--eps", "0"), "--eps"),
+        (("--suite", "corC-report", "--const", "-1"), "--const"),
     ])
     def test_bad_flag_value_is_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "verify", "--p", "5", "--r", "2", *argv)
@@ -304,6 +311,75 @@ class TestRunConfig:
         cfg.write_text("p = 5\nr = 0\nsuite = identity\n")
         code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2 and out == "" and "--r" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_bad_budget_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                               command, value):
+        monkeypatch.setenv(boxes.BUDGET_ENV_VAR, value)
+        argv = ["--suite", "identity", "--p", "5", "--r", "2"]
+        if command == "sweep":
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text("p = 5\nr = 2\nsuite = identity\n")
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == "" and boxes.BUDGET_ENV_VAR in err
+
+    def test_budget_flag_wins_over_the_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv(boxes.BUDGET_ENV_VAR, "abc")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identity", "--p", "5",
+                               "--r", "2", "--budget", "100")
+        assert code == 0 and out.count("pass") == 5
+
+    def test_budget_default_resolved_once_per_run(self, monkeypatch):
+        calls = []
+
+        def default_budget():
+            calls.append(1)
+            return boxes.DEFAULT_BUDGET
+
+        for module in (boxes, cli, suites, counting, oracles):
+            if hasattr(module, "default_budget"):
+                monkeypatch.setattr(module, "default_budget", default_budget)
+        # the suites and fields of the cert_grid benchmark workload, fewer instances
+        rows, code = run_config(SweepConfig(
+            ps=[3, 5, 7], rs=[1, 2, 3], digits="intervals+random:4", seed=0, trials=4,
+            suites=["identity", "est1", "thmA", "thmB", "thm1", "thm2", "corC-report",
+                    "lemmaE", "lemma1"]))
+        assert code == 0 and len(rows) > 500
+        assert len(calls) == 1
+
+    def test_run_never_writes_the_global_interval_precision(self, monkeypatch, capsys):
+        writes = []
+        ctx_type = type(mpmath.iv)
+        for name in ("prec", "dps"):
+            prop = getattr(ctx_type, name)
+
+            def fset(ctx, value, fset=prop.fset, name=name):
+                if ctx is mpmath.iv:
+                    writes.append((name, value))
+                fset(ctx, value)
+            monkeypatch.setattr(ctx_type, name, property(prop.fget, fset))
+        for name in ("thmB_C", "thmB_rhs", "thm1_threshold", "corC_hypothesis", "corC_rhs"):
+            getattr(bounds, name).cache_clear()  # evaluate every bound afresh
+        code, out, _ = run_cli(capsys, "verify", "--suite", "thmB,corC-report,thm1-existence",
+                               "--p", "5,7,11,13", "--r", "2,3")
+        assert code == 0 and out.count("\n") > 50
+        assert writes == []
+        assert bounds._iv().prec == bounds.IV_PREC
+
+    @pytest.mark.parametrize("spec,message", [
+        ("random:-2", "random digit-set count -2 must be >= 1"),
+        ("random:0", "random digit-set count 0 must be >= 1"),
+        ("random:3,9", "subset size 9 outside [1, 5]"),
+        ("random:3,0", "subset size 0 outside [1, 5]"),
+    ])
+    def test_bad_random_digit_spec_is_an_error_row(self, capsys, spec, message):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identity", "--p", "5", "--r", "2",
+                               "--seed", "0", "--digits", spec)
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            ["identity", "5", "2", f"error:ValueError:{message}", "", "", "", "fail"]]
 
     def test_p_two_stays_an_error_row(self):
         rows, code = run_config(SweepConfig(ps=[2], rs=[1], suites=["identity"]))
@@ -397,8 +473,7 @@ class TestFieldMajorRuns:
     def test_cached_count_never_bypasses_budget(self):
         ctx = live_field(5, 2)
         full = square_census(ctx, range(3), None)
-        box = boxes.DigitBox.uniform(ctx, range(3))
-        assert ctx._cache["counts"] == {(0, 1, 2): (box, full)}  # dropped with the field
+        assert ctx._cache["counts"] == {(0, 1, 2): full}  # only the report; dropped with the field
         assert square_census(ctx, range(3), 9) is full
         with pytest.raises(BudgetExceeded):
             square_census(ctx, range(3), 8)
@@ -406,9 +481,9 @@ class TestFieldMajorRuns:
     def test_one_budget_check_per_census(self, monkeypatch):
         checks = []
 
-        def check_budget(box, budget=None, what="enumeration of the box"):
+        def check_budget(n, budget=None, what="enumeration of the box"):
             checks.append(what)
-            return boxes.check_budget(box, budget, what)
+            return boxes.check_budget(n, budget, what)
 
         monkeypatch.setattr(suites, "check_budget", check_budget)
         monkeypatch.setattr(counting, "check_budget", check_budget)
