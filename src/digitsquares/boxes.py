@@ -90,20 +90,21 @@ class DigitBox:
     def __post_init__(self):
         if len(self.digits) != self.ctx.r:
             raise ValueError(f"need {self.ctx.r} digit sets, got {len(self.digits)}")
-        norm = []
+        norm = {}  # id -> sorted set: each distinct object is normalised once
         for d in self.digits:
-            ds = tuple(sorted(set(int(c) for c in d)))
+            if id(d) in norm:
+                continue
+            ds = norm[id(d)] = tuple(sorted(set(map(int, d))))
             if not ds:
                 raise ValueError("digit sets must be nonempty")
             if ds[0] < 0 or ds[-1] >= self.ctx.p:
                 raise ValueError(f"digits {ds} outside [0, {self.ctx.p})")
-            norm.append(ds)
-        object.__setattr__(self, "digits", tuple(norm))
+        object.__setattr__(self, "digits", tuple(norm[id(d)] for d in self.digits))
 
     @classmethod
     def uniform(cls, ctx: FieldCtx, digits) -> "DigitBox":
-        d = tuple(digits)
-        return cls(ctx, tuple(d for _ in range(ctx.r)))
+        """D^r: one digit set, sorted and deduplicated once, on every coordinate."""
+        return cls(ctx, (digits,) * ctx.r)
 
     @property
     def is_uniform(self) -> bool:

@@ -8,15 +8,19 @@ the quadratic character chi over W, and verifies the linking identity
 before returning.  For q <= 2^20 under the polynomial basis no element of W
 is enumerated: the quad table reshaped to p x ... x p is chi as an r-way
 tensor in coordinates, and both sums are r single-axis reductions of it,
-one of chi and one of [chi = 1], so the identity checks the table.  The
-table itself is built once per field by squaring the (q-1)/(p-1) monic
-elements and filling in their F_p* multiples (characters.quad_table).
-The first reduction, the only one over |D_r| * p^{r-1} entries, sums at
-most p values in {-1, 0, 1} per entry and so runs in the narrowest signed
-integer type that holds -p; the later ones run in int64.  Larger fields
-and other bases walk the box once in blocks through quad_char_coords (the
-Legendre symbol of the norm N(x) above 2^20).  Sampling uses
-quad_char_coords too.  No path builds a discrete-log table.
+one of chi and one of [chi = 1], so the identity checks every table row
+the first time a census reads it.  The table itself is built once per
+field by squaring the (q-1)/(p-1) monic elements and filling in their F_p*
+multiples (characters.quad_table).  The first reduction, over the rows
+D_r, is the only one over p^{r-1} entries per row; it is a sum of at most
+p values in {-1, 0, 1} per entry and so runs in the narrowest signed
+integer type that holds -p, and a caller that counts a chain of boxes
+(suites.square_census) keeps it between censuses as FirstAxisSums, so the
+next census reads only the rows its D_r adds or drops.  The later
+reductions run in int64.  Larger fields and other bases walk the box once
+in blocks through quad_char_coords (the Legendre symbol of the norm N(x)
+above 2^20).  Sampling uses quad_char_coords too.  No path builds a
+discrete-log table.
 Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
 in this module ever compares floats.
 """
@@ -59,13 +63,39 @@ class SquareCountReport:
         return self.size_w - self.count_q - (1 if self.zero_in_w else 0)
 
 
-def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
-    """Exact square census of a box; refuses boxes larger than the budget."""
+class FirstAxisSums:
+    """The first-axis reduction of a field's quad table over a set of rows.
+
+    rows is a sorted digit tuple D; sq and chi are the (p^{r-1},) sums of
+    [chi = 1] and of chi over the table rows in D, in the narrowest signed
+    type that holds -p (None before the first census).  Every state is a
+    sum over a subset of the p rows, so it stays within [-p, p].
+    """
+
+    __slots__ = ("rows", "sq", "chi")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        """Forget every row: the next census reads all of its own."""
+        self.rows, self.sq, self.chi = (), None, None
+
+
+def count_squares(box: Box, budget: int | None = None, *,
+                  running: FirstAxisSums | None = None) -> SquareCountReport:
+    """Exact square census of a box; refuses boxes larger than the budget.
+
+    running, if given, is the first-axis reduction the previous census of
+    a chain on box.ctx left behind; on the table path it is moved to this
+    box's last coordinate set and left there for the next census.  Without
+    it the census starts from an empty reduction and reads every row.
+    """
     ctx = box.ctx
     size = check_budget(box.size(), budget, what="exact square counting")
     zero_in = box.contains_zero()
     if ctx.q <= DLOG_CAP and ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r)):
-        count_q, char_sum = _table_sums(box)
+        count_q, char_sum = _table_sums(box, FirstAxisSums() if running is None else running)
     else:
         count_q = 0
         char_sum = 0
@@ -75,6 +105,8 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
             char_sum += int(vals.sum())
     z = 1 if zero_in else 0
     if 2 * count_q != size - z + char_sum:
+        if running is not None:
+            running.clear()  # the rows it holds may be the corrupted ones
         raise InvariantViolation(
             f"square-count identity violated: 2 * {count_q} != {size} - {z} + {char_sum}")
     return SquareCountReport(
@@ -87,35 +119,51 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     )
 
 
-def _table_sums(box: Box) -> tuple[int, int]:
+def _table_sums(box: Box, running: FirstAxisSums) -> tuple[int, int]:
     """(count_q, char_sum) of a box, contracting the quad table axis by axis.
 
     Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
     the last coordinate: reduce it first, then the one before, and so on.
-    count_q is the same reduction of [chi = 1], masked after the first take.
-    The first reduction is the only one over |D_r| * p^{r-1} entries; each
-    of its sums adds at most p values in {-1, 0, 1}, so it runs exactly in
-    the narrowest signed type that holds -p (int8 up to p = 127, int16
-    below 2^15, int32 above), over at most REDUCE_BLOCK table entries at a
-    time.  The later axes sum in int64.
+    The first reduction is the only one over p^{r-1} entries per row of
+    D_r, and running carries it from the previous census: the rows D_r
+    adds are added and the rows it drops subtracted, unless the two sets
+    differ in more rows than D_r has, when it restarts from zero.  Each of
+    its sums adds at most p values in {-1, 0, 1}, so it runs exactly in the
+    narrowest signed type that holds -p (int8 up to p = 127, int16 below
+    2^15, int32 above), over at most REDUCE_BLOCK table entries at a time.
+    The identity in count_squares therefore checks each table row when a
+    census of the chain first reads it.  The later axes sum in int64.
     """
     ctx = box.ctx
-    sets = [np.asarray(s, dtype=np.intp) for s in reversed(box.coordinate_sets())]
-    acc = np.min_scalar_type(-ctx.p)
+    *rest, last = box.coordinate_sets()
     tab = quad_table(ctx).reshape(ctx.p, -1)
-    sq = np.zeros(tab.shape[1], dtype=acc)
-    chi = np.zeros(tab.shape[1], dtype=acc)
-    rows = max(1, REDUCE_BLOCK // tab.shape[1])
-    for lo in range(0, len(sets[0]), rows):
-        block = np.take(tab, sets[0][lo:lo + rows], axis=0)
-        sq += (block == 1).sum(axis=0, dtype=acc)
-        chi += block.sum(axis=0, dtype=acc)
-    sq = sq.reshape((ctx.p,) * (ctx.r - 1))
-    chi = chi.reshape(sq.shape)
-    for s in sets[1:]:
+    held, want = set(running.rows), set(last)
+    add = [d for d in last if d not in held]
+    drop = [d for d in running.rows if d not in want]
+    if running.sq is None or len(add) + len(drop) > len(last):
+        acc = np.min_scalar_type(-ctx.p)
+        running.sq = np.zeros(tab.shape[1], dtype=acc)
+        running.chi = np.zeros(tab.shape[1], dtype=acc)
+        add, drop = last, ()
+    _add_rows(running, tab, add, np.add)
+    _add_rows(running, tab, drop, np.subtract)
+    running.rows = last
+    sq = running.sq.reshape((ctx.p,) * (ctx.r - 1))
+    chi = running.chi.reshape(sq.shape)
+    for s in reversed(rest):
+        s = np.asarray(s, dtype=np.intp)
         sq = np.take(sq, s, axis=0).sum(axis=0, dtype=np.int64)
         chi = np.take(chi, s, axis=0).sum(axis=0, dtype=np.int64)
     return int(sq), int(chi)
+
+
+def _add_rows(running: FirstAxisSums, tab: np.ndarray, rows, op) -> None:
+    """running.sq, running.chi op= the sums over the given table rows."""
+    step = max(1, REDUCE_BLOCK // tab.shape[1])
+    for lo in range(0, len(rows), step):
+        block = np.take(tab, rows[lo:lo + step], axis=0)
+        op(running.sq, (block == 1).sum(axis=0, dtype=running.sq.dtype), out=running.sq)
+        op(running.chi, block.sum(axis=0, dtype=running.chi.dtype), out=running.chi)
 
 
 @dataclass(frozen=True)

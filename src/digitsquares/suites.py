@@ -43,7 +43,7 @@ from . import bounds
 from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
                     parse_digit_spec)
 from .characters import make_char
-from .counting import SquareCountReport, count_squares
+from .counting import FirstAxisSums, SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
 from .fields import FieldCtx, FieldElem, divisors, make_field
 from .oracles import (delta_H, energy_count, generator_elements, lemma1_check,
@@ -81,6 +81,9 @@ def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountRepor
     """count_squares of the box D^r, kept in ctx._cache with the basis-tied tables.
 
     Reports are looked up by the digit tuple, so a hit builds no DigitBox.
+    A miss hands count_squares the field's FirstAxisSums, also kept in
+    ctx._cache, so a chain of digit sets (the intervals) reads only the
+    table rows one set adds to or drops from the last one counted.
     Each call checks the budget exactly once: count_squares does on a miss,
     check_budget on the report's |W| on a hit, so a cached count never
     bypasses the budget.
@@ -89,7 +92,9 @@ def square_census(ctx: FieldCtx, digits, budget: int | None) -> SquareCountRepor
     key = tuple(digits)
     rep = counts.get(key)
     if rep is None:
-        rep = counts[key] = count_squares(DigitBox.uniform(ctx, key), budget)
+        running = ctx._cache.setdefault("first_axis", FirstAxisSums())
+        rep = counts[key] = count_squares(DigitBox.uniform(ctx, key), budget,
+                                          running=running)
     else:
         check_budget(rep.size_w, budget, what="exact square counting")
     return rep
@@ -129,6 +134,9 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
         elif part.startswith("random:"):
             _needs_seed(opts, "random digit sets")
             args = part[len("random:"):].split(",")
+            if len(args) > 2:
+                raise ValueError(f"digit spec {part!r} has {len(args)} fields; "
+                                 "use random:n or random:n,m")
             n = int(args[0])
             if n < 1:
                 raise ValueError(f"random digit-set count {n} must be >= 1")

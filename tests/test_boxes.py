@@ -78,6 +78,18 @@ class TestEnumeration:
         assert len(elems) == 2 * 1 * 3
         assert all(box.contains(e) for e in elems)
 
+    def test_uniform_normalises_like_per_coordinate_sets(self, field):
+        ctx = field(7, 3)
+        raw = [5, 1, 5, 0, 3, 1]
+        box = DigitBox.uniform(ctx, raw)
+        assert box == DigitBox(ctx, (raw,) * 3) == DigitBox(ctx, (raw, list(raw), tuple(raw)))
+        assert box.digits == ((0, 1, 3, 5),) * 3
+        assert DigitBox.uniform(ctx, iter(raw)) == box  # read once, even an iterator
+        with pytest.raises(ValueError):
+            DigitBox.uniform(ctx, [])
+        with pytest.raises(ValueError):
+            DigitBox.uniform(ctx, raw + [7])
+
     def test_zero_membership_rule(self, field):
         ctx = field(3, 2)
         assert DigitBox.uniform(ctx, (0, 1)).contains_zero()

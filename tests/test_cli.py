@@ -176,6 +176,16 @@ class TestVerify:
         run_cli(capsys, *base, "--jobs", "3", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_chained_censuses_do_not_depend_on_jobs(self, tmp_path, capsys):
+        # pool workers count each field's digit sets in another order than
+        # one process does, so each carries the first-axis chain differently
+        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ("verify", "--suite", "identity,est1", "--p", "13,101", "--r", "2,3",
+                "--digits", "intervals+random:5", "--seed", "0")
+        assert run_cli(capsys, *base, "--jobs", "1", "--out", str(f1))[0] == 0
+        assert run_cli(capsys, *base, "--jobs", "2", "--out", str(f2))[0] == 0
+        assert f1.read_bytes() == f2.read_bytes()
+
 
 class TestSweepConfig:
     def test_parse_and_run(self, tmp_path, capsys):
@@ -373,6 +383,7 @@ class TestRunConfig:
         ("random:0", "random digit-set count 0 must be >= 1"),
         ("random:3,9", "subset size 9 outside [1, 5]"),
         ("random:3,0", "subset size 0 outside [1, 5]"),
+        ("random:2,2,9", "digit spec 'random:2,2,9' has 3 fields; use random:n or random:n,m"),
     ])
     def test_bad_random_digit_spec_is_an_error_row(self, capsys, spec, message):
         code, out, _ = run_cli(capsys, "verify", "--suite", "identity", "--p", "5", "--r", "2",
@@ -438,9 +449,9 @@ class TestFieldMajorRuns:
             built.append((p, r))
             return fields.make_field(p, r)
 
-        def count_squares(box, budget=None):
+        def count_squares(box, budget=None, **kwargs):
             counted.append((box.ctx.p, box.ctx.r, box.digits[0]))
-            return counting.count_squares(box, budget)
+            return counting.count_squares(box, budget, **kwargs)
 
         monkeypatch.setattr(suites, "make_field", make_field)
         monkeypatch.setattr(suites, "count_squares", count_squares)

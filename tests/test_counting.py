@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from digitsquares import (DigitBox, IntervalBox, count_squares, counting,
                           estimate_square_fraction, make_field)
 from digitsquares.characters import DLOG_CAP, quad_table
+from digitsquares.counting import FirstAxisSums
 from digitsquares.errors import InvariantViolation
+from digitsquares.suites import square_census
 
 SWEEP_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
 
@@ -228,6 +230,77 @@ class TestWhichPathCounts:
         tab[squares[:n_zeroed]] = 0  # squares of W classified as zero
         with pytest.raises(InvariantViolation):
             count_squares(box)
+
+
+def run_chain(ctx, walk_census, sequence):
+    """Count the digit sets of sequence in order on ctx, twice: through
+    square_census (a repeated set is a report-cache hit) and through
+    count_squares with one FirstAxisSums (a repeated set is an empty row
+    delta).  Each census must equal a fresh count_squares and the walk."""
+    running = FirstAxisSums()
+    oracle = {}
+    for ds in sequence:
+        ds = tuple(ds)
+        box = DigitBox.uniform(ctx, ds)
+        if ds not in oracle:
+            oracle[ds] = count_squares(box)
+            assert (oracle[ds].count_q, oracle[ds].char_sum) == walk_census(box), ds
+        assert square_census(ctx, ds, None) == oracle[ds], ds
+        assert count_squares(box, running=running) == oracle[ds], ds
+        assert running.rows == tuple(sorted(set(ds)))
+    return running
+
+
+class TestCensusChain:
+    """Censuses that carry the first-axis reduction from one digit set to
+    the next (suites.square_census) against fresh censuses and the walk.
+    Each test builds its own field: the chain lives in ctx._cache."""
+
+    CHAIN_FIELDS = [(7, 1), (101, 1), (3, 5), (5, 4), (13, 3), (101, 2)]
+
+    @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
+    def test_intervals_up_then_down(self, walk_census, p, r):
+        up = [range(t) for t in range(1, p + 1)]
+        run_chain(make_field(p, r), walk_census, up + up[::-1])
+        run_chain(make_field(p, r), walk_census, up[::-1] + up)
+
+    @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
+    def test_repeated_disjoint_and_complementary_sets(self, walk_census, p, r):
+        low, high = range(p // 2 + 1), range(p // 2 + 1, p)
+        evens, odds = range(0, p, 2), range(1, p, 2)
+        sequence = [low, low, high, low, evens, odds, evens, evens, range(p),
+                    (0,), (p - 1,), (0,), high, range(p), low]
+        run_chain(make_field(p, r), walk_census, sequence)
+
+    @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
+    def test_seeded_random_sets(self, walk_census, p, r):
+        rng = np.random.default_rng([23, p, r])
+        sequence = [rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+                    for _ in range(25)]
+        run_chain(make_field(p, r), walk_census, sequence)
+
+    @pytest.mark.parametrize("p,acc", [(127, np.int8), (131, np.int16)])
+    def test_full_and_half_sets_at_the_accumulator_edges(self, walk_census, p, acc):
+        # r = 2: a full column holds p - 1 squares or p - 1 nonsquares, the
+        # largest first-axis sum the accumulator ever holds
+        full, half, rest = range(p), range((p + 1) // 2), range((p + 1) // 2, p)
+        running = run_chain(make_field(p, 2), walk_census,
+                            [full, half, full, half, rest, half, full, rest, full])
+        assert running.sq.dtype == running.chi.dtype == acc
+        assert np.abs(running.chi).max() == p - 1
+
+    def test_corrupting_a_row_the_chain_has_not_read_raises_when_added(self):
+        ctx = make_field(5, 2)  # fresh: the corruption must not reach shared fields
+        square_census(ctx, (0, 1), None)
+        assert ctx._cache["first_axis"].rows == (0, 1)
+        w = ctx.from_coords((1, 2)).idx  # last coordinate 2: table row 2, unread
+        quad_table(ctx)[w] = 0  # a nonzero element of W classified as zero
+        with pytest.raises(InvariantViolation):
+            square_census(ctx, (0, 1, 2), None)
+        assert ctx._cache["first_axis"].rows == ()  # the chain forgot every row
+        assert square_census(ctx, (3, 4), None) == count_squares(DigitBox.uniform(ctx, (3, 4)))
+        with pytest.raises(InvariantViolation):
+            square_census(ctx, (1, 2), None)
 
 
 class TestIdentitySweep:
