@@ -8,10 +8,9 @@ upper-bounded right-hand sides.
 
 from .boxes import (DigitBox, IntervalBox, enumerate_box, format_digit_set,
                     parse_digit_spec, sample_uniform, split_box)
-from .bounds import (BoundReport, check_bound, corC_rhs, thm1_hypothesis,
-                     thm1_rhs, thm1_threshold, thm2_best, thm2_Cr, thm2_rhs,
-                     thm2_threshold, thmA_heuristic_nontrivial, thmA_rhs,
-                     thmB_C, thmB_rhs)
+from .bounds import (corC_rhs, thm1_hypothesis, thm1_rhs, thm1_threshold,
+                     thm2_best, thm2_Cr, thm2_rhs, thm2_threshold,
+                     thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
 from .characters import (CycloSum, MultChar, char_sum, field_generator,
                          make_char, quad_char_coords)
 from .counting import (FractionEstimate, SquareCountReport, count_squares,
@@ -26,11 +25,11 @@ from .oracles import (DeltaReport, EnergyReport, LemmaReport, delta_H,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BudgetExceeded", "CycloSum", "DeltaReport", "DigitBox",
+    "BudgetExceeded", "CycloSum", "DeltaReport", "DigitBox",
     "EnergyReport", "FieldCtx", "FieldElem", "FractionEstimate",
     "HypothesisNotMet", "IntervalBox", "InvariantViolation", "LemmaReport",
     "MultChar",
-    "SquareCountReport", "char_sum", "check_bound", "conjugates", "corC_rhs",
+    "SquareCountReport", "char_sum", "conjugates", "corC_rhs",
     "count_squares", "delta_H", "element_degree", "energy_count",
     "enumerate_box", "estimate_square_fraction", "field_generator",
     "format_digit_set", "frobenius", "is_generator", "lemma1_check",

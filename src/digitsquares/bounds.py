@@ -1,22 +1,24 @@
 """Certified evaluators for the explicit square-count bounds.
 
 Every right-hand side is returned as a float that is an upper bound of the
-exact expression, so a bound check can compare an exact integer or rational
-left-hand side against it and a reported violation is never a rounding
-artifact.  Two kinds of evaluation give that float:
+exact expression, so the census suites (suites._bound_row) compare an exact
+integer or rational left-hand side against it and a reported violation is
+never a rounding artifact.  Two kinds of evaluation give that float:
 
 * The algebraic right-hand sides are placed exactly, by integer roots and
   exact integer comparisons, with no intervals and no mpmath; each is the
   smallest float strictly above its exact value (but a Lemma E bound at
   square q, an integer, is returned as it is).
-  - Theorem A, (d + p sqrt(p - d))^r / 2 sqrt(q), and the Theorem 2 moment
-    bound (with Lemma 1, its U + V form, and Lemmas D and E in `oracles`)
-    are ((A + B sqrt(q))^(1/n) + shift) / scale with integers A, B, q;
-    `_float_above` places them.
+  - Theorem A, (d + p sqrt(p - d))^r / 2 sqrt(q), Theorem 1's existence
+    threshold, and the Theorem 2 moment bound (with Lemma 1, its U + V
+    form, and Lemmas D and E in `oracles`) are
+    ((A + B sqrt(q))^(1/n) + shift) / scale with integers A, B, q;
+    `_float_above` places them.  So is Theorem B's power
+    (C(p, t) t sqrt(p))^r / 2, once C(p, t) is a float.
   - Theorem 1 is a sum of fourth roots of integers; each root is bracketed
     between integer roots, more finely until no float lies in the bracket.
-* The right-hand sides that involve pi, logarithms or real exponents
-  (Theorem B, Corollary C, the existence thresholds) are evaluated in
+* The values that involve pi, logarithms or real exponents (Theorem B's
+  constant C(p, t), Corollary C, the Theorem 2 threshold) are evaluated in
   interval arithmetic at IV_PREC = 136 bits (40 decimal digits), then
   rounded up.  They run in one private mpmath interval context, built at
   that precision on first use (_iv), so mpmath's global contexts are never
@@ -33,8 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import HypothesisNotMet, InvariantViolation
 
@@ -216,11 +216,16 @@ def thmB_C(p: int, t: int) -> float:
 
 @_memoised
 def thmB_rhs(p: int, r: int, t: int) -> float:
-    """(1/2) * (C(p, t) * t * sqrt(p))^r for initial-interval digit sets."""
-    iv = _iv()
-    c = iv.mpf(thmB_C(p, t))  # already an upper bound; safe to reuse
-    val = (c * t * iv.sqrt(iv.mpf(p))) ** r / 2
-    return _upper(val)
+    """(1/2) * (C(p, t) * t * sqrt(p))^r for initial-interval digit sets.
+
+    C(p, t) is already a float upper bound, a / 2^k, so the power is
+    (a t)^r p^{r/2} / (2 2^{kr}), placed exactly by _float_above.
+    """
+    p, r, t = map(operator.index, (p, r, t))
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+    a, den = thmB_C(p, t).as_integer_ratio()
+    return _float_above(0, (a * t) ** r * p ** (r // 2), p ** (r % 2), 1, scale=2 * den ** r)
 
 
 def thm1_hypothesis(p: int, r: int) -> bool:
@@ -259,14 +264,24 @@ def thm1_rhs(p: int, r: int, d: int) -> float:
 
 @_memoised
 def thm1_threshold(p: int, r: int) -> float:
-    """|D| at or above this forces a square in W (needs 2r - 1 <= sqrt(p), r >= 2)."""
-    iv = _iv()
+    """|D| at or above this forces a square in W (needs 2r - 1 <= sqrt(p), r >= 2).
+
+    (1 + delta) m sqrt(p) with m = 2r - 1 and delta = (m sqrt(p))^(2-r) is
+    m sqrt(p) + (m sqrt(p))^(3-r): 6 sqrt(p) at r = 2, and beyond it
+    m sqrt(p) + 1 / (m sqrt(p))^e with e = r - 3, where (m sqrt(p))^e is an
+    integer n at even e and n sqrt(p) at odd e.  Placed exactly by
+    _float_above.
+    """
+    p, r = map(operator.index, (p, r))
     if r < 2:
         raise ValueError("the existence threshold needs r >= 2")
-    base = iv.sqrt(iv.mpf(p)) * (2 * r - 1)
-    delta = base ** (2 - r)  # exponent 0 at r = 2, so delta = 1 there
-    val = (1 + delta) * (2 * r - 1) * iv.sqrt(iv.mpf(p))
-    return _upper(val)
+    m, e = 2 * r - 1, r - 3
+    if e < 0:
+        return _float_above(0, 2 * m, p, 1)
+    n = m ** e * p ** (e // 2)
+    if e % 2 == 0:  # (n m sqrt(p) + 1) / n
+        return _float_above(0, n * m, p, 1, scale=n, shift=1)
+    return _float_above(0, n * m * p + 1, p, 1, scale=n * p)  # (n m p + 1) sqrt(p) / (n p)
 
 
 @_memoised
@@ -355,33 +370,3 @@ def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
     size_w = iv.mpf(t) ** r
     val = iv.mpf(constant) * (iv.mpf(r) ** 4 / ev) * iv.exp(-ev * ev / 2 * iv.log(iv.mpf(p))) * size_w
     return _upper(val)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound against one observed exact deviation."""
-
-    bound_name: str              # ThmA | ThmB | Thm1 | Thm2 | CorC
-    parameters: dict = field(compare=False)
-    rhs_value: float = 0.0       # certified upper bound of the exact RHS
-    observed: Fraction = Fraction(0)
-    nontrivial: bool = False     # rhs < |W| / 2
-    holds: bool = True           # observed <= rhs
-
-    @property
-    def slack(self) -> float:
-        return float(self.observed) / self.rhs_value if self.rhs_value else math.inf
-
-
-def check_bound(name: str, parameters: dict, rhs_value: float,
-                observed: Fraction, size_w: int) -> BoundReport:
-    """Exact-LHS vs upper-bounded-RHS comparison."""
-    rhs = Fraction(rhs_value)
-    return BoundReport(
-        bound_name=name,
-        parameters=parameters,
-        rhs_value=rhs_value,
-        observed=observed,
-        nontrivial=rhs < Fraction(size_w, 2),
-        holds=observed <= rhs,
-    )

@@ -14,13 +14,12 @@ field by squaring the (q-1)/(p-1) monic elements and filling in their F_p*
 multiples (characters.quad_table).  The first reduction, over the rows
 D_r, is the only one over p^{r-1} entries per row; it is a sum of at most
 p values in {-1, 0, 1} per entry and so runs in the narrowest signed
-integer type that holds -p, and a caller that counts a chain of boxes
-(suites.square_census) keeps it between censuses as FirstAxisSums, so the
-next census reads only the rows its D_r adds or drops.  The later
-reductions run in int64.  Larger fields and other bases walk the box once
-in blocks through quad_char_coords (the Legendre symbol of the norm N(x)
-above 2^20).  Sampling uses quad_char_coords too.  No path builds a
-discrete-log table.
+integer type that holds -p, and the field keeps it in ctx._cache between
+censuses as FirstAxisSums, so the next census reads only the rows its D_r
+adds or drops.  The later reductions run in int64.  Larger fields and
+other bases walk the box once in blocks through quad_char_coords (the
+Legendre symbol of the norm N(x) above 2^20).  Sampling uses
+quad_char_coords too.  No path builds a discrete-log table.
 Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
 in this module ever compares floats.
 """
@@ -82,20 +81,17 @@ class FirstAxisSums:
         self.rows, self.sq, self.chi = (), None, None
 
 
-def count_squares(box: Box, budget: int | None = None, *,
-                  running: FirstAxisSums | None = None) -> SquareCountReport:
+def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     """Exact square census of a box; refuses boxes larger than the budget.
 
-    running, if given, is the first-axis reduction the previous census of
-    a chain on box.ctx left behind; on the table path it is moved to this
-    box's last coordinate set and left there for the next census.  Without
-    it the census starts from an empty reduction and reads every row.
+    On the table path the field's FirstAxisSums, kept in ctx._cache, carries
+    the first-axis reduction from the field's previous census to this one.
     """
     ctx = box.ctx
     size = check_budget(box.size(), budget, what="exact square counting")
     zero_in = box.contains_zero()
     if ctx.q <= DLOG_CAP and ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r)):
-        count_q, char_sum = _table_sums(box, FirstAxisSums() if running is None else running)
+        count_q, char_sum = _table_sums(box)
     else:
         count_q = 0
         char_sum = 0
@@ -105,8 +101,8 @@ def count_squares(box: Box, budget: int | None = None, *,
             char_sum += int(vals.sum())
     z = 1 if zero_in else 0
     if 2 * count_q != size - z + char_sum:
-        if running is not None:
-            running.clear()  # the rows it holds may be the corrupted ones
+        if "first_axis" in ctx._cache:
+            ctx._cache["first_axis"].clear()  # the rows it holds may be the corrupted ones
         raise InvariantViolation(
             f"square-count identity violated: 2 * {count_q} != {size} - {z} + {char_sum}")
     return SquareCountReport(
@@ -119,28 +115,32 @@ def count_squares(box: Box, budget: int | None = None, *,
     )
 
 
-def _table_sums(box: Box, running: FirstAxisSums) -> tuple[int, int]:
+def _table_sums(box: Box) -> tuple[int, int]:
     """(count_q, char_sum) of a box, contracting the quad table axis by axis.
 
     Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
     the last coordinate: reduce it first, then the one before, and so on.
     The first reduction is the only one over p^{r-1} entries per row of
-    D_r, and running carries it from the previous census: the rows D_r
-    adds are added and the rows it drops subtracted, unless the two sets
-    differ in more rows than D_r has, when it restarts from zero.  Each of
-    its sums adds at most p values in {-1, 0, 1}, so it runs exactly in the
-    narrowest signed type that holds -p (int8 up to p = 127, int16 below
-    2^15, int32 above), over at most REDUCE_BLOCK table entries at a time.
-    The identity in count_squares therefore checks each table row when a
-    census of the chain first reads it.  The later axes sum in int64.
+    D_r, and the field's FirstAxisSums carries it from the previous census:
+    the rows D_r adds are added and the rows it drops subtracted.  It
+    restarts from zero when the two sets differ in more rows than D_r has,
+    or in none: a repeated set is counted afresh, since a census that read
+    no row would check none (square_census answers repeats from its report
+    cache).  Each of its sums adds at most p values in {-1, 0, 1}, so it
+    runs exactly in the narrowest signed type that holds -p (int8 up to
+    p = 127, int16 below 2^15, int32 above), over at most REDUCE_BLOCK
+    table entries at a time.  The identity in count_squares therefore
+    checks each table row when a census of the chain reads it.  The later
+    axes sum in int64.
     """
     ctx = box.ctx
     *rest, last = box.coordinate_sets()
     tab = quad_table(ctx).reshape(ctx.p, -1)
+    running = ctx._cache.setdefault("first_axis", FirstAxisSums())
     held, want = set(running.rows), set(last)
     add = [d for d in last if d not in held]
     drop = [d for d in running.rows if d not in want]
-    if running.sq is None or len(add) + len(drop) > len(last):
+    if running.sq is None or not 0 < len(add) + len(drop) <= len(last):
         acc = np.min_scalar_type(-ctx.p)
         running.sq = np.zeros(tab.shape[1], dtype=acc)
         running.chi = np.zeros(tab.shape[1], dtype=acc)

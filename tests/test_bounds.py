@@ -3,11 +3,11 @@
 The oracle here is mpmath.mp at 60 digits, evaluated directly from the
 formulas; the implementation must sit within a hair above (never below) the
 oracle value, because its contract is a certified upper bound.  The exact
-algebraic evaluators (thmA_rhs, thm1_rhs, thm2_rhs, lemma1_rhs, lemmaD_rhs,
-lemmaE_rhs) must moreover equal, float for float, the 40-digit interval
-evaluation they replaced, and the interval evaluators in their private
-context must equal their bodies in mpmath's global interval context
-(conftest oracles).
+algebraic evaluators (thmA_rhs, thmB_rhs, thm1_rhs, thm1_threshold,
+thm2_rhs, lemma1_rhs, lemmaD_rhs, lemmaE_rhs) must moreover equal, float for
+float, the 40-digit interval evaluation they replaced, and the interval
+evaluators in their private context must equal their bodies in mpmath's
+global interval context (conftest oracles).
 """
 
 import math
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath import iv, mp, mpf
 
-from digitsquares import (CycloSum, HypothesisNotMet, check_bound, corC_rhs,
+from digitsquares import (CycloSum, HypothesisNotMet, corC_rhs,
                           thm1_hypothesis, thm1_rhs, thm1_threshold, thm2_Cr,
                           thm2_best, thm2_rhs, thm2_threshold,
                           thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
@@ -346,6 +346,18 @@ class TestExactAlgebraicBounds:
         for fn, args in calls:
             assert fn.__wrapped__(*args) == interval_rhs[fn.__name__](*args), (fn.__name__, args)
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from([p for p in PRIMES_BELOW_1100 if p >= 5]),
+           r=st.integers(2, 16), data=st.data())
+    def test_thmB_and_thm1_threshold_match_global_interval_oracle(
+            self, global_iv_evaluators, p, r, data):
+        assert (thm1_threshold.__wrapped__(p, r)
+                == global_iv_evaluators["thm1_threshold"](p, r)), (p, r)
+        t = data.draw(st.integers(2, p - 2), label="t")
+        rb = data.draw(st.integers(1, 8), label="r_B")
+        assert (thmB_rhs.__wrapped__(p, rb, t)
+                == global_iv_evaluators["thmB_rhs"](p, rb, t)), (p, rb, t)
+
     def test_lemmaE_at_square_q_is_the_integer(self):
         # (t - t0 - 1) sqrt(q) + t0 + 1 = 2 * 5 + 1 + 1 at q = 25: no ulp above
         assert lemmaE_rhs(25, 4, 1) == 12.0
@@ -458,24 +470,6 @@ class TestPrivateIntervalContext:
                     for const in (1.0, 2.5):
                         self.assert_same(corC_rhs, global_iv_evaluators["corC_rhs"],
                                          p, r, t, eps, const)
-
-
-class TestCheckBound:
-    def test_holds_and_nontrivial_flags(self):
-        rep = check_bound("ThmA", {"p": 5}, rhs_value=2.0, observed=Fraction(3, 2), size_w=10)
-        assert rep.holds and rep.nontrivial
-        assert rep.slack == pytest.approx(0.75)
-        rep2 = check_bound("ThmA", {}, rhs_value=1.0, observed=Fraction(3, 2), size_w=2)
-        assert not rep2.holds and not rep2.nontrivial
-        rep3 = check_bound("ThmA", {}, rhs_value=5.0, observed=Fraction(0), size_w=10)
-        assert rep3.holds and not rep3.nontrivial  # rhs = |W| / 2 is not below it
-
-    def test_exact_comparison_at_boundary(self):
-        # observed equal to rhs counts as holding; a hair above does not
-        rep = check_bound("Thm1", {}, rhs_value=1.5, observed=Fraction(3, 2), size_w=10)
-        assert rep.holds
-        rep = check_bound("Thm1", {}, rhs_value=1.5, observed=Fraction(3, 2) + Fraction(1, 10 ** 12), size_w=10)
-        assert not rep.holds
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,21 @@ class TestRunConfig:
         assert list(csv.reader(io.StringIO(out)))[1:] == [
             ["identity", "5", "2", f"error:ValueError:{message}", "", "", "", "fail"]]
 
+    def test_corrupted_quad_table_is_the_tasks_error_row(self, capsys, monkeypatch):
+        real = counting.quad_table
+
+        def corrupted(ctx):
+            tab = real(ctx).copy()
+            tab[ctx.from_coords((1, 1)).idx] = 0  # a nonzero element classified as zero
+            return tab
+
+        monkeypatch.setattr(counting, "quad_table", corrupted)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identity", "--p", "5", "--r", "2")
+        assert code == 1
+        [row] = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[:3] == ["identity", "5", "2"] and row[-1] == "fail"
+        assert row[3].startswith("error:InvariantViolation:square-count identity violated")
+
     def test_p_two_stays_an_error_row(self):
         rows, code = run_config(SweepConfig(ps=[2], rs=[1], suites=["identity"]))
         assert code == 1
@@ -560,7 +575,8 @@ import contextlib, io, sys
 import digitsquares.cli
 assert "mpmath" not in sys.modules, "imported by digitsquares.cli"
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [digitsquares.cli.main(["verify", "--suite", "identity,est1,thmA,thm1",
+    codes = [digitsquares.cli.main(["verify", "--suite",
+                                    "identity,est1,thmA,thm1,thm1-existence",
                                     "--p", "101", "--r", "3"]),
              digitsquares.cli.main(["estimate", "--p", "101", "--r", "20", "--digits", "0-46",
                                     "--n", "300", "--seed", "0"])]
@@ -577,6 +593,6 @@ def test_census_and_estimate_never_import_mpmath():
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the later interval evaluation still runs at 40 digits (at mpmath's default
-    # 53 bits this value would be 121.85820068498376)
+    # the later interval evaluation of C(p, t) still runs at 40 digits (at
+    # mpmath's default 53 bits this value would be 121.85820068498386)
     assert proc.stdout.strip() == repr(bounds.thmB_rhs(5, 3, 2)) == "121.85820068498374"

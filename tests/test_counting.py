@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from digitsquares import (DigitBox, IntervalBox, count_squares, counting,
                           estimate_square_fraction, make_field)
 from digitsquares.characters import DLOG_CAP, quad_table
-from digitsquares.counting import FirstAxisSums
 from digitsquares.errors import InvariantViolation
 from digitsquares.suites import square_census
 
@@ -232,37 +231,38 @@ class TestWhichPathCounts:
             count_squares(box)
 
 
-def run_chain(ctx, walk_census, sequence):
-    """Count the digit sets of sequence in order on ctx, twice: through
-    square_census (a repeated set is a report-cache hit) and through
-    count_squares with one FirstAxisSums (a repeated set is an empty row
-    delta).  Each census must equal a fresh count_squares and the walk."""
-    running = FirstAxisSums()
-    oracle = {}
+def run_chain(p, r, walk_census, sequence):
+    """Count the digit sets of sequence in order on two fresh copies of
+    F_{p^r}: through square_census (a repeated set is a report-cache hit)
+    and through direct count_squares calls, each carrying its own field's
+    first-axis reduction from one set to the next.  Each census must equal
+    the walk; the direct chain's FirstAxisSums is returned."""
+    cached, direct = make_field(p, r), make_field(p, r)
+    walks = {}
     for ds in sequence:
         ds = tuple(ds)
-        box = DigitBox.uniform(ctx, ds)
-        if ds not in oracle:
-            oracle[ds] = count_squares(box)
-            assert (oracle[ds].count_q, oracle[ds].char_sum) == walk_census(box), ds
-        assert square_census(ctx, ds, None) == oracle[ds], ds
-        assert count_squares(box, running=running) == oracle[ds], ds
-        assert running.rows == tuple(sorted(set(ds)))
-    return running
+        box = DigitBox.uniform(direct, ds)
+        if ds not in walks:
+            walks[ds] = walk_census(box)
+        rep = count_squares(box)
+        assert (rep.count_q, rep.char_sum) == walks[ds], ds
+        assert square_census(cached, ds, None) == rep, ds
+        assert direct._cache["first_axis"].rows == tuple(sorted(set(ds)))
+    return direct._cache["first_axis"]
 
 
 class TestCensusChain:
     """Censuses that carry the first-axis reduction from one digit set to
-    the next (suites.square_census) against fresh censuses and the walk.
-    Each test builds its own field: the chain lives in ctx._cache."""
+    the next against the walk.  Each chain runs on fields of its own: it
+    lives in ctx._cache."""
 
     CHAIN_FIELDS = [(7, 1), (101, 1), (3, 5), (5, 4), (13, 3), (101, 2)]
 
     @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
     def test_intervals_up_then_down(self, walk_census, p, r):
         up = [range(t) for t in range(1, p + 1)]
-        run_chain(make_field(p, r), walk_census, up + up[::-1])
-        run_chain(make_field(p, r), walk_census, up[::-1] + up)
+        run_chain(p, r, walk_census, up + up[::-1])
+        run_chain(p, r, walk_census, up[::-1] + up)
 
     @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
     def test_repeated_disjoint_and_complementary_sets(self, walk_census, p, r):
@@ -270,24 +270,47 @@ class TestCensusChain:
         evens, odds = range(0, p, 2), range(1, p, 2)
         sequence = [low, low, high, low, evens, odds, evens, evens, range(p),
                     (0,), (p - 1,), (0,), high, range(p), low]
-        run_chain(make_field(p, r), walk_census, sequence)
+        run_chain(p, r, walk_census, sequence)
 
     @pytest.mark.parametrize("p,r", CHAIN_FIELDS)
     def test_seeded_random_sets(self, walk_census, p, r):
         rng = np.random.default_rng([23, p, r])
         sequence = [rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
                     for _ in range(25)]
-        run_chain(make_field(p, r), walk_census, sequence)
+        run_chain(p, r, walk_census, sequence)
 
     @pytest.mark.parametrize("p,acc", [(127, np.int8), (131, np.int16)])
     def test_full_and_half_sets_at_the_accumulator_edges(self, walk_census, p, acc):
         # r = 2: a full column holds p - 1 squares or p - 1 nonsquares, the
         # largest first-axis sum the accumulator ever holds
         full, half, rest = range(p), range((p + 1) // 2), range((p + 1) // 2, p)
-        running = run_chain(make_field(p, 2), walk_census,
+        running = run_chain(p, 2, walk_census,
                             [full, half, full, half, rest, half, full, rest, full])
         assert running.sq.dtype == running.chi.dtype == acc
         assert np.abs(running.chi).max() == p - 1
+
+    def test_direct_censuses_read_only_the_rows_a_set_adds(self, monkeypatch):
+        read = []
+        real = counting._add_rows
+
+        def spy(running, tab, rows, op):
+            read.append(list(rows))
+            return real(running, tab, rows, op)
+
+        monkeypatch.setattr(counting, "_add_rows", spy)
+        ctx = make_field(13, 2)
+        count_squares(DigitBox.uniform(ctx, range(5)))
+        assert read == [[0, 1, 2, 3, 4], []]
+        read.clear()
+        rep = count_squares(DigitBox.uniform(ctx, range(7)))
+        assert read == [[5, 6], []]
+        assert rep == count_squares(DigitBox.uniform(make_field(13, 2), range(7)))
+        read.clear()
+        count_squares(DigitBox.uniform(ctx, (2, 3, 4, 5, 6, 7)))
+        assert read == [[7], [0, 1]]
+        read.clear()
+        count_squares(DigitBox.uniform(ctx, (2, 3, 4, 5, 6, 7)))
+        assert read == [[2, 3, 4, 5, 6, 7], []]  # a repeated set is read afresh
 
     def test_corrupting_a_row_the_chain_has_not_read_raises_when_added(self):
         ctx = make_field(5, 2)  # fresh: the corruption must not reach shared fields

@@ -12,9 +12,13 @@ renders each value type to.
 
 The energy suite's exact counts are pinned on fields on both sides of the
 2^20 table cap, as recorded when it still forked on q.
+
+A bound row's verdict is the exact comparison of a rational deviation with
+a float right-hand side (suites._bound_row).
 """
 
 import hashlib
+import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -22,6 +26,7 @@ import pytest
 
 from digitsquares.cli import SweepConfig, main, run_config
 from digitsquares.reporting import fmt_value, rows_to_csv
+from digitsquares.suites import TaskOptions, _bound_row
 
 CENSUS_SUITES = ("identity", "est1", "thmA", "thmB", "thm1", "thm1-existence",
                  "thm2", "corC-report")
@@ -90,6 +95,35 @@ def test_hypothesis_skip_wins_over_budget(census_rows):
     rows = {(row.suite, row.p, row.r, row.instance) for row in census_rows}
     assert ("thmB", 53, 3, "0-51;C(p,t) undefined at t=p-1") in rows
     assert ("thmB", 53, 3, "0-50;budget") in rows
+
+
+class TestBoundRow:
+    """_bound_row compares the exact deviation with the float bound exactly."""
+
+    OPTS = TaskOptions(p=5, r=2)
+
+    def row(self, observed, rhs):
+        return _bound_row("thmA", self.OPTS, "0-2", observed, rhs)
+
+    def test_holds_and_slack(self):
+        row = self.row(Fraction(3, 2), 2.0)
+        assert row.verdict == "pass" and row.slack == 0.75
+        assert (row.lhs, row.rhs) == (Fraction(3, 2), 2.0)
+        assert self.row(Fraction(3, 2), 1.0).verdict == "fail"
+        row = self.row(Fraction(0), 5.0)
+        assert row.verdict == "pass" and row.slack == 0.0
+
+    def test_exact_comparison_at_boundary(self):
+        # observed equal to rhs counts as holding; a hair above does not
+        assert self.row(Fraction(3, 2), 1.5).verdict == "pass"
+        assert self.row(Fraction(3, 2) + Fraction(1, 10 ** 12), 1.5).verdict == "fail"
+
+    def test_infinite_and_zero_rhs(self):
+        row = self.row(Fraction(7, 2), math.inf)
+        assert row.verdict == "pass" and row.slack == 0.0
+        row = self.row(Fraction(1, 2), 0.0)
+        assert row.verdict == "fail" and row.slack == math.inf
+        assert self.row(Fraction(0), 0.0).as_strings()[-2:] == ["inf", "pass"]
 
 
 @pytest.mark.parametrize("fields,digest", [

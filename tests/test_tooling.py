@@ -43,6 +43,14 @@ def test_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_exported_name_resolves():
+    import digitsquares
+
+    missing = [name for name in digitsquares.__all__ if not hasattr(digitsquares, name)]
+    assert not missing, missing
+    assert len(set(digitsquares.__all__)) == len(digitsquares.__all__)
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
