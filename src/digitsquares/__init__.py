@@ -19,8 +19,8 @@ from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, conjugates, element_degree,
                      frobenius, is_generator, make_field)
 from .oracles import (DeltaReport, EnergyReport, LemmaReport, delta_H,
-                      energy_count, lemma1_check, lemmaD_check, lemmaD_reports,
-                      lemmaE_check, subfield_partition)
+                      energy_count, lemma1_check, lemma1_reports, lemmaD_check,
+                      lemmaD_reports, lemmaE_check, subfield_partition)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,8 @@ __all__ = [
     "count_squares", "delta_H", "element_degree", "energy_count",
     "enumerate_box", "estimate_square_fraction", "field_generator",
     "format_digit_set", "frobenius", "is_generator", "lemma1_check",
-    "lemmaD_check", "lemmaD_reports", "lemmaE_check", "make_char", "make_field",
+    "lemma1_reports", "lemmaD_check", "lemmaD_reports", "lemmaE_check",
+    "make_char", "make_field",
     "parse_digit_spec", "quad_char_coords", "sample_uniform", "split_box",
     "subfield_partition",
     "thm1_hypothesis", "thm1_rhs", "thm1_threshold", "thm2_Cr", "thm2_best",

@@ -25,12 +25,16 @@ multiplicities of the s-th roots of unity.  Whether a sum vanishes is
 decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
 O(s) steps per prime factor of s.  Its magnitude is certified in interval
 arithmetic at bounds.IV_PREC = 136 bits, the precision of every interval
-bound, run directly on mpmath.libmp endpoint pairs with the precision
-passed to every call, so no mpmath context is read or written; mpmath is
-imported by the first magnitude that needs it, and no other function here
-uses it.  Lower endpoints are rounded toward -inf and upper ones toward
-+inf, and the result is rounded outward to floats, so a reported bound
-violation can never be a rounding artifact.
+bound.  The sum of c * (cos, sin) over the roots runs on integer
+mantissa-exponent pairs, replaying the directed rounding of mpmath.libmp
+step by step; libmp, called with the precision passed explicitly so no
+mpmath context is read or written, serves only the unit roots (one
+mpi_cos_sin per root, cached, and shared by orders s and s / 2^j where
+the angles are the same bit for bit) and the final square root.  mpmath
+is imported by the first magnitude that needs it, and no other function
+here uses it.  Lower endpoints are rounded toward -inf and upper ones
+toward +inf, and the result is rounded outward to floats, so a reported
+bound violation can never be a rounding artifact.
 """
 
 from __future__ import annotations
@@ -74,6 +78,21 @@ def _unit_root(s: int, k: int):
     pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
     ang = mpi_mul(mpi_mul(_point(2), pi, prec), _point(k), prec)
     return mpi_cos_sin(mpi_div(ang, _point(s), prec), prec)
+
+
+def _root(s: int, k: int):
+    """_unit_root(s, k), looked up with the power of two common to s and k
+    removed, and (s, 0) as (1, 0).
+
+    Both pairs build the same angle interval bit for bit: rounding to
+    IV_PREC significant bits commutes with scaling by 2^j, in the multiply
+    by k and in the divide by s, and the angle of (s, 0) is [0, 0].  An odd
+    common factor does not commute with the divide, so it stays.
+    """
+    if not k:
+        return _unit_root(1, 0)
+    two = (s | k) & -(s | k)
+    return _unit_root(s // two, k // two)
 
 
 class CycloSum:
@@ -151,46 +170,81 @@ class CycloSum:
     def magnitude_interval(self):
         """Certified (lower, upper) float bounds on |value|.
 
-        Orders 1 and 2 are exact.  Above them the sum is evaluated at
-        IV_PREC = 136 bits, the precision passed explicitly to each libmp
-        call: every term c * (cos, sin) and every partial sum has its lower
-        endpoint rounded toward -inf and its upper one toward +inf (a
-        negative c swaps the endpoints it multiplies), then re^2 + im^2 and
-        its square root are taken on intervals, and the two endpoints are
-        rounded to floats outward (floor and ceiling).  The operation
-        sequence is the one mpmath's interval context runs at 40 digits, so
-        the result equals it bit for bit.
+        Orders 1 and 2 are exact.  Above them re^2 + im^2 and its square
+        root are taken on the intervals of _sum_intervals, and the two
+        endpoints are rounded to floats outward (floor and ceiling).  The
+        operation sequence is the one mpmath's interval context runs at 40
+        digits, so the result equals it bit for bit.  libmp serves only
+        the unit roots (_unit_root) and, once per sum, the squares, their
+        sum, the square root and the rounding to floats.
         """
         if self.order <= 2:
             m = float(abs(self.value_int()))
             return m, m
-        from mpmath.libmp import (fzero, mpf_add, mpf_mul_int, mpi_add, mpi_pow_int,
-                                  mpi_sqrt, round_ceiling, round_floor, to_float)
+        from mpmath.libmp import (mpi_add, mpi_pow_int, mpi_sqrt, round_ceiling,
+                                  round_floor, to_float)
 
         prec = IV_PREC
-        re_lo = re_hi = im_lo = im_hi = fzero
+        re, im = self._sum_intervals()
+        # squaring (not self-multiplication) keeps each interval square nonnegative
+        lo, hi = mpi_sqrt(mpi_add(mpi_pow_int(re, 2, prec),
+                                  mpi_pow_int(im, 2, prec), prec), prec)
+        return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+
+    def _sum_intervals(self):
+        """libmp intervals (re, im) of sum_k counts[k] * (cos, sin)(2 pi k / s).
+
+        Evaluated at IV_PREC = 136 bits: every term and every partial sum
+        has its lower endpoint rounded toward -inf and its upper one toward
+        +inf (a negative c swaps the endpoints it multiplies).  The four
+        sums run on plain integers, each a pair (m, e) with value m * 2^e.
+        The upper sums are kept negated, since ceil(x) = -floor(-x), so
+        every rounding is toward -inf.  Each step forms the exact product
+        of c (-c for an upper sum) with the endpoint's signed mantissa,
+        rounds it to IV_PREC bits with one shift (m >> sh is floor for
+        either sign), adds it to the sum exactly by aligning exponents, and
+        rounds the sum the same way.  Both roundings are the correctly
+        rounded results that mpf_mul_int and mpf_add return (mpf_add's
+        shortcut for a far smaller addend rounds the same), so every
+        endpoint equals theirs.
+        """
+        from mpmath.libmp import from_man_exp
+
+        prec = IV_PREC
+        s = self.order
+        # [mantissa, exponent] of re lower, -(re upper), im lower, -(im upper)
+        acc = [[0, 0], [0, 0], [0, 0], [0, 0]]
         for k, c in enumerate(self.counts):
             if not c:
                 continue
             c = operator.index(c)
             if abs(c) >> prec:
                 raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
-            (cos_lo, cos_hi), (sin_lo, sin_hi) = _unit_root(self.order, k)
+            (cos_lo, cos_hi), (sin_lo, sin_hi) = _root(s, k)
             if c < 0:  # c * [a, b] = [c b, c a]
                 cos_lo, cos_hi = cos_hi, cos_lo
                 sin_lo, sin_hi = sin_hi, sin_lo
-            re_lo = mpf_add(re_lo, mpf_mul_int(cos_lo, c, prec, round_floor),
-                            prec, round_floor)
-            re_hi = mpf_add(re_hi, mpf_mul_int(cos_hi, c, prec, round_ceiling),
-                            prec, round_ceiling)
-            im_lo = mpf_add(im_lo, mpf_mul_int(sin_lo, c, prec, round_floor),
-                            prec, round_floor)
-            im_hi = mpf_add(im_hi, mpf_mul_int(sin_hi, c, prec, round_ceiling),
-                            prec, round_ceiling)
-        # squaring (not self-multiplication) keeps each interval square nonnegative
-        lo, hi = mpi_sqrt(mpi_add(mpi_pow_int((re_lo, re_hi), 2, prec),
-                                  mpi_pow_int((im_lo, im_hi), 2, prec), prec), prec)
-        return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+            for slot, (sign, m, e, _), f in zip(acc, (cos_lo, cos_hi, sin_lo, sin_hi),
+                                                (c, -c, c, -c)):
+                m *= -f if sign else f
+                sh = m.bit_length() - prec
+                if sh > 0:
+                    m >>= sh
+                    e += sh
+                am, ae = slot
+                if ae > e:
+                    am = (am << (ae - e)) + m
+                    ae = e
+                else:
+                    am += m << (e - ae)
+                sh = am.bit_length() - prec
+                if sh > 0:
+                    am >>= sh
+                    ae += sh
+                slot[0], slot[1] = am, ae
+        (rl, rle), (rh, rhe), (il, ile), (ih, ihe) = acc
+        return ((from_man_exp(rl, rle), from_man_exp(-rh, rhe)),
+                (from_man_exp(il, ile), from_man_exp(-ih, ihe)))
 
     def __eq__(self, other):
         return (isinstance(other, CycloSum) and self.order == other.order

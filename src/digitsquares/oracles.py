@@ -11,7 +11,8 @@ HypothesisNotMet so sweep drivers can mark the row skipped rather than
 failed.  lemmaD_reports proves the Lemma D hypotheses once for all its
 pairs and yields only instances of the lemma, so its suite skips no pair;
 a walk over the whole field that exceeds the budget is refused once per
-task, before any check runs (see suites).
+task, before any check runs (see suites).  lemma1_reports likewise counts
+its sum once for every nu it reports on.
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -213,8 +214,13 @@ def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
                         lead * 4 * nu * size_v ** (2 * nu), q, 2 * nu)
 
 
-def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:
-    """|sum_{u in U} sum_{v in V} chi(u + v)| against the moment bound."""
+def lemma1_reports(ctx: FieldCtx, U, V, nus):
+    """Yield one report per nu in nus: |sum_{u in U} sum_{v in V} chi(u + v)|
+    against the moment bound.
+
+    The sum does not depend on nu, so it is counted once, from one
+    quad_char_coords call over the |U| |V| sums u + v.
+    """
     u_idx = np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in U],
                        dtype=np.int64)
     v_idx = np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in V],
@@ -225,10 +231,16 @@ def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:
     cv = vec_decode(ctx, v_idx)
     sums = ((cu[:, None, :] + cv[None, :, :]) % ctx.p).reshape(-1, ctx.r)
     lhs = abs(int(quad_char_coords(ctx, sums).sum()))
-    rhs = lemma1_rhs(ctx.q, nu, u_idx.size, v_idx.size)
-    params = {"nu": nu, "size_u": int(u_idx.size), "size_v": int(v_idx.size),
-              "p": ctx.p, "r": ctx.r}
-    return LemmaReport("1", params, lhs=float(lhs), rhs=rhs, holds=lhs <= rhs)
+    for nu in nus:
+        rhs = lemma1_rhs(ctx.q, nu, u_idx.size, v_idx.size)
+        params = {"nu": nu, "size_u": int(u_idx.size), "size_v": int(v_idx.size),
+                  "p": ctx.p, "r": ctx.r}
+        yield LemmaReport("1", params, lhs=float(lhs), rhs=rhs, holds=lhs <= rhs)
+
+
+def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:
+    """|sum_{u in U} sum_{v in V} chi(u + v)| against the moment bound, for one nu."""
+    return next(lemma1_reports(ctx, U, V, (nu,)))
 
 
 # ---------------------------------------------------------------------------

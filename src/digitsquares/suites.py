@@ -48,7 +48,7 @@ from .characters import make_char
 from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
 from .fields import FieldCtx, FieldElem, divisors, make_field
-from .oracles import (delta_H, energy_count, generator_elements, lemma1_check,
+from .oracles import (delta_H, energy_count, generator_elements, lemma1_reports,
                       lemmaD_reports, lemmaE_check, subfield_partition)
 from .reporting import Row, slack_of
 
@@ -187,12 +187,19 @@ def _census(suite, opts, ctx, instances, rows_of, rhs_of=None, hyp_note=None) ->
 def _bound_row(suite, opts, label, observed: Fraction, rhs: float) -> Row:
     """An exact deviation against a certified float bound.
 
-    A Fraction compares with a float exactly, so the verdict is never a
-    rounding artifact; the slack is observed / rhs, or inf at rhs = 0.
+    A finite rhs is the ratio a / b of two integers, so n / d <= a / b is
+    decided as n b <= a d on integers (both denominators are positive), and
+    the verdict is never a rounding artifact; rhs = inf passes.  The slack
+    is observed / rhs, or inf at rhs = 0.
     """
+    if math.isfinite(rhs):
+        a, b = rhs.as_integer_ratio()
+        holds = observed.numerator * b <= a * observed.denominator
+    else:
+        holds = rhs > 0
     return Row(suite, opts.p, opts.r, label, lhs=observed, rhs=rhs,
                slack=float(observed) / rhs if rhs else math.inf,
-               verdict="pass" if observed <= rhs else "fail")
+               verdict="pass" if holds else "fail")
 
 
 def suite_identity(opts: TaskOptions) -> list[Row]:
@@ -365,6 +372,7 @@ def suite_lemmaE(opts: TaskOptions) -> list[Row]:
 
 
 def suite_lemma1(opts: TaskOptions) -> list[Row]:
+    """Seeded (U, V) pairs, one row per nu = 1, 2, 3 from one sum per pair."""
     _needs_seed(opts, "random (U, V) pairs")
     ctx = live_field(opts.p, opts.r)
     trials = opts.trials if opts.trials is not None else 100
@@ -376,10 +384,9 @@ def suite_lemma1(opts: TaskOptions) -> list[Row]:
         sv = int(rng.integers(1, cap + 1))
         U = [FieldElem(ctx, int(ix)) for ix in rng.choice(ctx.q, size=su, replace=False)]
         V = [FieldElem(ctx, int(ix)) for ix in rng.choice(ctx.q, size=sv, replace=False)]
-        for nu in (1, 2, 3):
-            rep = lemma1_check(ctx, U, V, nu)
-            rows.append(_lemma_row("lemma1", opts,
-                                   f"trial{i};|U|={su};|V|={sv};nu={nu}", rep))
+        for rep in lemma1_reports(ctx, U, V, (1, 2, 3)):
+            rows.append(_lemma_row("lemma1", opts, f"trial{i};|U|={su};|V|={sv};"
+                                   f"nu={rep.parameters['nu']}", rep))
     return rows
 
 

@@ -1,13 +1,14 @@
 import contextlib
 import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
 import pytest
 
-from digitsquares import HypothesisNotMet, LemmaReport, make_field
-from digitsquares.bounds import _iv, _upper
+from digitsquares import HypothesisNotMet, LemmaReport, characters, make_field
+from digitsquares.bounds import IV_PREC, _iv, _upper
 from digitsquares.boxes import poly_blocks
 from digitsquares.characters import CycloSum, make_char, quad_char_coords
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
@@ -381,3 +382,60 @@ def pairwise_lemmaD_check():
     """Oracle for oracles.lemmaD_check and lemmaD_reports: the per-pair body
     they replaced."""
     return _pairwise_lemmaD_check
+
+
+def _sum_intervals_libmp(total: CycloSum):
+    """CycloSum._sum_intervals as one libmp mpf_mul_int and mpf_add per
+    endpoint and term, on the unit root of the unreduced (s, k)."""
+    from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_ceiling, round_floor
+
+    prec = IV_PREC
+    re_lo = re_hi = im_lo = im_hi = fzero
+    for k, c in enumerate(total.counts):
+        if not c:
+            continue
+        c = operator.index(c)
+        if abs(c) >> prec:
+            raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
+        (cos_lo, cos_hi), (sin_lo, sin_hi) = characters._unit_root(total.order, k)
+        if c < 0:  # c * [a, b] = [c b, c a]
+            cos_lo, cos_hi = cos_hi, cos_lo
+            sin_lo, sin_hi = sin_hi, sin_lo
+        re_lo = mpf_add(re_lo, mpf_mul_int(cos_lo, c, prec, round_floor),
+                        prec, round_floor)
+        re_hi = mpf_add(re_hi, mpf_mul_int(cos_hi, c, prec, round_ceiling),
+                        prec, round_ceiling)
+        im_lo = mpf_add(im_lo, mpf_mul_int(sin_lo, c, prec, round_floor),
+                        prec, round_floor)
+        im_hi = mpf_add(im_hi, mpf_mul_int(sin_hi, c, prec, round_ceiling),
+                        prec, round_ceiling)
+    return (re_lo, re_hi), (im_lo, im_hi)
+
+
+def _magnitude_interval_libmp(total: CycloSum):
+    """CycloSum.magnitude_interval with the libmp loop of _sum_intervals_libmp."""
+    if total.order <= 2:
+        m = float(abs(total.value_int()))
+        return m, m
+    from mpmath.libmp import (mpi_add, mpi_pow_int, mpi_sqrt, round_ceiling,
+                              round_floor, to_float)
+
+    prec = IV_PREC
+    re, im = _sum_intervals_libmp(total)
+    # squaring (not self-multiplication) keeps each interval square nonnegative
+    lo, hi = mpi_sqrt(mpi_add(mpi_pow_int(re, 2, prec),
+                              mpi_pow_int(im, 2, prec), prec), prec)
+    return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+
+
+@pytest.fixture(scope="session")
+def magnitude_interval_libmp():
+    """Oracle for CycloSum.magnitude_interval: the libmp loop its integer
+    sums replaced, every step rounded by mpf_mul_int and mpf_add."""
+    return _magnitude_interval_libmp
+
+
+@pytest.fixture(scope="session")
+def sum_intervals_libmp():
+    """Oracle for CycloSum._sum_intervals, endpoint for endpoint."""
+    return _sum_intervals_libmp

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import random
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -138,6 +140,60 @@ def oracle_rows(ctx, n, seed):
     rows[:4] = 0
     rows[1, 0], rows[2, 0], rows[3, 0] = 1, ctx.p - 1, min(2, ctx.p - 1)
     return rows
+
+
+@pytest.fixture(scope="session")
+def assert_same_as_libmp(magnitude_interval_libmp, sum_intervals_libmp):
+    """Every 136-bit endpoint of the re and im sums, and the float magnitude,
+    equal those of the libmp loop."""
+    def check(total):
+        assert total._sum_intervals() == sum_intervals_libmp(total)
+        assert total.magnitude_interval() == magnitude_interval_libmp(total)
+    return check
+
+
+@pytest.fixture(scope="module")
+def artefact_sums(field):
+    """Sums whose printed magnitude is an artefact of the interval width."""
+    cases = []
+    # exact zeros, printed as the midpoint of the interval width
+    for c in (1, 7, 4096, 999983, 10 ** 6):
+        cases += [CycloSum(s, [c] * s) for s in (3, 4, 6, 12, 13, 30, 60, 168)]
+        cases += [CycloSum(s, [-c] * s) for s in (3, 12, 60)]
+        cases += [CycloSum(4, [c, 0, c, 0]), CycloSum(6, [c, 0, 0, c, 0, 0]),
+                  CycloSum(6, [0, c, 0, c, 0, c]), CycloSum(12, [c, 0] * 6)]
+    # zeros with counts of either sign: coset relations up to 2^20
+    rng = np.random.default_rng(41)
+    for s in (4, 6, 12, 30, 60, 84, 168):
+        weights = rng.integers(-(1 << 20), (1 << 20) + 1, size=coset_count(s))
+        cases.append(CycloSum(s, coset_relation(s, [int(w) for w in weights])))
+    # |sum|^2 = q from seeded Lemma E instances on F_13^2
+    ctx = field(13, 2)
+    sums = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(oracles, "_report",
+                            lambda lemma, params, total, rhs: sums.append(total))
+        rng = np.random.default_rng(13)
+        divs = [s for s in divisors(ctx.q - 1) if s > 2]
+        for _ in range(40):
+            t = int(rng.integers(1, 4))
+            chars = [make_char(ctx, int(s), int(rng.integers(1, s)))
+                     for s in rng.choice(divs, size=t)]
+            shifts = [FieldElem(ctx, int(ix))
+                      for ix in rng.choice(ctx.q, size=t, replace=False)]
+            oracles.lemmaE_check(ctx, chars, shifts)
+    root_q = [total for total in sums
+              if (squared_magnitude(total)
+                  + CycloSum(total.order, [-ctx.q] + [0] * (total.order - 1))).is_zero()]
+    assert len(root_q) >= 10
+    cases += root_q
+    # counts of either sign up to 2^20
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        order = int(rng.integers(3, 121))
+        counts = rng.integers(-(1 << 20), (1 << 20) + 1, size=order)
+        cases.append(CycloSum(order, [int(c) for c in counts * (rng.random(order) < 0.5)]))
+    return cases
 
 
 class TestQuadChar:
@@ -447,47 +503,117 @@ class TestCycloSum:
         finally:
             iv.prec = saved
 
-    def test_magnitude_interval_matches_uncached_on_artefact_classes(self, field,
-                                                                     monkeypatch):
-        cases = []
-        # exact zeros, printed as the midpoint of the interval width
-        for c in (1, 7, 4096, 999983, 10 ** 6):
-            cases += [CycloSum(s, [c] * s) for s in (3, 4, 6, 12, 13, 30, 60, 168)]
-            cases += [CycloSum(s, [-c] * s) for s in (3, 12, 60)]
-            cases += [CycloSum(4, [c, 0, c, 0]), CycloSum(6, [c, 0, 0, c, 0, 0]),
-                      CycloSum(6, [0, c, 0, c, 0, c]), CycloSum(12, [c, 0] * 6)]
-        # zeros with counts of either sign: coset relations up to 2^20
-        rng = np.random.default_rng(41)
-        for s in (4, 6, 12, 30, 60, 84, 168):
-            weights = rng.integers(-(1 << 20), (1 << 20) + 1, size=coset_count(s))
-            cases.append(CycloSum(s, coset_relation(s, [int(w) for w in weights])))
-        # |sum|^2 = q from seeded Lemma E instances on F_13^2
-        ctx = field(13, 2)
-        sums = []
-        monkeypatch.setattr(oracles, "_report",
-                            lambda lemma, params, total, rhs: sums.append(total))
-        rng = np.random.default_rng(13)
-        divs = [s for s in divisors(ctx.q - 1) if s > 2]
-        for _ in range(40):
-            t = int(rng.integers(1, 4))
-            chars = [make_char(ctx, int(s), int(rng.integers(1, s)))
-                     for s in rng.choice(divs, size=t)]
-            shifts = [FieldElem(ctx, int(ix))
-                      for ix in rng.choice(ctx.q, size=t, replace=False)]
-            oracles.lemmaE_check(ctx, chars, shifts)
-        root_q = [total for total in sums
-                  if (squared_magnitude(total)
-                      + CycloSum(total.order, [-ctx.q] + [0] * (total.order - 1))).is_zero()]
-        assert len(root_q) >= 10
-        cases += root_q
-        # counts of either sign up to 2^20
-        rng = np.random.default_rng(20)
-        for _ in range(40):
-            order = int(rng.integers(3, 121))
-            counts = rng.integers(-(1 << 20), (1 << 20) + 1, size=order)
-            cases.append(CycloSum(order, [int(c) for c in counts * (rng.random(order) < 0.5)]))
-        for total in cases:
+    def test_magnitude_interval_matches_uncached_on_artefact_classes(self, artefact_sums):
+        for total in artefact_sums:
             assert total.magnitude_interval() == magnitude_interval_uncached(total)
+
+    def test_sum_intervals_match_libmp_on_artefact_classes(self, artefact_sums,
+                                                           assert_same_as_libmp):
+        for total in artefact_sums:
+            assert_same_as_libmp(total)
+
+    def test_sum_intervals_match_libmp_at_the_refusal_edge(self, assert_same_as_libmp):
+        big = (1 << characters.IV_PREC) - 1
+        cases = []
+        for s in (3, 4, 5, 8, 12, 24, 60, 168, 400):
+            cases += [CycloSum(s, [big] * s), CycloSum(s, [-big] * s),
+                      CycloSum(s, [big, -big] * (s // 2) + [big] * (s % 2))]
+            # a term 2^136 (at s / 4: 2^272) times smaller than the sum it joins
+            for k in {1, s // 4, s // 2}:
+                counts = [0] * s
+                counts[0], counts[k] = big, 1
+                cases += [CycloSum(s, counts), CycloSum(s, [-c for c in counts])]
+        for total in cases:
+            assert_same_as_libmp(total)
+
+    def test_sum_intervals_match_libmp_seeded_up_to_order_400(self, assert_same_as_libmp):
+        rnd = random.Random(400)
+        for _ in range(30):
+            order = rnd.randrange(3, 401)
+            counts = [0] * order
+            for k in rnd.sample(range(order), min(order, rnd.randrange(1, 25))):
+                bound = 1 << rnd.randrange(1, characters.IV_PREC + 1)
+                counts[k] = rnd.randrange(-bound + 1, bound)
+            assert_same_as_libmp(CycloSum(order, counts))
+
+    @given(st.integers(3, 400).flatmap(lambda s: st.tuples(st.just(s), st.dictionaries(
+        st.integers(0, s - 1),
+        st.one_of(st.integers(-20, 20),
+                  st.integers(-(1 << characters.IV_PREC) + 1, (1 << characters.IV_PREC) - 1)),
+        max_size=12))))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_intervals_match_libmp_generated(self, assert_same_as_libmp, case):
+        s, entries = case
+        counts = [0] * s
+        for k, c in entries.items():
+            counts[k] = c
+        assert_same_as_libmp(CycloSum(s, counts))
+
+    def test_magnitude_interval_calls_no_mpf_add_or_mul_int(self, monkeypatch, artefact_sums,
+                                                            magnitude_interval_libmp):
+        """Spied where the code imports them from; mpmath's own interval
+        functions (comparisons in mpi_sqrt) bind their own names."""
+        import mpmath.libmp
+
+        calls = Counter()
+        for name in ("mpf_add", "mpf_mul_int"):
+            def spy(*args, _real=getattr(mpmath.libmp, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mpmath.libmp, name, spy)
+        for total in artefact_sums:
+            total.magnitude_interval()
+        assert not calls
+        magnitude_interval_libmp(CycloSum(5, [3, 0, 2, 0, 1]))  # the spy sees the old loop
+        assert calls == {"mpf_add": 12, "mpf_mul_int": 12}
+
+    def test_root_matches_iv_of_the_unreduced_pair(self):
+        """(s 2^j, k 2^j) is looked up as the pair with no common power of
+        two, and its intervals are those iv gives the unreduced pair."""
+        saved = iv.prec
+        iv.dps = 40
+        cos_sin = {}  # iv.cos and iv.sin depend on the angle interval alone
+        try:
+            for s in range(1, 201):
+                for k in range(s):
+                    for j in range(4):
+                        ang = 2 * iv.pi * (k << j) / (s << j)
+                        if ang._mpi_ not in cos_sin:
+                            cos_sin[ang._mpi_] = (iv.cos(ang)._mpi_, iv.sin(ang)._mpi_)
+                        assert characters._root(s << j, k << j) == cos_sin[ang._mpi_]
+        finally:
+            iv.prec = saved
+
+    def test_cold_lemma_round_evaluates_one_cos_sin_per_reduced_root(self, monkeypatch):
+        """The lemmaE half of a cert_grid round at seed 0, from a cold cache."""
+        import mpmath.libmp
+
+        from digitsquares import suites
+
+        real_cos_sin, real_root = mpmath.libmp.mpi_cos_sin, characters._root
+        real_unit_root = characters._unit_root
+        evaluated, asked, looked_up = [], set(), set()
+
+        def cos_sin(*args):
+            evaluated.append(args)
+            return real_cos_sin(*args)
+
+        def root(s, k):
+            asked.add((s, k))
+            return real_root(s, k)
+
+        def unit_root(s, k):
+            looked_up.add((s, k))
+            return real_unit_root(s, k)
+
+        real_unit_root.cache_clear()
+        monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", cos_sin)
+        monkeypatch.setattr(characters, "_root", root)
+        monkeypatch.setattr(characters, "_unit_root", unit_root)
+        for p in (3, 5, 7, 11, 13):
+            suites.suite_lemmaE(suites.TaskOptions(p=p, r=2, seed=0, trials=40))
+        assert all(s == 1 if k == 0 else (s | k) & 1 for s, k in looked_up)
+        assert len(evaluated) == len(looked_up) < len(asked)
 
     @pytest.mark.parametrize("dps", [15, 100])
     def test_magnitude_interval_ignores_caller_precision(self, dps):

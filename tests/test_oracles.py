@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from digitsquares import (BudgetExceeded, DigitBox, HypothesisNotMet,
                           IntervalBox, delta_H, energy_count, enumerate_box,
-                          lemma1_check, lemmaD_check, lemmaD_reports, lemmaE_check,
-                          make_char, subfield_partition)
+                          lemma1_check, lemma1_reports, lemmaD_check, lemmaD_reports,
+                          lemmaE_check, make_char, subfield_partition)
 from digitsquares import boxes, characters, make_field, oracles
+from digitsquares.characters import quad_char_coords
 from digitsquares.fields import FieldCtx, divisors
 from digitsquares.oracles import generator_elements
-from digitsquares.suites import TaskOptions, suite_lemmaD
+from digitsquares.suites import TaskOptions, suite_lemma1, suite_lemmaD
 
 
 def degree_r_count(p, r):
@@ -310,6 +311,43 @@ class TestLemma1:
         brute = abs(sum(euler(ctx, u + v) for u in U for v in V))
         assert rep.lhs == float(brute)
         assert rep.holds
+
+
+    def test_reports_match_one_check_per_nu_from_one_character_call(self, field,
+                                                                   monkeypatch):
+        ctx = field(7, 2)
+        rng = np.random.default_rng(11)
+        calls = []
+
+        def spy(ctx, coords):
+            calls.append(len(coords))
+            return quad_char_coords(ctx, coords)
+
+        for _ in range(12):
+            U = [ctx.from_index(int(i)) for i in
+                 rng.choice(ctx.q, size=int(rng.integers(1, 20)), replace=False)]
+            V = [ctx.from_index(int(i)) for i in
+                 rng.choice(ctx.q, size=int(rng.integers(1, 20)), replace=False)]
+            expected = [lemma1_check(ctx, U, V, nu) for nu in (1, 2, 3, 4)]
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracles, "quad_char_coords", spy)
+                reports = list(lemma1_reports(ctx, U, V, (1, 2, 3, 4)))
+            assert calls == [len(U) * len(V)]
+            assert [(r.parameters, r.lhs, r.rhs, r.holds) for r in reports] == \
+                [(r.parameters, r.lhs, r.rhs, r.holds) for r in expected]
+
+    def test_suite_counts_each_pair_once(self, monkeypatch):
+        calls = []
+
+        def spy(ctx, coords):
+            calls.append(len(coords))
+            return quad_char_coords(ctx, coords)
+
+        monkeypatch.setattr(oracles, "quad_char_coords", spy)
+        rows = suite_lemma1(TaskOptions(p=5, r=2, seed=3, trials=15))
+        assert len(calls) == 15 and len(rows) == 45
+        assert [row.instance.rsplit(";", 1)[1] for row in rows] == ["nu=1", "nu=2", "nu=3"] * 15
 
 
 class TestSubfieldPartition:

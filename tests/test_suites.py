@@ -23,6 +23,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsquares.cli import SweepConfig, main, run_config
 from digitsquares.reporting import fmt_value, rows_to_csv
@@ -124,6 +126,37 @@ class TestBoundRow:
         row = self.row(Fraction(1, 2), 0.0)
         assert row.verdict == "fail" and row.slack == math.inf
         assert self.row(Fraction(0), 0.0).as_strings()[-2:] == ["inf", "pass"]
+
+
+@st.composite
+def bound_pairs(draw):
+    """A rational observed value and a float rhs at, or an ulp either side of,
+    the float nearest to it, or anywhere."""
+    observed = Fraction(draw(st.integers(-10 ** 30, 10 ** 30)),
+                        draw(st.integers(1, 10 ** 12) | st.sampled_from([1, 2, 3, 7, 10, 1024])))
+    near = float(observed)
+    rhs = draw(st.sampled_from([near, math.nextafter(near, -math.inf),
+                                math.nextafter(near, math.inf)])
+               | st.floats(allow_nan=False, allow_infinity=False))
+    return observed, rhs
+
+
+@given(bound_pairs())
+@settings(max_examples=300, deadline=None)
+def test_bound_row_verdict_is_the_exact_comparison(case):
+    observed, rhs = case
+    row = _bound_row("thm1", TaskOptions(p=5, r=2), "0-2", observed, rhs)
+    assert row.verdict == ("pass" if observed <= Fraction(rhs) else "fail")
+
+
+@pytest.mark.parametrize("observed", [Fraction(1, 3), Fraction(-5, 7), Fraction(10 ** 20 + 1, 3)])
+def test_bound_row_at_and_beside_a_non_dyadic_value(observed):
+    near = float(observed)
+    for rhs in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
+        row = _bound_row("thm1", TaskOptions(p=5, r=2), "x", observed, rhs)
+        assert row.verdict == ("pass" if observed <= Fraction(rhs) else "fail")
+    assert _bound_row("thm1", TaskOptions(p=5, r=2), "x", observed, math.inf).verdict == "pass"
+    assert _bound_row("thm1", TaskOptions(p=5, r=2), "x", observed, -math.inf).verdict == "fail"
 
 
 @pytest.mark.parametrize("fields,digest", [
