@@ -14,7 +14,7 @@ int.  Suites read options as the TaskOptions fields of the same names,
 whose defaults SweepConfig reuses.
 
 Exit codes: 0 all checks passed, 1 any check failed or an instance errored,
-2 usage or configuration errors.
+2 usage or configuration errors, or a count or estimate over the budget.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
-from .boxes import BUDGET_ENV_VAR, DigitBox, default_budget, parse_digit_spec
+from .boxes import (BUDGET_ENV_VAR, DigitBox, check_budget, default_budget,
+                    parse_digit_spec)
 from .counting import count_squares, estimate_square_fraction
 from .errors import BudgetExceeded
 from .fields import make_field, poly_str
@@ -249,14 +250,12 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.budget is not None and args.budget <= 0:
+        raise ConfigError("--budget must be positive")
     ctx = make_field(args.p, args.r)
     digits = parse_digit_spec(args.digits, args.p)
     box = DigitBox.uniform(ctx, digits)
-    try:
-        rep = count_squares(box, args.budget)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = count_squares(box, args.budget)
     if args.format == "json":
         import json
         print(json.dumps({
@@ -275,6 +274,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    check_budget(args.n, None, "Monte-Carlo samples")
     ctx = make_field(args.p, args.r)
     digits = parse_digit_spec(args.digits, args.p)
     box = DigitBox.uniform(ctx, digits)
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

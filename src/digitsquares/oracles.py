@@ -39,6 +39,7 @@ from .errors import HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
                      frobenius_matrix, vec_decode, vec_degrees, vec_encode,
                      vec_from_coords)
+from .reporting import slack_ratio
 
 PAIR_CHUNK = 1 << 19  # product coefficients per kernel call in energy_count
 
@@ -53,7 +54,7 @@ class LemmaReport:
 
     @property
     def slack(self) -> float:
-        return self.lhs / self.rhs if self.rhs else math.inf
+        return slack_ratio(self.lhs, self.rhs)
 
 
 def _report(lemma: str, params: dict, total: CycloSum, rhs: float) -> LemmaReport:

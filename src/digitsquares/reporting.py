@@ -2,35 +2,21 @@
 
 The row schema is fixed (suite, p, r, instance, lhs, rhs, slack, verdict) so
 that re-running an identical configuration produces byte-identical files.
-Exact quantities are rendered as integers or fractions, floats via repr.
+A cell holds an int, a Fraction, a float or a str, and is printed by
+Python's own str: integers, n/d fractions (an integral Fraction prints as
+its integer), shortest-repr floats and inf, and "" where a column does not
+apply.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from fractions import Fraction
-
-ROW_FIELDS = ("suite", "p", "r", "instance", "lhs", "rhs", "slack", "verdict")
-VERDICTS = ("pass", "fail", "skip-hypothesis", "report-only")
+import math
+from typing import NamedTuple
 
 
-def fmt_value(x) -> str:
-    # type checks first: comparing a Fraction with "" is a slow Fraction.__eq__
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    if x is None:
-        return ""
-    return str(x)
-
-
-@dataclass
-class Row:
+class Row(NamedTuple):
     suite: str
     p: int
     r: int
@@ -41,28 +27,22 @@ class Row:
     verdict: str = "pass"
 
     def as_strings(self) -> list[str]:
-        return [self.suite, str(self.p), str(self.r), self.instance,
-                fmt_value(self.lhs), fmt_value(self.rhs), fmt_value(self.slack),
-                self.verdict]
+        return [str(v) for v in self]
 
 
-def slack_of(lhs, rhs):
-    """lhs / rhs as a float, or '' where that is meaningless."""
-    try:
-        rhs_f = float(rhs)
-        if rhs_f == 0:
-            return ""
-        return float(lhs) / rhs_f
-    except (TypeError, ValueError):
-        return ""
+ROW_FIELDS = Row._fields
+
+
+def slack_ratio(lhs, rhs) -> float:
+    """The slack column: lhs / rhs as a float, or inf at rhs = 0."""
+    return float(lhs) / rhs if rhs else math.inf
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(ROW_FIELDS)
-    for row in rows:
-        w.writerow(row.as_strings())
+    w.writerows(rows)
     return buf.getvalue()
 
 

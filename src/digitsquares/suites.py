@@ -11,9 +11,9 @@ gets is decided in this order, the first that applies winning:
    other exception a suite raises into the task's error row);
 3. a precondition checked once the field is built fails (thm1-existence:
    the threshold exceeds p-1): one skip row; or a suite that walks the
-   whole field would exceed the budget (lemmaD, lemmaE): the suite raises
-   BudgetExceeded and run_config writes the task's one "all;budget" skip
-   row;
+   whole field (lemmaD, lemmaE) or expands its digit-set spec would exceed
+   the budget: the suite raises BudgetExceeded and run_config writes the
+   task's one "all;budget" skip row;
 4. per instance: its right-hand side raises HypothesisNotMet: a skip row;
 5. per instance: its exhaustive count would exceed the budget: a budget
    skip row;
@@ -50,7 +50,7 @@ from .errors import BudgetExceeded, HypothesisNotMet
 from .fields import FieldCtx, FieldElem, divisors, make_field
 from .oracles import (delta_H, energy_count, generator_elements, lemma1_reports,
                       lemmaD_reports, lemmaE_check, subfield_partition)
-from .reporting import Row, slack_of
+from .reporting import Row, slack_ratio
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,9 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
     Spec forms, combinable with '+': "intervals" (all {0..t-1}),
     "all-size-m", "random:n" or "random:n,m" (seeded), or an explicit
     residue list like "0-4,7".  Built once per field: the pairs are kept in
-    ctx._cache, keyed by (spec, seed), and dropped with the field.
+    ctx._cache, keyed by (spec, seed), and dropped with the field.  An
+    all-size or random part whose sets hold more digits in all than the
+    budget raises BudgetExceeded before it is expanded.
     """
     cache = ctx._cache.setdefault("instances", {})
     key = (opts.digits, opts.seed)
@@ -127,6 +129,7 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
             m = int(part[len("all-size-"):])
             if not 1 <= m <= p:
                 raise ValueError(f"subset size {m} outside [1, {p}]")
+            check_budget(math.comb(p, m) * m, opts.budget, f"the digit sets of {part}")
             out.extend((format_digit_set(c), tuple(c))
                        for c in itertools.combinations(range(p), m))
         elif part.startswith("random:"):
@@ -141,6 +144,7 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
             fixed = int(args[1]) if len(args) > 1 else None
             if fixed is not None and not 1 <= fixed <= p:
                 raise ValueError(f"subset size {fixed} outside [1, {p}]")
+            check_budget(n * (fixed or p), opts.budget, f"the digit sets of {part}")
             rng = np.random.default_rng([opts.seed, p, opts.r])
             for i in range(n):
                 size = fixed if fixed is not None else int(rng.integers(1, p + 1))
@@ -189,8 +193,7 @@ def _bound_row(suite, opts, label, observed: Fraction, rhs: float) -> Row:
 
     A finite rhs is the ratio a / b of two integers, so n / d <= a / b is
     decided as n b <= a d on integers (both denominators are positive), and
-    the verdict is never a rounding artifact; rhs = inf passes.  The slack
-    is observed / rhs, or inf at rhs = 0.
+    the verdict is never a rounding artifact; rhs = inf passes.
     """
     if math.isfinite(rhs):
         a, b = rhs.as_integer_ratio()
@@ -198,8 +201,7 @@ def _bound_row(suite, opts, label, observed: Fraction, rhs: float) -> Row:
     else:
         holds = rhs > 0
     return Row(suite, opts.p, opts.r, label, lhs=observed, rhs=rhs,
-               slack=float(observed) / rhs if rhs else math.inf,
-               verdict="pass" if holds else "fail")
+               slack=slack_ratio(observed, rhs), verdict="pass" if holds else "fail")
 
 
 def suite_identity(opts: TaskOptions) -> list[Row]:
@@ -217,12 +219,16 @@ def suite_identity(opts: TaskOptions) -> list[Row]:
 
 
 def suite_est1(opts: TaskOptions) -> list[Row]:
-    """Deviation of |W ∩ Q| is at most |sum chi| / 2 + 1/2, exactly."""
+    """Deviation of |W ∩ Q| is at most |sum chi| / 2 + 1/2, exactly.
+
+    count_squares raises InvariantViolation where the identity fails, and
+    the identity gives deviation = |sum chi - [0 in W]| / 2, which is at
+    most the rhs, so a row that gets here passes.
+    """
     def rows_of(label, ds, rep, _):
         rhs = Fraction(abs(rep.char_sum), 2) + Fraction(1, 2)
         return [Row("est1", opts.p, opts.r, label,
-                    lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
-                    verdict="pass" if rep.deviation <= rhs else "fail")]
+                    lhs=rep.deviation, rhs=rhs, slack=slack_ratio(rep.deviation, rhs))]
     ctx = live_field(opts.p, opts.r)
     return _census("est1", opts, ctx, digit_instances(ctx, opts), rows_of)
 
@@ -298,7 +304,7 @@ def suite_corC_report(opts: TaskOptions) -> list[Row]:
     """Report-only: the corollary's bound carries an unspecified constant."""
     def rows_of(label, ds, rep, rhs):
         return [Row("corC-report", opts.p, opts.r, label,
-                    lhs=rep.deviation, rhs=rhs, slack=slack_of(rep.deviation, rhs),
+                    lhs=rep.deviation, rhs=rhs, slack=slack_ratio(rep.deviation, rhs),
                     verdict="report-only")]
     ctx = live_field(opts.p, opts.r)
     instances = [(f"t={t};eps={opts.eps!r};const={opts.const!r}", tuple(range(t)))
@@ -391,7 +397,12 @@ def suite_lemma1(opts: TaskOptions) -> list[Row]:
 
 
 def suite_partition(opts: TaskOptions) -> list[Row]:
-    """Subfield partition bookkeeping: sizes, divisor keys, the degree-1 rule."""
+    """Subfield partition sizes, checked against the degree-1 rule.
+
+    The walk visits all |D|^(r-1) tuples and vec_degrees yields only
+    divisors of r, so the row's lhs always equals its rhs; what can fail is
+    the degree-1 class, which is {0-tuple} exactly when 0 is a digit.
+    """
     if opts.r < 2:
         return [_skip_row("partition", opts, "all", "needs r >= 2")]
     ctx = live_field(opts.p, opts.r)
@@ -402,16 +413,11 @@ def suite_partition(opts: TaskOptions) -> list[Row]:
         except BudgetExceeded:
             rows.append(_skip_row("partition", opts, label, "budget"))
             continue
-        total = sum(len(v) for v in part.values())
-        keys_ok = all(opts.r % d == 0 for d in part)
-        zero_tuple = tuple([0] * (opts.r - 1))
-        d1 = part.get(1, [])
-        d1_ok = (d1 == [zero_tuple]) if 0 in ds else (d1 == [])
-        ok = total == len(ds) ** (opts.r - 1) and keys_ok and d1_ok
+        d1_ok = part.get(1, []) == ([(0,) * (opts.r - 1)] if 0 in ds else [])
         sizes = ",".join(f"{d}:{len(part[d])}" for d in sorted(part))
         rows.append(Row("partition", opts.p, opts.r, f"{label};sizes={sizes}",
-                        lhs=total, rhs=len(ds) ** (opts.r - 1),
-                        verdict="pass" if ok else "fail"))
+                        lhs=sum(len(v) for v in part.values()),
+                        rhs=len(ds) ** (opts.r - 1), verdict="pass" if d1_ok else "fail"))
     return rows
 
 

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import operator
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -439,3 +440,24 @@ def magnitude_interval_libmp():
 def sum_intervals_libmp():
     """Oracle for CycloSum._sum_intervals, endpoint for endpoint."""
     return _sum_intervals_libmp
+
+
+def _fmt_value(x) -> str:
+    """A report cell as reporting.fmt_value printed it before cells were
+    printed by str."""
+    # type checks first: comparing a Fraction with "" is a slow Fraction.__eq__
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    if x is None:
+        return ""
+    return str(x)
+
+
+@pytest.fixture(scope="session")
+def fmt_value():
+    """Oracle for a report cell's string: the isinstance chain str replaced."""
+    return _fmt_value

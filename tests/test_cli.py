@@ -62,6 +62,29 @@ class TestFieldAndCount:
                                "--digits", "0-12", "--budget", "100")
         assert code == 2 and "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_count_budget_must_be_positive(self, capsys, budget):
+        code, _, err = run_cli(capsys, "count", "--p", "3", "--r", "2",
+                               "--digits", "0,1", "--budget", budget)
+        assert code == 2 and "--budget must be positive" in err
+
+    def test_estimate_samples_are_budgeted(self, capsys, monkeypatch):
+        monkeypatch.setenv(boxes.BUDGET_ENV_VAR, "500")
+        code, out, err = run_cli(capsys, "estimate", "--p", "13", "--r", "2",
+                                 "--digits", "0-6", "--n", "501", "--seed", "4")
+        assert code == 2 and out == ""
+        assert "Monte-Carlo samples requires 501" in err
+        code, _, _ = run_cli(capsys, "estimate", "--p", "13", "--r", "2",
+                             "--digits", "0-6", "--n", "500", "--seed", "4")
+        assert code == 0
+
+    def test_estimate_refuses_a_huge_n_at_once(self, capsys, monkeypatch):
+        # the default budget refuses it before the field is built
+        monkeypatch.delenv(boxes.BUDGET_ENV_VAR, raising=False)
+        code, _, err = run_cli(capsys, "estimate", "--p", "101", "--r", "20",
+                               "--digits", "0-46", "--n", str(10 ** 12), "--seed", "0")
+        assert code == 2 and "budget" in err
+
     def test_estimate_deterministic(self, capsys):
         args = ("estimate", "--p", "13", "--r", "2", "--digits", "0-6",
                 "--n", "1000", "--seed", "4", "--format", "json")
@@ -391,6 +414,27 @@ class TestRunConfig:
         assert code == 1
         assert list(csv.reader(io.StringIO(out)))[1:] == [
             ["identity", "5", "2", f"error:ValueError:{message}", "", "", "", "fail"]]
+
+    @pytest.mark.parametrize("spec", ["all-size-14", "random:1000000000", "random:100000,14"])
+    def test_digit_spec_past_the_budget_is_one_budget_row(self, capsys, spec):
+        # C(29, 14) sets would take gigabytes; the spec is refused before it is expanded
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identity,partition", "--p", "29",
+                               "--r", "2", "--seed", "0", "--digits", spec, "--budget", "1000")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            [suite, "29", "2", "all;budget", "", "", "", "skip-hypothesis"]
+            for suite in ("identity", "partition")]
+
+    @pytest.mark.parametrize("spec,digits", [
+        ("all-size-2", 10 * 2), ("random:3,2", 3 * 2), ("random:3", 3 * 5)])
+    def test_digit_spec_budget_is_its_total_digit_count(self, spec, digits):
+        ctx = live_field(5, 2)
+        # the second call takes another seed: instances are kept per (spec, seed)
+        assert suites.digit_instances(ctx, TaskOptions(5, 2, digits=spec, seed=0,
+                                                       budget=digits))
+        with pytest.raises(BudgetExceeded, match=f"requires {digits} elements"):
+            suites.digit_instances(ctx, TaskOptions(5, 2, digits=spec, seed=1,
+                                                    budget=digits - 1))
 
     def test_corrupted_quad_table_is_the_tasks_error_row(self, capsys, monkeypatch):
         real = counting.quad_table

@@ -7,8 +7,11 @@ digest pins which of them wins on every instance.
 
 lemmaD (generator pairs that are not conjugate) and partition (tuples by
 subfield degree) rest on the Frobenius degree sieve; their reports on small
-fields are pinned byte for byte, and so are the strings a report cell
-renders each value type to.
+fields are pinned byte for byte.
+
+A report cell holds an int, a Fraction, a float or a str, on every suite's
+rows, and is printed by str; the isinstance formatter that str replaced is
+the oracle (conftest's fmt_value).
 
 The energy suite's exact counts are pinned on fields on both sides of the
 2^20 table cap, as recorded when it still forked on q.
@@ -17,8 +20,12 @@ A bound row's verdict is the exact comparison of a rational deviation with
 a float right-hand side (suites._bound_row).
 """
 
+import csv
 import hashlib
+import io
+import json
 import math
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -27,8 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsquares.cli import SweepConfig, main, run_config
-from digitsquares.reporting import fmt_value, rows_to_csv
-from digitsquares.suites import TaskOptions, _bound_row
+from digitsquares.reporting import ROW_FIELDS, Row, rows_to_csv, rows_to_json
+from digitsquares.suites import SUITES, TaskOptions, _bound_row
 
 CENSUS_SUITES = ("identity", "est1", "thmA", "thmB", "thm1", "thm1-existence",
                  "thm2", "corC-report")
@@ -204,9 +211,55 @@ def test_energy_suite_golden_digest(capsys, fields, digest):
 
 @pytest.mark.parametrize("value,text", [
     (Fraction(6, 3), "2"), (Fraction(-7, 4), "-7/4"), (Fraction(0), "0"),
-    (0.1, "0.1"), (7.0, "7.0"), (float("inf"), "inf"),
-    (True, "true"), (False, "false"), (12, "12"), (0, "0"), (-3, "-3"),
-    (None, ""), ("", ""), ("trial1;t=2", "trial1;t=2"),
+    (0.1, "0.1"), (7.0, "7.0"), (float("inf"), "inf"), (-math.inf, "-inf"), (-0.0, "-0.0"),
+    (5e-324, "5e-324"), (1e16, "1e+16"), (12, "12"), (0, "0"), (-3, "-3"),
+    (2 ** 64, "18446744073709551616"), ("", ""), ("trial1;t=2", "trial1;t=2"),
 ])
-def test_cell_strings(value, text):
+def test_cell_strings(fmt_value, value, text):
+    assert Row("thmA", 5, 2, "0-2", lhs=value).as_strings()[4] == text
     assert fmt_value(value) == text
+
+
+# every suite, with budget skips (the tight budget) and error rows (p = 9)
+CELL_RUNS = {
+    "small-fields": dict(ps=[3, 5, 9], rs=[1, 2]),
+    "budget-30": dict(ps=[5, 7, 9], rs=[2], budget=30),
+}
+CELL_TYPES = {int, Fraction, float, str}
+
+
+@pytest.mark.parametrize("fields", CELL_RUNS.values(), ids=CELL_RUNS)
+def test_report_cells_are_plain_values_printed_by_str(fmt_value, fields):
+    rows, _ = run_config(SweepConfig(suites=list(SUITES), digits="intervals+random:2",
+                                     seed=3, trials=4, nu_max=2, **fields))
+    assert {row.suite for row in rows} == set(SUITES)
+    assert any(row.instance.startswith("error:") for row in rows)
+    assert any(row.instance.endswith(";budget") for row in rows) == ("budget" in fields)
+    for row in rows:
+        for v in (row.lhs, row.rhs, row.slack):
+            assert type(v) in CELL_TYPES, (row, type(v))
+    csv_cells = list(csv.reader(io.StringIO(rows_to_csv(rows))))
+    json_rows = json.loads(rows_to_json(rows))
+    assert csv_cells[0] == list(ROW_FIELDS)
+    assert all(list(d) == list(ROW_FIELDS) for d in json_rows)
+    assert [list(d.values()) for d in json_rows] == csv_cells[1:]
+    assert csv_cells[1:] == [[fmt_value(v) for v in row] for row in rows]
+
+
+def _seeded_cells(n=2000):
+    rng = random.Random(20)
+    for _ in range(n):
+        yield Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** rng.randint(0, 30)))
+        yield rng.randint(-10 ** 30, 10 ** 30)
+        yield rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-300, 300)
+
+
+def test_str_is_the_old_cell_format_seeded(fmt_value):
+    for value in _seeded_cells():
+        assert str(value) == fmt_value(value), value
+
+
+@given(st.fractions() | st.integers() | st.floats(allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_str_is_the_old_cell_format(fmt_value, value):
+    assert str(value) == fmt_value(value)

@@ -6,7 +6,8 @@ deleted one would only show when a traced benchmark round runs.  Every
 report a benchmark command writes must keep the digest recorded in
 perfbench/digests.json.  The README's list of config keys must be the keys
 of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
-never through assert, which python -O strips.  Every demo prints the bytes
+never through assert, which python -O strips, and every module-level
+constant in src/ is read somewhere in src/.  Every demo prints the bytes
 recorded in DEMO_DIGESTS.
 """
 
@@ -106,6 +107,27 @@ def test_src_has_no_assert():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, found
+
+
+def test_every_module_constant_is_used():
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    defined[target.id] = f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(where for name, where in defined.items() if name not in used)
+    assert not unused, unused
 
 
 def test_readme_lists_every_config_key():
