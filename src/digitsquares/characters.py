@@ -1,17 +1,20 @@
 """Multiplicative characters on F_q and exact character-sum accumulation.
 
-The quadratic character eta has one entry point, quad_char_coords.  For
-q <= DLOG_CAP it looks up a table built from the monic elements (top
-nonzero poly coordinate 1) alone: eta is multiplicative, and on F_p* it
-is the Legendre symbol to the power r, since c^((q-1)/2) =
+The quadratic character eta is multiplicative, and on F_p* it is the
+Legendre symbol to the power r, since c^((q-1)/2) =
 (c^((p-1)/2))^(1 + p + ... + p^(r-1)) and that exponent is odd exactly
-when r is.  So eta(l m) = (l / p)^r eta(m), and squaring the (q-1)/(p-1)
-monic m fixes the table (quad_table).  Above the cap it evaluates
-eta(x) = (N(x) / p), the Legendre symbol of the norm
-N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.  fields.vec_norm
-computes the norms of a block of elements in O(log r) field
-multiplications, on coefficient-major (r, n) arrays in the narrowest
-integer type that holds r p^2 (int32 while r p^2 < 2^31).
+when r is.  So eta(l m) = (l / p)^r eta(m), with l the top nonzero poly
+coordinate of x = l m and m monic (top nonzero coordinate 1), and squaring
+the (q-1)/(p-1) monic m fixes eta: that is the one product of squaring,
+monic_table, built while the monic elements fit under DLOG_CAP
+(monic_fits).  counting reads it slab by slab above the cap.  eta has one
+entry point for blocks of rows, quad_char_coords.  For q <= DLOG_CAP it
+looks x up in the full table that quad_table expands from the monic one.
+Above the cap it evaluates eta(x) = (N(x) / p), the Legendre symbol of
+the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.
+fields.vec_norm computes the norms of a block of elements in O(log r)
+field multiplications, on coefficient-major (r, n) arrays in the
+narrowest integer type that holds r p^2 (int32 while r p^2 < 2^31).
 
 A character of root order s (s | q-1) with index j sends x != 0 to
 zeta_s^{j * dlog(x) mod s} and 0 to 0.  Root orders 1 and 2 are powers of
@@ -340,9 +343,9 @@ def _unit_powers(p: int) -> np.ndarray:
     return pows
 
 
-def _square_monic(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.ndarray):
-    """Step 1 of quad_table: eta(y / l) = sign[l] for the square y of every
-    monic m in the slabs k = 1..r-1, l the top coordinate of y.
+def _square_monic(ctx: FieldCtx, mon: np.ndarray, sign: np.ndarray):
+    """The body of monic_table: eta(y / l) = sign[l] for the square y of
+    every monic m in the slabs k = 1..r-1, l the top coordinate of y.
 
     x - x // p * p stands for x % p: numpy divides an integer array by a
     scalar with a multiply and a shift, but has no such loop for %, which
@@ -351,9 +354,10 @@ def _square_monic(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.nda
     p, r = ctx.p, ctx.r
     # the narrowest signed type, int16 or wider, that holds (2r-1)(p-1)^2
     dt = np.promote_types(np.min_scalar_type(-(2 * r - 1) * (p - 1) ** 2 - 1), np.int16)
-    inv = np.empty(p, dtype=dt)
-    inv[pows] = pows[-np.arange(p - 1) % (p - 1)]  # (g^i)^-1 = g^-i
+    inv = inverse_table(ctx).astype(dt)
     ppow = np.asarray(ctx._ppow, dtype=np.int64)
+    # monic index minus element index of a monic element with top a_t = 1
+    shift = [off - p ** t for t, off in enumerate(monic_offsets(p, r))]
     red = [[int(v) for v in row] for row in ctx._reduction]
     for k in range(1, r):
         for a in _monic_blocks(p, k, dt):
@@ -370,18 +374,20 @@ def _square_monic(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.nda
                         Y[t] += red[n - r][t] * c
             Y -= Y // p * p
             lead = Y[r - 1].copy()
+            idx = np.full(lead.shape, shift[r - 1], dtype=np.int64)
             for t in range(r - 2, -1, -1):
-                np.copyto(lead, Y[t], where=lead == 0)
+                below = lead == 0
+                np.copyto(idx, shift[t], where=below)
+                np.copyto(lead, Y[t], where=below)
             Y *= inv[lead]
             Y -= Y // p * p
-            idx = ppow[0] * Y[0]
-            for t in range(1, r):
+            for t in range(r):
                 idx += ppow[t] * Y[t]
-            tab[idx] = sign[lead]
+            mon[idx] = sign[lead]
 
 
 def _fill_multiples(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.ndarray):
-    """Step 2 of quad_table: the rows [c p^k, (c+1) p^k), c = 2..p-1, of
+    """The body of quad_table: the rows [c p^k, (c+1) p^k), c = 2..p-1, of
     slabs k = 1..r-1 from the monic rows c = 1, in ceil(log2(p-1)) rounds;
     each np.take moves max(1, SQUARE_BLOCK // p^k) rows of p^k entries."""
     p, r = ctx.p, ctx.r
@@ -405,39 +411,73 @@ def _fill_multiples(ctx: FieldCtx, tab: np.ndarray, sign: np.ndarray, pows: np.n
         filled += n
 
 
+def monic_offsets(p: int, r: int) -> list[int]:
+    """off_k = (p^k - 1) / (p - 1), k = 0..r-1: where slab k of the monic
+    table starts, after the monic elements of lower degree."""
+    return [(p ** k - 1) // (p - 1) for k in range(r)]
+
+
+def monic_fits(ctx: FieldCtx) -> bool:
+    """Whether the (q-1)/(p-1) monic elements fit under DLOG_CAP, so that
+    monic_table can be built."""
+    return (ctx.q - 1) // (ctx.p - 1) <= DLOG_CAP
+
+
+def monic_table(ctx: FieldCtx) -> np.ndarray:
+    """int8 quadratic character of the (q-1)/(p-1) monic elements.
+
+    A monic element m has top nonzero poly coordinate a_k = 1; its entry is
+    at off_k + sum_{j<k} a_j p^j (monic_offsets), so slab k, the entries
+    [off_k, off_k + p^k), is the row [p^k, 2 p^k) of the element indices,
+    and entry 0 is eta(1) = 1.  Every x != 0 is l m with l in F_p* its top
+    nonzero coordinate, and eta(l m) = (l / p)^r eta(m) (scalar_char), so
+    this table fixes eta.
+
+    m^2 is a fixed quadratic form in the poly coordinates a_0..a_k of m
+    (a_k = 1): before reduction its coefficients are
+    c_n = sum_{i+j=n} a_i a_j, n = 0..2k, and c_r..c_{2k}, reduced mod p,
+    fold into the low r through ctx._reduction.  Each block of
+    _monic_blocks broadcasts one arange per axis into each c_n, so a term
+    a_i a_j costs only as many multiplies as its two axes span.  Every
+    intermediate is at most (2r-1)(p-1)^2, so the narrowest integer type
+    holding that is exact.  Each square y is divided by its top coordinate
+    l (a p-entry inverse table), and eta(y / l) = eta(l) = (l / p)^r is
+    written at the monic index of y / l.  For odd r that reaches every
+    entry; for even r it reaches the lines of squares only, and the other
+    entries keep -1.  Built only where monic_fits.
+    """
+    tab = ctx._tables.get("monic")
+    if tab is not None:
+        return tab
+    n = (ctx.q - 1) // (ctx.p - 1)
+    if not monic_fits(ctx):
+        raise ValueError(f"{n} monic elements above the table cap {DLOG_CAP}; "
+                         f"use quad_char_coords on element blocks instead")
+    tab = np.full(n, -1, dtype=np.int8)
+    tab[0] = 1
+    if ctx.r > 1:
+        _square_monic(ctx, tab, scalar_char(ctx))
+    ctx._tables["monic"] = tab
+    return tab
+
+
 def quad_table(ctx: FieldCtx) -> np.ndarray:
     """int8 table of the quadratic character over all element indices.
 
-    Built from the monic elements alone.  Every x != 0 is l m with l in
-    F_p* the top nonzero poly coordinate of x and m monic (top nonzero
-    coordinate 1).  Slab k, the index range [p^k, p^(k+1)), holds the
-    x whose top nonzero coordinate is a_k; its rows [c p^k, (c+1) p^k)
-    hold c m for the monic m of row 1.  For c in F_p*,
-    c^((q-1)/2) = (c^((p-1)/2))^(1 + p + ... + p^(r-1)), and that exponent
-    is odd exactly when r is, so eta(c) = (c / p)^r (slab 0 is F_p*) and
-    eta(l m) = (l / p)^r eta(m).
+    Built from the monic table alone.  Slab k, the index range
+    [p^k, p^(k+1)), holds the x whose top nonzero poly coordinate is a_k;
+    its rows [c p^k, (c+1) p^k) hold c m for the monic m of row 1, which is
+    slab k of monic_table copied whole, and slab 0 is F_p, where
+    eta(c) = (c / p)^r (scalar_char).
 
-    Step 1 squares the (q-1)/(p-1) monic m.  In F_p[x]/(f), m^2 is a fixed
-    quadratic form in the poly coordinates a_0..a_k of m (a_k = 1): before
-    reduction its coefficients are c_n = sum_{i+j=n} a_i a_j, n = 0..2k,
-    and c_r..c_{2k}, reduced mod p, fold into the low r through
-    ctx._reduction.  Each block of _monic_blocks broadcasts one arange per
-    axis into each c_n, so a term a_i a_j costs only as many multiplies as
-    its two axes span.  Every intermediate is at most (2r-1)(p-1)^2, so
-    the narrowest integer type holding that is exact.  Each square y is
-    divided by its top coordinate l (a p-entry inverse table), and
-    eta(y / l) = eta(l) = (l / p)^r is written at the index of y / l.  For
-    odd r that reaches every monic entry; for even r it reaches the lines
-    of squares only, and the other monic entries keep -1.
-
-    Step 2 fills the rows c = 2..p-1 of slabs 1..r-1: the row of c e is
+    The rows c = 2..p-1 of slabs 1..r-1 follow: the row of c e is
     (e / p)^r times the row of c, permuted by a -> a / e on each
     coordinate of a_0..a_{k-1}.  With g a primitive root mod p, the rows
     of g^i, i < 2^j, give those of g^(i + 2^j) through np.take along the
     rows, so ceil(log2(p-1)) rounds fill the table; the permutation of the
     top slab is an outer sum over its r-1 axes, and its prefixes serve the
-    lower slabs.  Only for table-sized fields; larger ones go through the
-    norm in quad_char_coords.
+    lower slabs.  Only for table-sized fields; larger ones read the monic
+    table or the norm in quad_char_coords.
     """
     tab = ctx._tables.get("quad")
     if tab is not None:
@@ -446,14 +486,14 @@ def quad_table(ctx: FieldCtx) -> np.ndarray:
         raise ValueError(f"q = {ctx.q} above the table cap {DLOG_CAP}; "
                          f"use quad_char_coords on element blocks instead")
     p, r = ctx.p, ctx.r
-    sign = legendre_table(ctx) if r % 2 else np.ones(p, dtype=np.int8)  # (c / p)^r
+    sign = scalar_char(ctx)
     tab = np.full(ctx.q, -1, dtype=np.int8)
-    tab[:p] = sign  # slab 0: eta(c) = (c / p)^r
-    tab[0] = 0
+    tab[:p] = sign
     if r > 1:
-        pows = _unit_powers(p)
-        _square_monic(ctx, tab, sign, pows)
-        _fill_multiples(ctx, tab, sign, pows)
+        mon = monic_table(ctx)
+        for k, off in enumerate(monic_offsets(p, r)):
+            tab[p ** k:2 * p ** k] = mon[off:off + p ** k]
+        _fill_multiples(ctx, tab, sign, _unit_powers(p))
     ctx._tables["quad"] = tab
     return tab
 
@@ -470,14 +510,41 @@ def legendre_table(ctx: FieldCtx) -> np.ndarray:
     return tab
 
 
+def scalar_char(ctx: FieldCtx) -> np.ndarray:
+    """int8 eta(c) = (c / p)^r for c = 0..p-1, cached on the ctx.
+
+    c^((q-1)/2) = (c^((p-1)/2))^(1 + p + ... + p^(r-1)), and that exponent
+    is odd exactly when r is.
+    """
+    tab = ctx._tables.get("scalar_char")
+    if tab is None:
+        tab = legendre_table(ctx) ** ctx.r
+        ctx._tables["scalar_char"] = tab
+    return tab
+
+
+def inverse_table(ctx: FieldCtx) -> np.ndarray:
+    """int64 c^-1 mod p for c = 0..p-1, and 0 at c = 0; cached on the ctx."""
+    tab = ctx._tables.get("inverse")
+    if tab is None:
+        p = ctx.p
+        pows = _unit_powers(p)
+        tab = np.zeros(p, dtype=np.int64)
+        tab[pows] = pows[-np.arange(p - 1) % (p - 1)]  # (g^i)^-1 = g^-i
+        ctx._tables["inverse"] = tab
+    return tab
+
+
 # ---------------------------------------------------------------------------
 # quadratic character
 
 def quad_char_coords(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
     """Quadratic character of reduced poly-coordinate rows; int8 in {-1, 0, 1}.
 
-    The single entry point: the squaring-image table for q <= DLOG_CAP,
-    the Legendre symbol of the norm above it.
+    The single entry point: the quad table for q <= DLOG_CAP, the Legendre
+    symbol of the norm above it.  Blocks of rows never build the monic
+    table: above the cap that build outweighed the norms of a sampling or
+    lemma-oracle call (BENCH_monic_census.json).
     """
     if ctx.q <= DLOG_CAP:
         return quad_table(ctx)[vec_encode(ctx, coords)]

@@ -5,21 +5,27 @@ the quadratic character chi over W, and verifies the linking identity
 
     |W ∩ Q| = (|W| - [0 in W]) / 2 + (1/2) * sum_{x in W} chi(x)
 
-before returning.  For q <= 2^20 under the polynomial basis no element of W
-is enumerated: the quad table reshaped to p x ... x p is chi as an r-way
-tensor in coordinates, and both sums are r single-axis reductions of it,
-one of chi and one of [chi = 1], so the identity checks every table row
-the first time a census reads it.  The table itself is built once per
-field by squaring the (q-1)/(p-1) monic elements and filling in their F_p*
-multiples (characters.quad_table).  The first reduction, over the rows
-D_r, is the only one over p^{r-1} entries per row; it is a sum of at most
-p values in {-1, 0, 1} per entry and so runs in the narrowest signed
-integer type that holds -p, and the field keeps it in ctx._cache between
-censuses as FirstAxisSums, so the next census reads only the rows its D_r
-adds or drops.  The later reductions run in int64.  Larger fields and
-other bases walk the box once in blocks through quad_char_coords (the
-Legendre symbol of the norm N(x) above 2^20).  Sampling uses
-quad_char_coords too.  No path builds a discrete-log table.
+before returning.  Under the polynomial basis no element of W is
+enumerated while the field's monic elements fit the table cap; the count
+takes one of three tiers.  For q <= 2^20 the quad table reshaped to
+p x ... x p is chi as an r-way tensor in coordinates, and both sums are r
+single-axis reductions of it, one of chi and one of [chi = 1], so the
+identity checks every table row the first time a census reads it.  The
+table itself is built once per field by squaring the (q-1)/(p-1) monic
+elements (characters.monic_table) and filling in their F_p* multiples
+(characters.quad_table).  The first reduction, over the rows D_r, is the
+only one over p^{r-1} entries per row; it is a sum of at most p values in
+{-1, 0, 1} per entry and so runs in the narrowest signed integer type
+that holds -p, and the field keeps it in ctx._cache between censuses as
+FirstAxisSums, so the next census reads only the rows its D_r adds or
+drops.  The later reductions run in int64.  For q > 2^20 with
+(q-1)/(p-1) <= 2^20 the monic table alone serves: W splits by the
+position k and value l of its top nonzero coordinate, and each part is
+the same axis reduction on slab k of the monic table with the digit sets
+scaled by l^-1 (_monic_sums).  Larger fields and other bases walk the box
+once in blocks through quad_char_coords (the Legendre symbol of the norm
+N(x) above 2^20).  Sampling uses quad_char_coords too.  No path
+builds a discrete-log table.
 Deviations from |W|/2 are kept as exact rationals (half-integers); nothing
 in this module ever compares floats.
 """
@@ -32,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import Box, check_budget, poly_blocks, sample_coords
-from .characters import DLOG_CAP, quad_char_coords, quad_table
+from .characters import (DLOG_CAP, inverse_table, monic_fits, monic_offsets,
+                         monic_table, quad_char_coords, quad_table, scalar_char)
 from .errors import InvariantViolation
 from .fields import vec_from_coords
 
@@ -90,8 +97,11 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     ctx = box.ctx
     size = check_budget(box.size(), budget, what="exact square counting")
     zero_in = box.contains_zero()
-    if ctx.q <= DLOG_CAP and ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r)):
+    poly_basis = ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r))
+    if poly_basis and ctx.q <= DLOG_CAP:
         count_q, char_sum = _table_sums(box)
+    elif poly_basis and monic_fits(ctx):
+        count_q, char_sum = _monic_sums(box)
     else:
         count_q = 0
         char_sum = 0
@@ -164,6 +174,71 @@ def _add_rows(running: FirstAxisSums, tab: np.ndarray, rows, op) -> None:
         block = np.take(tab, rows[lo:lo + step], axis=0)
         op(running.sq, (block == 1).sum(axis=0, dtype=running.sq.dtype), out=running.sq)
         op(running.chi, block.sum(axis=0, dtype=running.chi.dtype), out=running.chi)
+
+
+def _monic_sums(box: Box) -> tuple[int, int]:
+    """(count_q, char_sum) of a box from the monic table, slab by slab.
+
+    A nonzero x of W has its top nonzero coordinate l = x_k in D_k and
+    x_j = 0 for j > k, so slab k counts only when 0 is in every D_j,
+    j > k.  Then x = l m with m monic in slab k, m_j = x_j / l in
+    D_j l^-1, and eta(x) = (l / p)^r eta(m):
+
+        sum_{x in W} eta(x) = sum_k sum_{l in D_k - 0} (l / p)^r
+                              sum_{m in slab k, m_j in D_j l^-1} eta(m),
+
+    and count_q counts the m with eta(m) = (l / p)^r in a reduction of its
+    own, so the identity in count_squares stays a check.  Each inner sum is
+    _table_sums' axis reduction on the p^k-entry slab with the digit sets
+    scaled by l^-1, run for a block of l at once: the first axis gathers
+    the scaled rows of D_{k-1}, at most REDUCE_BLOCK entries at a time, in
+    the narrowest signed type that holds -p, and the later axes take each
+    l's scaled digits along the axis after the block's.
+    """
+    ctx = box.ctx
+    p, r = ctx.p, ctx.r
+    sets = box.coordinate_sets()
+    mon, sign, inv = monic_table(ctx), scalar_char(ctx), inverse_table(ctx)
+    offsets, acc = monic_offsets(p, r), np.min_scalar_type(-p)
+    count_q = char_sum = 0
+    for k in range(r - 1, -1, -1):
+        ells = np.asarray([d for d in sets[k] if d], dtype=np.int64)
+        slab = mon[offsets[k]:offsets[k] + p ** k]
+        if k == 0:  # the monic element 1
+            count_q += int(np.count_nonzero(sign[ells] == slab[0]))
+            char_sum += int(slab[0]) * int(sign[ells].sum())
+        elif ells.size:
+            rows = slab.reshape(p, -1)
+            first = np.asarray(sets[k - 1], dtype=np.int64)
+            step = max(1, REDUCE_BLOCK // (first.size * rows.shape[1]))
+            for lo in range(0, ells.size, step):
+                scale, s = inv[ells[lo:lo + step]], sign[ells[lo:lo + step]]
+                sq, chi = _scaled_first_axis(rows, first * scale[:, None] % p, s, acc)
+                pick = np.arange(s.size)[:, None]
+                for j in range(k - 2, -1, -1):
+                    digits = np.asarray(sets[j], dtype=np.int64) * scale[:, None] % p
+                    sq = sq.reshape(s.size, p, -1)[pick, digits].sum(axis=1, dtype=np.int64)
+                    chi = chi.reshape(s.size, p, -1)[pick, digits].sum(axis=1, dtype=np.int64)
+                count_q += int(sq.sum())
+                char_sum += int((chi.sum(axis=1, dtype=np.int64) * s).sum())
+        if 0 not in sets[k]:
+            break
+    return count_q, char_sum
+
+
+def _scaled_first_axis(rows: np.ndarray, scaled: np.ndarray, s: np.ndarray, acc):
+    """(L, width) sums of [eta = s_l] and of eta over the rows scaled[l] of
+    a monic slab, one row per l of the block, at most REDUCE_BLOCK table
+    entries at a time."""
+    n, width = s.size, rows.shape[1]
+    sq = np.zeros((n, width), dtype=acc)
+    chi = np.zeros((n, width), dtype=acc)
+    step = max(1, REDUCE_BLOCK // (n * width))
+    for lo in range(0, scaled.shape[1], step):
+        block = rows[scaled[:, lo:lo + step]]
+        sq += (block == s[:, None, None]).sum(axis=1, dtype=acc)
+        chi += block.sum(axis=1, dtype=acc)
+    return sq, chi
 
 
 @dataclass(frozen=True)

@@ -109,12 +109,12 @@ def digit_instances(ctx: FieldCtx, opts: TaskOptions) -> tuple[tuple[str, tuple[
     Spec forms, combinable with '+': "intervals" (all {0..t-1}),
     "all-size-m", "random:n" or "random:n,m" (seeded), or an explicit
     residue list like "0-4,7".  Built once per field: the pairs are kept in
-    ctx._cache, keyed by (spec, seed), and dropped with the field.  An
-    all-size or random part whose sets hold more digits in all than the
+    ctx._cache, keyed by (spec, seed, budget), and dropped with the field.
+    An all-size or random part whose sets hold more digits in all than the
     budget raises BudgetExceeded before it is expanded.
     """
     cache = ctx._cache.setdefault("instances", {})
-    key = (opts.digits, opts.seed)
+    key = (opts.digits, opts.seed, opts.budget)
     if key in cache:
         return cache[key]
     p = opts.p

@@ -11,9 +11,10 @@ import pytest
 from digitsquares import HypothesisNotMet, LemmaReport, characters, make_field
 from digitsquares.bounds import IV_PREC, _iv, _upper
 from digitsquares.boxes import poly_blocks
-from digitsquares.characters import CycloSum, make_char, quad_char_coords
+from digitsquares.characters import (CycloSum, legendre_table, make_char,
+                                     quad_char_coords)
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
-                                 vec_decode, vec_encode, vec_mul, vec_pow)
+                                 vec_decode, vec_encode, vec_mul, vec_norm, vec_pow)
 from digitsquares.oracles import lemmaD_rhs
 
 
@@ -293,6 +294,24 @@ def _walk_census(box) -> tuple[int, int]:
 def walk_census():
     """Oracle for counting.count_squares: the element-by-element block walk."""
     return _walk_census
+
+
+def _norm_census(box) -> tuple[int, int]:
+    """(count_q, char_sum) of a box by walking every element in blocks
+    through the Legendre symbol of the norm, on any field."""
+    ctx = box.ctx
+    count_q = char_sum = 0
+    for poly in poly_blocks(box):
+        vals = legendre_table(ctx)[vec_norm(ctx, poly)]
+        count_q += int(np.count_nonzero(vals == 1))
+        char_sum += int(vals.sum())
+    return count_q, char_sum
+
+
+@pytest.fixture(scope="session")
+def norm_census():
+    """Oracle for the monic tier of counting.count_squares: the norm walk."""
+    return _norm_census
 
 
 def _scalar_frobenius(a):

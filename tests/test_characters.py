@@ -276,6 +276,27 @@ class TestQuadCharOracle:
             quad_char_coords(ctx, rows)
 
 
+class TestMonicTable:
+    """monic_table, the one product of squaring, against the squaring
+    oracle, and its cap."""
+
+    @pytest.mark.parametrize("p,r", BUILD_EDGE_FIELDS + [(101, 3), (13, 5), (5, 8)])
+    def test_table_is_row_one_of_each_slab(self, field, squaring_table, p, r):
+        ctx = field(p, r)
+        mon, full = characters.monic_table(ctx), squaring_table(ctx)
+        offsets = characters.monic_offsets(p, r)
+        assert mon.dtype == np.int8 and mon.size == (ctx.q - 1) // (p - 1)
+        assert mon[0] == 1
+        for k, off in enumerate(offsets):
+            assert np.array_equal(mon[off:off + p ** k], full[p ** k:2 * p ** k]), k
+
+    def test_table_refuses_above_the_cap(self):
+        ctx = make_field(37, 5)
+        assert (ctx.q - 1) // (ctx.p - 1) > DLOG_CAP
+        with pytest.raises(ValueError, match="monic elements above the table cap"):
+            characters.monic_table(ctx)
+
+
 class TestQuadTableBuild:
     """The monic-slab build against the blocked vec_mul squaring."""
 

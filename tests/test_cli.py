@@ -8,13 +8,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mpmath
 
-from digitsquares import bounds, boxes, cli, counting, fields, oracles, suites
+from digitsquares import (DigitBox, bounds, boxes, cli, counting, fields, make_field,
+                          oracles, suites)
 from digitsquares.cli import NU_MAX_CAP, ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
@@ -102,6 +104,17 @@ class TestVerify:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == list(ROW_FIELDS)
         assert all(r[-1] == "pass" for r in rows[1:])
+
+    def test_identity_and_thm1_on_f53_4(self, capsys, norm_census):
+        # q = 53^4 > 2^20, but its (q-1)/(p-1) monic elements fit the table
+        # cap, and Theorem 1's hypothesis 2r - 1 = 7 <= sqrt(53) holds
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identity,thm1", "--p", "53",
+                               "--r", "4", "--digits", "0-9+random:3,20", "--seed", "0")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(r[0], r[-1]) for r in rows] == [("identity", "pass")] * 4 + [("thm1", "pass")] * 4
+        count_q, char_sum = norm_census(DigitBox.uniform(make_field(53, 4), range(10)))
+        assert rows[0][3:6] == ["0-9", str(count_q), str(Fraction(10 ** 4 - 1 + char_sum, 2))]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "thm9", "--p", "3", "--r", "1")
@@ -429,11 +442,10 @@ class TestRunConfig:
         ("all-size-2", 10 * 2), ("random:3,2", 3 * 2), ("random:3", 3 * 5)])
     def test_digit_spec_budget_is_its_total_digit_count(self, spec, digits):
         ctx = live_field(5, 2)
-        # the second call takes another seed: instances are kept per (spec, seed)
         assert suites.digit_instances(ctx, TaskOptions(5, 2, digits=spec, seed=0,
                                                        budget=digits))
         with pytest.raises(BudgetExceeded, match=f"requires {digits} elements"):
-            suites.digit_instances(ctx, TaskOptions(5, 2, digits=spec, seed=1,
+            suites.digit_instances(ctx, TaskOptions(5, 2, digits=spec, seed=0,
                                                     budget=digits - 1))
 
     def test_corrupted_quad_table_is_the_tasks_error_row(self, capsys, monkeypatch):

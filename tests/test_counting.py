@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsquares import (DigitBox, IntervalBox, count_squares, counting,
+from digitsquares import (DigitBox, IntervalBox, characters, count_squares, counting,
                           estimate_square_fraction, make_field)
 from digitsquares.characters import DLOG_CAP, quad_table
-from digitsquares.errors import InvariantViolation
+from digitsquares.errors import BudgetExceeded, InvariantViolation
 from digitsquares.suites import square_census
 
 SWEEP_FIELDS = [(p, r) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)]
@@ -209,9 +209,9 @@ class TestWhichPathCounts:
             assert len(walks) == before + 1
 
     def test_above_the_cap_walks(self, field, walk_census, walks):
-        ctx = field(37, 4)
-        assert ctx.q > DLOG_CAP
-        box = DigitBox(ctx, ((0, 1, 2), (3, 4), (0, 36), (5, 6, 7, 8)))
+        ctx = field(37, 5)
+        assert (ctx.q - 1) // (ctx.p - 1) > DLOG_CAP
+        box = DigitBox(ctx, ((0, 1, 2), (3, 4), (0, 36), (5, 6, 7, 8), (0, 9)))
         assert census(box) == walk_census(box)
         assert walks == [box]
 
@@ -229,6 +229,110 @@ class TestWhichPathCounts:
         tab[squares[:n_zeroed]] = 0  # squares of W classified as zero
         with pytest.raises(InvariantViolation):
             count_squares(box)
+
+
+# fields with q above the table cap and (q-1)/(p-1) monic elements under it
+MONIC_FIELDS = [(37, 4), (1031, 2), (11, 6), (3, 13)]
+# fields the monic tier serves once DLOG_CAP is patched to (q-1)/(p-1)
+SMALL_MONIC_FIELDS = [(3, 2), (5, 3), (7, 3), (11, 2), (5, 4), (13, 3), (3, 5)]
+
+
+def monic_boxes(ctx, rng, n):
+    """n seeded non-uniform DigitBoxes of at most about ORACLE_LIMIT
+    elements; each D_j holds 0 with probability 1/2, so the slabs below
+    the top count in some boxes and stop at a D_j without 0 in others."""
+    side = min(ctx.p, max(1, round(ORACLE_LIMIT ** (1 / ctx.r))))
+    out = []
+    for _ in range(n):
+        digits = []
+        for _ in range(ctx.r):
+            k = int(rng.integers(1, side + 1))
+            d = {int(v) for v in rng.choice(ctx.p, size=k, replace=False)}
+            if rng.random() < 0.5:
+                d.add(0)
+            else:
+                d.discard(0)
+            digits.append(tuple(d) or (1,))
+        out.append(DigitBox(ctx, tuple(digits)))
+    return out
+
+
+class TestMonicTier:
+    """Fields with q > 2^20 but (q-1)/(p-1) <= 2^20 count from the monic
+    table, slab by slab: against the norm walk above the cap and against
+    the table reduction on small fields."""
+
+    @pytest.fixture
+    def monic_calls(self, monkeypatch):
+        calls = []
+        real = counting._monic_sums
+
+        def counted(box):
+            calls.append(box)
+            return real(box)
+
+        monkeypatch.setattr(counting, "_monic_sums", counted)
+        return calls
+
+    @pytest.mark.parametrize("p,r", MONIC_FIELDS)
+    def test_seeded_boxes_match_the_norm_walk(self, field, norm_census, monic_calls, p, r):
+        ctx = field(p, r)
+        assert (ctx.q - 1) // (p - 1) <= DLOG_CAP < ctx.q
+        boxes = monic_boxes(ctx, np.random.default_rng([23, p, r]), 8)
+        boxes.append(DigitBox(ctx, ((0, 1),) * (r - 1) + ((0,),)))  # below the top slab only
+        boxes.append(DigitBox(ctx, ((0,),) * r))
+        for box in boxes:
+            assert census(box) == norm_census(box), box.describe()
+        assert monic_calls == boxes
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_boxes_match_the_norm_walk(self, field, norm_census, data):
+        p, r = data.draw(st.sampled_from(MONIC_FIELDS))
+        ctx = field(p, r)
+        side = min(p, max(1, round(ORACLE_LIMIT ** (1 / r))))
+        digit_set = st.lists(st.integers(0, p - 1), min_size=1, max_size=side, unique=True)
+        box = DigitBox(ctx, tuple(data.draw(digit_set) for _ in range(r)))
+        assert census(box) == norm_census(box)
+
+    @pytest.mark.parametrize("p,r", SMALL_MONIC_FIELDS)
+    def test_small_fields_match_the_table_sums(self, monkeypatch, monic_calls, p, r):
+        ctx = make_field(p, r)
+        boxes = monic_boxes(ctx, np.random.default_rng([29, p, r]), 20)
+        expected = [counting._table_sums(box) for box in boxes]
+        monkeypatch.setattr(counting, "DLOG_CAP", (ctx.q - 1) // (p - 1))
+        assert [census(box) for box in boxes] == expected
+        assert monic_calls == boxes
+
+    def test_census_of_f37_4_calls_no_norm(self, field, norm_census, monkeypatch):
+        ctx = field(37, 4)
+        boxes = monic_boxes(ctx, np.random.default_rng(31), 4)
+        expected = [norm_census(box) for box in boxes]
+
+        def refuse(*args):
+            raise AssertionError("the census went through the norm")
+
+        monkeypatch.setattr(characters, "vec_norm", refuse)
+        monkeypatch.setattr(counting, "poly_blocks", refuse)
+        assert [census(box) for box in boxes] == expected
+
+    def test_corrupted_monic_entry_raises(self, norm_census):
+        ctx = make_field(37, 4)  # fresh: the corruption must not reach shared fields
+        box = DigitBox(ctx, ((0, 3, 5), (1, 2), (7, 9, 11), (1,)))
+        assert census(box) == norm_census(box)
+        # x = (3, 2, 9, 1) is monic: its entry sits in slab 3 at off_3 + sum a_j p^j
+        off = characters.monic_offsets(37, 4)[3]
+        characters.monic_table(ctx)[off + 3 + 2 * 37 + 9 * 37 ** 2] = 0
+        with pytest.raises(InvariantViolation, match="square-count identity"):
+            count_squares(box)
+
+    def test_budget_refusal_is_unchanged(self):
+        ctx = make_field(37, 4)
+        box = DigitBox.uniform(ctx, range(10))
+        with pytest.raises(BudgetExceeded, match="requires 10000 elements"):
+            count_squares(box, budget=9999)
+        assert "monic" not in ctx._tables  # refused before any table is built
+        assert count_squares(box, budget=10000).size_w == 10000
 
 
 def run_chain(p, r, walk_census, sequence):
@@ -400,9 +504,11 @@ class TestEstimate:
             estimate_square_fraction(box, 50, seed=0)
 
     def test_large_field_euler_path(self, field):
-        # q above the table cap exercises the norm + Legendre path
-        ctx = make_field(1031, 2)  # q = 1062961 > 2^20
-        box = DigitBox.uniform(ctx, tuple(range(10)))
+        # (q-1)/(p-1) above the table cap: the count walks the box and the
+        # estimate samples, both through the norm + Legendre path
+        ctx = field(37, 5)
+        assert (ctx.q - 1) // (ctx.p - 1) > DLOG_CAP
+        box = DigitBox.uniform(ctx, tuple(range(6)))
         rep = count_squares(box)
         z = 1 if rep.zero_in_w else 0
         assert 2 * rep.count_q == rep.size_w - z + rep.char_sum
