@@ -310,6 +310,8 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
         raise ValueError("the split needs r >= 2")
     if nu_cap is None:
         nu_cap = max(1, math.ceil(r * math.log(p)))
+    if nu_cap < 1:
+        raise ValueError(f"nu cap {nu_cap} must be >= 1")
     best = None
     for k in range(1, r):
         for nu in range(1, nu_cap + 1):

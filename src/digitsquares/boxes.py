@@ -2,8 +2,8 @@
 
 A DigitBox holds one residue set per coordinate of the installed basis; the
 box is the set of field elements whose coordinates all lie in their sets.
-An IntervalBox is the special case where coordinate i ranges over the
-integer window N_i+1 .. N_i+H_i reduced mod p.
+An IntervalBox is the DigitBox whose set i is the integer window
+N_i+1 .. N_i+H_i reduced mod p, so every function here takes one type.
 
 Enumeration is always in lexicographic coordinate order (first coordinate
 slowest), so that report files are diffable across runs, and is emitted in
@@ -14,7 +14,7 @@ enumeration budget instead of truncating.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,10 +101,10 @@ class DigitBox:
                 raise ValueError(f"digits {ds} outside [0, {self.ctx.p})")
         object.__setattr__(self, "digits", tuple(norm[id(d)] for d in self.digits))
 
-    @classmethod
-    def uniform(cls, ctx: FieldCtx, digits) -> "DigitBox":
+    @staticmethod
+    def uniform(ctx: FieldCtx, digits) -> "DigitBox":
         """D^r: one digit set, sorted and deduplicated once, on every coordinate."""
-        return cls(ctx, (digits,) * ctx.r)
+        return DigitBox(ctx, (digits,) * ctx.r)
 
     @property
     def is_uniform(self) -> bool:
@@ -115,9 +115,6 @@ class DigitBox:
         for d in self.digits:
             n *= len(d)
         return n
-
-    def coordinate_sets(self) -> tuple[tuple[int, ...], ...]:
-        return self.digits
 
     def contains_zero(self) -> bool:
         return all(0 in d for d in self.digits)
@@ -132,10 +129,11 @@ class DigitBox:
 
 
 @dataclass(frozen=True)
-class IntervalBox:
-    """Coordinate interval box: coordinate i runs over N_i+1 .. N_i+H_i mod p."""
+class IntervalBox(DigitBox):
+    """Coordinate interval box: coordinate i runs over N_i+1 .. N_i+H_i mod p.
+    Equality, hashing and describe go by the offsets and lengths."""
 
-    ctx: FieldCtx
+    digits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...]
     lengths: tuple[int, ...]
 
@@ -147,32 +145,14 @@ class IntervalBox:
         for h in self.lengths:
             if not 1 <= h <= self.ctx.p:
                 raise ValueError(f"side length {h} outside [1, {self.ctx.p}]")
-
-    def size(self) -> int:
-        n = 1
-        for h in self.lengths:
-            n *= h
-        return n
-
-    def coordinate_sets(self) -> tuple[tuple[int, ...], ...]:
         p = self.ctx.p
-        return tuple(
+        object.__setattr__(self, "digits", tuple(
             tuple(sorted((n + 1 + t) % p for t in range(h)))
-            for n, h in zip(self.offsets, self.lengths)
-        )
-
-    def contains_zero(self) -> bool:
-        return all(0 in s for s in self.coordinate_sets())
-
-    def contains(self, x: FieldElem) -> bool:
-        return all(c in set(s) for c, s in zip(x.coords, self.coordinate_sets()))
+            for n, h in zip(self.offsets, self.lengths)))
 
     def describe(self) -> str:
         return (f"N={','.join(map(str, self.offsets))};"
                 f"H={','.join(map(str, self.lengths))}")
-
-
-Box = DigitBox | IntervalBox
 
 
 def check_budget(n: int, budget: int | None = None, what="enumeration of the box") -> int:
@@ -189,13 +169,13 @@ def check_budget(n: int, budget: int | None = None, what="enumeration of the box
     return n
 
 
-def coords_blocks(box: Box, block: int = BLOCK):
+def coords_blocks(box: DigitBox, block: int = BLOCK):
     """Yield (n, r) arrays of installed-basis coordinates in lex order.
 
     The blocks and their scratch are allocated once per walk, so each block
     overwrites the previous one: consume (or copy) it before advancing.
     """
-    sets = [np.asarray(s, dtype=np.int64) for s in box.coordinate_sets()]
+    sets = [np.asarray(s, dtype=np.int64) for s in box.digits]
     sizes = [len(s) for s in sets]
     total = 1
     for m in sizes:
@@ -220,7 +200,7 @@ def coords_blocks(box: Box, block: int = BLOCK):
         k += block
 
 
-def poly_blocks(box: Box, block: int = BLOCK):
+def poly_blocks(box: DigitBox, block: int = BLOCK):
     """Yield (n, r) poly-coordinate rows in lex coordinate order.
 
     Like coords_blocks, each block overwrites the previous one.
@@ -232,13 +212,13 @@ def poly_blocks(box: Box, block: int = BLOCK):
         yield vec_from_coords(box.ctx, coords, out=buf[:coords.shape[0]])
 
 
-def index_blocks(box: Box, block: int = BLOCK):
+def index_blocks(box: DigitBox, block: int = BLOCK):
     """Yield fresh int64 arrays of element indices in lex coordinate order."""
     for poly in poly_blocks(box, block):
         yield vec_encode(box.ctx, poly)
 
 
-def enumerate_box(box: Box, budget: int | None = None):
+def enumerate_box(box: DigitBox, budget: int | None = None):
     """Stream every element of the box exactly once, lex coordinate order."""
     check_budget(box.size(), budget)
     ctx = box.ctx
@@ -247,16 +227,16 @@ def enumerate_box(box: Box, budget: int | None = None):
             yield FieldElem(ctx, int(i))
 
 
-def sample_coords(box: Box, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_coords(box: DigitBox, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, r) i.i.d. uniform installed-basis coordinates over the box."""
-    sets = [np.asarray(s, dtype=np.int64) for s in box.coordinate_sets()]
+    sets = [np.asarray(s, dtype=np.int64) for s in box.digits]
     out = np.empty((n, box.ctx.r), dtype=np.int64)
     for i, s in enumerate(sets):
         out[:, i] = s[rng.integers(0, len(s), size=n)]
     return out
 
 
-def sample_uniform(box: Box, n: int, seed: int) -> list[FieldElem]:
+def sample_uniform(box: DigitBox, n: int, seed: int) -> list[FieldElem]:
     """n i.i.d. uniform elements of the box; deterministic under the seed."""
     if n < 1:
         raise ValueError("sample count must be >= 1")

@@ -7,9 +7,11 @@ when r is.  So eta(l m) = (l / p)^r eta(m), with l the top nonzero poly
 coordinate of x = l m and m monic (top nonzero coordinate 1), and squaring
 the (q-1)/(p-1) monic m fixes eta: that is the one product of squaring,
 monic_table, built while the monic elements fit under DLOG_CAP
-(monic_fits).  counting reads it slab by slab above the cap.  eta has one
-entry point for blocks of rows, quad_char_coords.  For q <= DLOG_CAP it
-looks x up in the full table that quad_table expands from the monic one.
+(monic_fits).  counting reads it slab by slab above the cap.  The full
+tables are built while the q elements fit (table_fits); only these two
+predicates read DLOG_CAP.  eta has one entry point for blocks of rows,
+quad_char_coords.  Where table_fits it looks x up in the full table that
+quad_table expands from the monic one.
 Above the cap it evaluates eta(x) = (N(x) / p), the Legendre symbol of
 the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.
 fields.vec_norm computes the norms of a block of elements in O(log r)
@@ -284,7 +286,7 @@ def dlog_table(ctx: FieldCtx) -> np.ndarray:
     tab = ctx._cache.get("dlog")
     if tab is not None:
         return tab
-    if ctx.q > DLOG_CAP:
+    if not table_fits(ctx):
         raise ValueError(f"q = {ctx.q} above the discrete-log table cap {DLOG_CAP}")
     g = field_generator(ctx)
     n = ctx.q - 1
@@ -417,6 +419,11 @@ def monic_offsets(p: int, r: int) -> list[int]:
     return [(p ** k - 1) // (p - 1) for k in range(r)]
 
 
+def table_fits(ctx: FieldCtx) -> bool:
+    """Whether the q elements fit under DLOG_CAP: quad_table and dlog_table."""
+    return ctx.q <= DLOG_CAP
+
+
 def monic_fits(ctx: FieldCtx) -> bool:
     """Whether the (q-1)/(p-1) monic elements fit under DLOG_CAP, so that
     monic_table can be built."""
@@ -482,7 +489,7 @@ def quad_table(ctx: FieldCtx) -> np.ndarray:
     tab = ctx._tables.get("quad")
     if tab is not None:
         return tab
-    if ctx.q > DLOG_CAP:
+    if not table_fits(ctx):
         raise ValueError(f"q = {ctx.q} above the table cap {DLOG_CAP}; "
                          f"use quad_char_coords on element blocks instead")
     p, r = ctx.p, ctx.r
@@ -541,12 +548,12 @@ def inverse_table(ctx: FieldCtx) -> np.ndarray:
 def quad_char_coords(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
     """Quadratic character of reduced poly-coordinate rows; int8 in {-1, 0, 1}.
 
-    The single entry point: the quad table for q <= DLOG_CAP, the Legendre
+    The single entry point: the quad table where table_fits, the Legendre
     symbol of the norm above it.  Blocks of rows never build the monic
     table: above the cap that build outweighed the norms of a sampling or
     lemma-oracle call (BENCH_monic_census.json).
     """
-    if ctx.q <= DLOG_CAP:
+    if table_fits(ctx):
         return quad_table(ctx)[vec_encode(ctx, coords)]
     return legendre_table(ctx)[vec_norm(ctx, coords)]
 
@@ -612,7 +619,7 @@ def make_char(ctx: FieldCtx, order: int, index: int) -> MultChar:
         raise ValueError(f"index {index} outside [0, {order})")
     if order <= 2:
         return MultChar(ctx, order, index)
-    if ctx.q > DLOG_CAP:
+    if not table_fits(ctx):
         raise ValueError(
             f"q = {ctx.q} above the dlog cap {DLOG_CAP}; only root orders 1 and 2 "
             f"are available for large fields")

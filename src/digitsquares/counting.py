@@ -5,9 +5,9 @@ the quadratic character chi over W, and verifies the linking identity
 
     |W ∩ Q| = (|W| - [0 in W]) / 2 + (1/2) * sum_{x in W} chi(x)
 
-before returning.  Under the polynomial basis no element of W is
-enumerated while the field's monic elements fit the table cap; the count
-takes one of three tiers.  For q <= 2^20 the quad table reshaped to
+before returning.  Under the polynomial basis (ctx.poly_basis) no element
+of W is enumerated while the monic elements fit the cap (table_fits and
+monic_fits pick the tier).  For q <= 2^20 the quad table reshaped to
 p x ... x p is chi as an r-way tensor in coordinates, and both sums are r
 single-axis reductions of it, one of chi and one of [chi = 1], so the
 identity checks every table row the first time a census reads it.  The
@@ -37,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxes import Box, check_budget, poly_blocks, sample_coords
-from .characters import (DLOG_CAP, inverse_table, monic_fits, monic_offsets,
-                         monic_table, quad_char_coords, quad_table, scalar_char)
+from .boxes import DigitBox, check_budget, poly_blocks, sample_coords
+from .characters import (inverse_table, monic_fits, monic_offsets, monic_table,
+                         quad_char_coords, quad_table, scalar_char, table_fits)
 from .errors import InvariantViolation
 from .fields import vec_from_coords
 
@@ -88,7 +88,7 @@ class FirstAxisSums:
         self.rows, self.sq, self.chi = (), None, None
 
 
-def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
+def count_squares(box: DigitBox, budget: int | None = None) -> SquareCountReport:
     """Exact square census of a box; refuses boxes larger than the budget.
 
     On the table path the field's FirstAxisSums, kept in ctx._cache, carries
@@ -97,10 +97,9 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     ctx = box.ctx
     size = check_budget(box.size(), budget, what="exact square counting")
     zero_in = box.contains_zero()
-    poly_basis = ctx.basis_indices == tuple(ctx.p ** j for j in range(ctx.r))
-    if poly_basis and ctx.q <= DLOG_CAP:
+    if ctx.poly_basis and table_fits(ctx):
         count_q, char_sum = _table_sums(box)
-    elif poly_basis and monic_fits(ctx):
+    elif ctx.poly_basis and monic_fits(ctx):
         count_q, char_sum = _monic_sums(box)
     else:
         count_q = 0
@@ -125,7 +124,7 @@ def count_squares(box: Box, budget: int | None = None) -> SquareCountReport:
     )
 
 
-def _table_sums(box: Box) -> tuple[int, int]:
+def _table_sums(box: DigitBox) -> tuple[int, int]:
     """(count_q, char_sum) of a box, contracting the quad table axis by axis.
 
     Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
@@ -144,7 +143,7 @@ def _table_sums(box: Box) -> tuple[int, int]:
     axes sum in int64.
     """
     ctx = box.ctx
-    *rest, last = box.coordinate_sets()
+    *rest, last = box.digits
     tab = quad_table(ctx).reshape(ctx.p, -1)
     running = ctx._cache.setdefault("first_axis", FirstAxisSums())
     held, want = set(running.rows), set(last)
@@ -176,7 +175,7 @@ def _add_rows(running: FirstAxisSums, tab: np.ndarray, rows, op) -> None:
         op(running.chi, block.sum(axis=0, dtype=running.chi.dtype), out=running.chi)
 
 
-def _monic_sums(box: Box) -> tuple[int, int]:
+def _monic_sums(box: DigitBox) -> tuple[int, int]:
     """(count_q, char_sum) of a box from the monic table, slab by slab.
 
     A nonzero x of W has its top nonzero coordinate l = x_k in D_k and
@@ -197,7 +196,7 @@ def _monic_sums(box: Box) -> tuple[int, int]:
     """
     ctx = box.ctx
     p, r = ctx.p, ctx.r
-    sets = box.coordinate_sets()
+    sets = box.digits
     mon, sign, inv = monic_table(ctx), scalar_char(ctx), inverse_table(ctx)
     offsets, acc = monic_offsets(p, r), np.min_scalar_type(-p)
     count_q = char_sum = 0
@@ -251,7 +250,7 @@ class FractionEstimate:
     caveat_small_counts: bool  # normal approximation dubious when n*p̂ < 20
 
 
-def estimate_square_fraction(box: Box, n: int, seed: int) -> FractionEstimate:
+def estimate_square_fraction(box: DigitBox, n: int, seed: int) -> FractionEstimate:
     """Monte-Carlo estimate of |W ∩ Q| / |W| with a 99% normal-approximation CI."""
     if n < 100:
         raise ValueError("need at least 100 samples for the normal-approximation CI")

@@ -10,7 +10,8 @@ A FieldCtx also carries an installed F_p-basis a_1, ..., a_r (default: the
 polynomial basis 1, x, ..., x^{r-1}) together with the change-of-coordinates
 matrix and its inverse mod p.  "Coordinates" always means coordinates with
 respect to the installed basis; "poly coords" means the raw residue
-polynomial coefficients.
+polynomial coefficients.  Basis indices must lie in [0, q), and the
+context records once (ctx.poly_basis) whether its basis is the polynomial one.
 
 Tables that do not depend on the basis (Frobenius matrices, quadratic and
 Legendre tables, all poly coords) live in ctx._tables, which with_basis
@@ -263,6 +264,10 @@ class FieldCtx:
         self.basis_indices = tuple(int(b) for b in basis_indices)
         if len(self.basis_indices) != r:
             raise ValueError(f"basis must have {r} elements")
+        for b in self.basis_indices:
+            if not 0 <= b < self.q:
+                raise ValueError(f"basis index {b} outside [0, {self.q})")
+        self.poly_basis = self.basis_indices == tuple(self._ppow)
         mat = np.zeros((r, r), dtype=np.int64)
         for i, idx in enumerate(self.basis_indices):
             mat[:, i] = self.index_to_poly_coords(idx)
@@ -382,8 +387,10 @@ class FieldCtx:
     # -- basis handling ------------------------------------------------------
 
     def with_basis(self, basis_elems) -> "FieldCtx":
-        """Same field, different installed basis (must be linearly independent)."""
-        idxs = tuple(b.idx if isinstance(b, FieldElem) else int(b) for b in basis_elems)
+        """Same field, different installed basis (must be linearly independent):
+        elements of this field or element indices."""
+        idxs = tuple(self.zero()._coerce(b) if isinstance(b, FieldElem) else int(b)
+                     for b in basis_elems)  # _coerce refuses another field's element
         return FieldCtx(self.p, self.r, self.modulus, idxs, _validated=True,
                         _tables=self._tables)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import (Box, DigitBox, IntervalBox, check_budget, coords_blocks,
+from .boxes import (DigitBox, IntervalBox, check_budget, coords_blocks,
                     index_blocks, poly_blocks)
 from .bounds import _float_above, _memoised
 from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
@@ -286,14 +286,17 @@ class EnergyReport:
     within_lemma_hypothesis: bool    # equal-sided interval box with H <= sqrt(p)
 
 
-def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
+def energy_count(box: DigitBox, budget: int | None = None) -> EnergyReport:
     """Exact multiplicative energy via the product-multiplicity histogram.
 
     E = sum_w f(w)^2 with f(w) = #{(x, y) in B^2 : x y = w}; collisions of
     the product map are exactly the quadruple solutions, at O(|B|^2) cost.
     The nonzero elements x are decoded once; k of them at a time meet all
-    m in one broadcast kernel call (k m r <= PAIR_CHUNK), and np.unique
-    counts merge into one sorted (w, f(w)) pair: O(min(q, |B|^2)) memory.
+    m in one broadcast kernel call (k m r <= PAIR_CHUNK).  Each call's
+    np.unique (w, count) pair waits until the waiting pairs hold as many
+    entries as the held (w, f(w)) pair, and then all merge into it at once
+    (_merge_counts), so each entry is merged O(1) times on average and
+    memory stays O(min(q, |B|^2)).
     """
     ctx = box.ctx
     n = box.size()
@@ -304,16 +307,19 @@ def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
     cols, red = np.array(rows.T, dtype=dt), ctx._reduction.T.astype(dt)
     k = max(1, PAIR_CHUNK // max(1, r * m))
     full, prod = np.empty((2 * r - 1, k, m), dtype=dt), np.empty((r, k, m), dtype=dt)
-    ws, fs = vec_encode(ctx, rows[:0]), np.zeros(0, dtype=np.int64)
+    pairs = [(vec_encode(ctx, rows[:0]), np.zeros(0, dtype=np.int64))]  # held pair first
+    waiting = 0
     for lo in range(0, m, k):
         kk = min(k, m - lo)  # x_lo..x_{lo+kk-1} times every x: (r, kk, 1) by (r, 1, m)
         out = _mul_cm(cols[:, lo:lo + kk, None], cols[:, None], red, p, full[:, :kk], prod[:, :kk])
-        w, c = np.unique(vec_encode(ctx, out.reshape(r, -1).T), return_counts=True)
-        pos = np.searchsorted(ws, w)
-        hit = pos < ws.size
-        hit[hit] = ws[pos[hit]] == w[hit]
-        fs[pos[hit]] += c[hit]
-        ws, fs = np.insert(ws, pos[~hit], w[~hit]), np.insert(fs, pos[~hit], c[~hit])
+        pairs.append(np.unique(vec_encode(ctx, out.reshape(r, -1).T), return_counts=True))
+        waiting += pairs[-1][0].size
+        if waiting >= pairs[0][0].size:
+            _merge_counts(pairs)
+            waiting = 0
+    if len(pairs) > 1:
+        _merge_counts(pairs)
+    fs = pairs[0][1]
     # f(w) <= |B| and sum_w f(w) <= |B|^2, so E <= |B|^3
     fs = fs.astype(object) if n ** 3 >= 1 << 63 else fs
     energy = int(fs @ fs)
@@ -334,6 +340,24 @@ def energy_count(box: Box, budget: int | None = None) -> EnergyReport:
         ratio=energy / (n * n * math.log(ctx.p)),
         within_lemma_hypothesis=hyp,
     )
+
+
+def _merge_counts(pairs: list) -> None:
+    """Replace the (w, count) pairs of the list by one sorted (w, f(w)) pair,
+    the counts of equal w added in int64; w may be an object array of
+    Python ints.  Each part is dropped once it is copied, so at most four
+    arrays of the merged length are alive at once."""
+    counts = [pc for _, pc in pairs]
+    w = np.concatenate([pw for pw, _ in pairs])
+    pairs.clear()
+    c = np.concatenate(counts)
+    del counts
+    order = np.argsort(w, kind="stable")  # merges the sorted runs
+    w = w[order]
+    c = c[order]
+    del order
+    start = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+    pairs.append((w[start], np.add.reduceat(c, start)))
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ class TestThm2:
                      for kk in (1, 2) for nn in range(1, 9)), key=lambda t: t[2])
         assert (k, nu) == brute[:2] and rhs == brute[2]
 
+    @pytest.mark.parametrize("nu_cap", [0, -3])
+    def test_best_rejects_a_cap_below_one(self, nu_cap):
+        with pytest.raises(ValueError, match="nu cap"):
+            thm2_best(5, 2, 3, nu_cap=nu_cap)
+
     def test_Cr_value(self):
         assert abs(thm2_Cr(20) - 2.716) <= 1e-3
         assert thm2_Cr(20) == pytest.approx(2.7159626417159024, rel=1e-13)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from digitsquares import (BudgetExceeded, DigitBox, IntervalBox, count_squares,
                           enumerate_box, format_digit_set, parse_digit_spec,
                           sample_uniform, split_box)
-from digitsquares.boxes import BUDGET_ENV_VAR, default_budget, sample_coords
+from digitsquares.boxes import BUDGET_ENV_VAR, default_budget, poly_blocks, sample_coords
 
 
 class TestParsing:
@@ -58,8 +58,49 @@ class TestEnumeration:
     def test_interval_box_wraps_mod_p(self, field):
         F9 = field(3, 2)
         box = IntervalBox(F9, (1, 1), (2, 2))  # coords in {2, 0} per axis
-        assert box.coordinate_sets() == ((0, 2), (0, 2))
+        assert box.digits == ((0, 2), (0, 2))
         assert box.contains_zero()
+
+    @pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (13, 2), (101, 2)])
+    def test_interval_box_is_the_digit_box_of_its_windows(self, field, p, r):
+        ctx = field(p, r)
+        rng = np.random.default_rng([41, p, r])
+        for _ in range(6):
+            lengths = tuple(int(h) for h in rng.integers(1, p + 1, size=r))
+            offsets = tuple(int(n) for n in rng.integers(-p, 3 * p, size=r))
+            box = IntervalBox(ctx, offsets, lengths)
+            windows = [{(n + t) % p for t in range(1, h + 1)}
+                       for n, h in zip(offsets, lengths)]
+            twin = DigitBox(ctx, tuple(windows))
+            assert isinstance(box, DigitBox) and box.digits == twin.digits
+            assert count_squares(box) == count_squares(twin)
+            assert list(enumerate_box(box)) == list(enumerate_box(twin))
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(poly_blocks(box, block=7), poly_blocks(twin, block=7)))
+            assert box.contains_zero() == twin.contains_zero()
+            assert split_box(box, r - 1) == split_box(twin, r - 1)
+            members = {e.idx for e in enumerate_box(twin)}
+            for idx in rng.integers(0, ctx.q, size=20):
+                x = ctx.from_index(int(idx))
+                assert box.contains(x) == twin.contains(x) == (x.idx in members)
+            # equality, hashing and the label stay the interval's own
+            assert box.describe().startswith("N=") and box.describe() != twin.describe()
+            assert box != twin and twin != box
+            assert box == IntervalBox(ctx, list(offsets), list(lengths))
+            assert hash(box) == hash(IntervalBox(ctx, offsets, lengths))
+            shifted = IntervalBox(ctx, tuple(n + p for n in offsets), lengths)
+            assert shifted.digits == box.digits and shifted != box
+
+    def test_interval_box_offsets_past_p_and_uniform(self, field):
+        ctx = field(5, 2)
+        box = IntervalBox(ctx, (7, -4), (3, 5))  # 8..10 and -3..1 mod 5
+        assert box.digits == ((0, 3, 4), (0, 1, 2, 3, 4))
+        assert repr(box).startswith("IntervalBox(ctx=") and "digits" not in repr(box)
+        assert type(IntervalBox.uniform(ctx, (1, 2))) is DigitBox
+        with pytest.raises(ValueError):
+            IntervalBox(ctx, (0,), (1,))
+        with pytest.raises(ValueError):
+            IntervalBox(ctx, (0, 0), (1, 6))
 
     @pytest.mark.parametrize("p,r,digits", [
         (3, 2, (0, 2)), (5, 2, (1, 2, 4)), (5, 4, (0, 3)), (3, 6, (1, 2)),

@@ -104,7 +104,7 @@ class TestTableReductionAgainstWalk:
             offsets = tuple(int(n) for n in rng.integers(-p, 3 * p, size=r))
             boxes.append(IntervalBox(ctx, offsets, lengths))
         assert any(set(s) != set(range(min(s), max(s) + 1))
-                   for s in boxes[0].coordinate_sets())  # the window wraps
+                   for s in boxes[0].digits)  # the window wraps
         for box in boxes:
             assert census(box) == walk_census(box), box.describe()
 
@@ -257,6 +257,32 @@ def monic_boxes(ctx, rng, n):
     return out
 
 
+class TestTablePredicate:
+    """characters.table_fits owns the full-table cap, and count_squares reads
+    the polynomial basis from the context."""
+
+    @pytest.mark.parametrize("p,r", TABLE_FIELDS + MONIC_FIELDS)
+    def test_agrees_with_the_cap(self, field, p, r):
+        ctx = field(p, r)
+        assert characters.table_fits(ctx) == (ctx.q <= DLOG_CAP)
+
+    @pytest.mark.parametrize("p,r", [(5, 2), (13, 2), (101, 2)])
+    def test_polynomial_basis_by_index_counts_through_the_table(self, field, walk_census,
+                                                                monkeypatch, p, r):
+        ctx = field(p, r)
+        rebased = ctx.with_basis([1, p])
+        assert rebased.poly_basis and rebased is not ctx
+        boxes = [DigitBox.uniform(rebased, range(0, p, 2)),
+                 IntervalBox(rebased, (p - 3, 1), (5, 4))]
+        expected = [walk_census(box) for box in boxes]
+
+        def refuse(*args):
+            raise AssertionError("the census walked the box")
+
+        monkeypatch.setattr(counting, "poly_blocks", refuse)
+        assert [census(box) for box in boxes] == expected
+
+
 class TestMonicTier:
     """Fields with q > 2^20 but (q-1)/(p-1) <= 2^20 count from the monic
     table, slab by slab: against the norm walk above the cap and against
@@ -300,7 +326,7 @@ class TestMonicTier:
         ctx = make_field(p, r)
         boxes = monic_boxes(ctx, np.random.default_rng([29, p, r]), 20)
         expected = [counting._table_sums(box) for box in boxes]
-        monkeypatch.setattr(counting, "DLOG_CAP", (ctx.q - 1) // (p - 1))
+        monkeypatch.setattr(characters, "DLOG_CAP", (ctx.q - 1) // (p - 1))
         assert [census(box) for box in boxes] == expected
         assert monic_calls == boxes
 

@@ -362,6 +362,35 @@ class TestBases:
         with pytest.raises(ValueError):
             ctx.with_basis([ctx.one(), ctx.from_int(2)])
 
+    @pytest.mark.parametrize("bad", [25, 30, -1])
+    def test_basis_index_outside_the_field_rejected(self, field, bad):
+        # 30 = 1 + 1*5 + 1*25 once read digit by digit: the poly coords of x
+        ctx = field(5, 2)
+        with pytest.raises(ValueError, match="outside"):
+            ctx.with_basis([1, bad])
+        with pytest.raises(ValueError, match="outside"):
+            FieldCtx(5, 2, ctx.modulus, (bad, 1))
+
+    def test_basis_element_of_another_field_rejected(self, field):
+        ctx, other = field(5, 2), field(5, 3)
+        x = ctx.from_poly_coords((0, 1))
+        with pytest.raises(ValueError, match="different fields"):
+            ctx.with_basis([ctx.one(), other.from_poly_coords((0, 1, 0))])
+        with pytest.raises(ValueError, match="different fields"):
+            ctx.with_basis([field(7, 2).one(), x])
+        assert ctx.with_basis([ctx.one(), x]).poly_basis
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (5, 2), (7, 3)])
+    def test_poly_basis_is_recorded_once(self, field, p, r):
+        ctx = field(p, r)
+        assert ctx.poly_basis
+        assert ctx.with_basis([p ** j for j in range(r)]).poly_basis
+        assert ctx.normalized_basis().poly_basis
+        if r > 1:
+            swapped = [p ** j for j in range(r)][::-1]
+            assert not ctx.with_basis(swapped).poly_basis
+            assert not ctx.with_basis([1 + p] + [p ** j for j in range(1, r)]).poly_basis
+
     def test_normalized_basis_starts_at_one(self, field):
         ctx = field(5, 2)
         x = ctx.from_poly_coords((0, 1))

@@ -593,6 +593,22 @@ class TestEnergy:
             box = IntervalBox(field(p, r), (offset,) * r, (h,) * r)
             assert energy_count(box).energy == energy, (p, r, offset, h)
 
+    def test_f101_4_side_7(self, field):
+        # 2 401 elements and 2.76 million distinct products in 45 kernel
+        # calls: the held pair is merged a handful of times, not once a call
+        merges = []
+        real = oracles._merge_counts
+
+        def counted(pairs):
+            merges.append(len(pairs))
+            real(pairs)
+
+        box = IntervalBox(field(101, 4), (0,) * 4, (7,) * 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_merge_counts", counted)
+            assert energy_count(box).energy == 12643769
+        assert sum(merges) - len(merges) == 45 and len(merges) <= 8
+
     def test_peak_memory(self, field):
         # 390 625 ordered pairs in 3 chunks; the discrete-log path peaked at
         # 31.2 MiB here

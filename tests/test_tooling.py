@@ -7,8 +7,9 @@ report a benchmark command writes must keep the digest recorded in
 perfbench/digests.json.  The README's list of config keys must be the keys
 of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
 never through assert, which python -O strips, and every module-level
-constant in src/ is read somewhere in src/.  Every demo prints the bytes
-recorded in DEMO_DIGESTS.
+constant in src/ is read somewhere in src/, and the full-table cap
+DLOG_CAP only in characters.py.  Every demo prints the bytes recorded in
+DEMO_DIGESTS.
 """
 
 import ast
@@ -128,6 +129,18 @@ def test_every_module_constant_is_used():
                 used.update(alias.name for alias in node.names)
     unused = sorted(where for name, where in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_only_characters_reads_the_table_cap():
+    readers = set()
+    for path in sorted((ROOT / "src" / "digitsquares").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Name) and node.id == "DLOG_CAP")
+                    or (isinstance(node, ast.Attribute) and node.attr == "DLOG_CAP")
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(alias.name == "DLOG_CAP" for alias in node.names))):
+                readers.add(path.name)
+    assert readers == {"characters.py"}
 
 
 def test_readme_lists_every_config_key():
