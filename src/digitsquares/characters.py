@@ -121,13 +121,6 @@ class CycloSum:
             raise ValueError("cannot merge sums over different root orders")
         return CycloSum(self.order, [a + b for a, b in zip(self.counts, other.counts)])
 
-    def __iadd__(self, other: "CycloSum"):
-        if self.order != other.order:
-            raise ValueError("cannot merge sums over different root orders")
-        for k, c in enumerate(other.counts):
-            self.counts[k] += c
-        return self
-
     def value(self) -> complex:
         return sum(c * cmath.exp(2j * cmath.pi * k / self.order)
                    for k, c in enumerate(self.counts) if c)
@@ -566,15 +559,15 @@ class MultChar:
 
     order s and index j define chi; its exact order in the character group
     is s / gcd(s, j).  Root orders 1 and 2 are evaluated as eta^j through
-    quad_char_coords; higher orders carry an exponent table built from the
-    field's discrete-log table.
+    quad_char_coords; higher orders read j * dlog mod s from the field's
+    discrete-log table when they are evaluated, so a character holds no
+    table of its own.
     """
 
-    def __init__(self, ctx: FieldCtx, order: int, index: int, exp_table=None):
+    def __init__(self, ctx: FieldCtx, order: int, index: int):
         self.ctx = ctx
         self.order = order
         self.index = index
-        self._exp = exp_table  # int64 per element index: exponent k, or -1 at zero
 
     @property
     def is_principal(self) -> bool:
@@ -596,8 +589,11 @@ class MultChar:
 
     def exponents_for_indices(self, idx: np.ndarray) -> np.ndarray:
         """Vectorised root_exponent over an element-index array (-1 at zeros)."""
-        if self._exp is not None:
-            return self._exp[idx]
+        if self.order > 2:
+            dl = dlog_table(self.ctx)[idx]
+            out = dl * self.index % self.order
+            out[dl < 0] = -1
+            return out
         if self.is_principal:
             return np.where(idx == 0, -1, 0)
         # chi = eta: exponent 1 on nonsquares, 0 on squares
@@ -617,32 +613,22 @@ def make_char(ctx: FieldCtx, order: int, index: int) -> MultChar:
         raise ValueError(f"order {order} does not divide q - 1 = {ctx.q - 1}")
     if not 0 <= index < order:
         raise ValueError(f"index {index} outside [0, {order})")
-    if order <= 2:
-        return MultChar(ctx, order, index)
-    if not table_fits(ctx):
+    if order > 2 and not table_fits(ctx):
         raise ValueError(
             f"q = {ctx.q} above the dlog cap {DLOG_CAP}; only root orders 1 and 2 "
             f"are available for large fields")
-    dl = dlog_table(ctx)
-    exp = (index * (dl % order)) % order
-    exp[0] = -1
-    return MultChar(ctx, order, index, exp_table=exp)
+    return MultChar(ctx, order, index)
 
 
 def char_sum(chi: MultChar, elems) -> CycloSum:
     """Exact accumulation of chi over an iterable of elements (or an index array)."""
     if isinstance(elems, np.ndarray):
-        return char_sum_indices(chi, elems)
+        exps = chi.exponents_for_indices(elems)
+        counts = np.bincount(exps[exps >= 0], minlength=chi.order)
+        return CycloSum(chi.order, [int(c) for c in counts])
     out = CycloSum(chi.order)
     for x in elems:
         k = chi.root_exponent(x)
         if k is not None:
             out.add_root(k)
     return out
-
-
-def char_sum_indices(chi: MultChar, idx: np.ndarray) -> CycloSum:
-    exps = chi.exponents_for_indices(idx)
-    exps = exps[exps >= 0]
-    counts = np.bincount(exps, minlength=chi.order)
-    return CycloSum(chi.order, [int(c) for c in counts])

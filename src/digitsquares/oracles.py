@@ -19,6 +19,8 @@ Upper bounds that the source results state only up to unspecified constants
 slack ratios and never asserted; the only asserted energy fact is the
 unconditional diagonal lower bound E >= |B|^2, counted exactly from the
 field-kernel products of all pairs in B for every q, with no discrete logs.
+The normalised box sums Delta(H, chi) (root order 1 or 2) are read from
+wrapped prefix sums of chi along each coordinate axis, a summed-area table.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import (DigitBox, IntervalBox, check_budget, coords_blocks,
-                    index_blocks, poly_blocks)
+                    poly_blocks)
 from .bounds import _float_above, _memoised
-from .characters import (CycloSum, MultChar, char_sum_indices, make_char,
-                         quad_char_coords)
+from .characters import CycloSum, MultChar, make_char, quad_char_coords
 from .errors import HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
                      frobenius_matrix, vec_decode, vec_degrees, vec_encode,
@@ -372,23 +373,34 @@ class DeltaReport:
 
 def delta_H(ctx: FieldCtx, H: int, chi: MultChar,
             budget: int | None = None) -> DeltaReport:
-    """max over boxes with sides in [H, 2H] of |sum_B chi| / |B|, by exhaustion."""
+    """max over boxes with sides in [H, 2H] of |sum_B chi| / |B|, by exhaustion.
+
+    chi, of root order 1 or 2, is read once as a p x ... x p integer tensor
+    in installed-basis coordinates.  For each side tuple hs, r prefix sums,
+    each along one axis extended by its first h slices so that windows wrap
+    mod p (a summed-area table), give the sums of all p^r boxes
+    N + 1 .. N + hs in O(q) memory.  The first maximum in (hs, N) order wins.
+    """
     if not 1 <= H <= ctx.p:
         raise ValueError(f"H = {H} outside [1, p]")
-    lengths = range(H, min(2 * H, ctx.p) + 1)
-    n_boxes = (ctx.p * len(lengths)) ** ctx.r
-    check_budget(n_boxes * (2 * H) ** ctx.r, budget, "exhaustive search over parallelepipeds")
+    if chi.order > 2:
+        raise ValueError(f"root order {chi.order} above 2: box sums are not integers")
+    p, r = ctx.p, ctx.r
+    lengths = range(H, min(2 * H, p) + 1)
+    n_boxes = (p * len(lengths)) ** r
+    check_budget(n_boxes * (2 * H) ** r, budget, "exhaustive search over parallelepipeds")
+    coords = np.indices((p,) * r).reshape(r, -1).T  # lex order, first axis slowest
+    eta = quad_char_coords(ctx, vec_from_coords(ctx, coords)).reshape((p,) * r)
+    values = (eta != 0).astype(np.int8) if chi.is_principal else eta
     best = None
-    count = 0
-    for hs in itertools.product(lengths, repeat=ctx.r):
-        for ns in itertools.product(range(ctx.p), repeat=ctx.r):
-            box = IntervalBox(ctx, ns, hs)
-            count += 1
-            total = CycloSum(chi.order)
-            for idx in index_blocks(box):
-                total += char_sum_indices(chi, idx)
-            lo, hi = total.magnitude_interval()
-            val = (lo + hi) / 2.0 / box.size()
-            if best is None or val > best[0]:
-                best = (val, box)
-    return DeltaReport(delta=best[0], best_box=best[1], n_boxes=count)
+    for hs in itertools.product(lengths, repeat=r):
+        sums = values
+        for h in hs:  # the first axis goes, its N axis comes last
+            c = np.cumsum(np.concatenate([np.zeros_like(sums[:1]), sums, sums[:h]]), axis=0)
+            sums = np.moveaxis(c[h + 1:h + 1 + p] - c[1:p + 1], 0, -1)
+        ratios = np.abs(sums) / math.prod(hs)
+        i = int(ratios.argmax())
+        if best is None or ratios.flat[i] > best[0]:
+            best = (float(ratios.flat[i]), hs, np.unravel_index(i, ratios.shape))
+    val, hs, ns = best
+    return DeltaReport(delta=val, best_box=IntervalBox(ctx, ns, hs), n_boxes=n_boxes)

@@ -5,8 +5,9 @@ All randomness is derived from the configured seed plus (p, r), so
 identical configurations reproduce identical rows.  Which rows a task
 gets is decided in this order, the first that applies winning:
 
-1. a precondition on (p, r) alone fails (r >= 2, 2r-1 <= sqrt(p)): one
-   skip row, and the field is not built;
+1. a precondition on (p, r) and the options alone fails (r >= 2,
+   2r-1 <= sqrt(p), a deltaH side H <= p): one skip row, and the field is
+   not built;
 2. the field cannot be built: one error row (run_config turns any
    other exception a suite raises into the task's error row);
 3. a precondition checked once the field is built fails (thm1-existence:
@@ -427,12 +428,13 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
     The asserted fact is only the unconditional diagonal lower bound
     E >= |B|^2, which energy_count raises InvariantViolation on, so a row
     that gets here passes; the slack column carries the report-only ratio
-    E / (|B|^2 log p).
+    E / (|B|^2 log p).  Sides above p are no box sides: one skip row
+    stands for all of them.
     """
     ctx = live_field(opts.p, opts.r)
     h_max = opts.h if opts.h > 0 else math.isqrt(opts.p)
     rows = []
-    for h in range(1, max(1, h_max) + 1):
+    for h in range(1, min(h_max, opts.p) + 1):
         box = IntervalBox(ctx, (0,) * opts.r, (h,) * opts.r)
         try:
             rep = energy_count(box, opts.budget)
@@ -442,14 +444,19 @@ def suite_energy(opts: TaskOptions) -> list[Row]:
         note = "" if rep.within_lemma_hypothesis else ";outside-hypothesis"
         rows.append(Row("energy", opts.p, opts.r, f"{box.describe()}{note}",
                         lhs=rep.energy, rhs=rep.trivial_lower, slack=rep.ratio))
+    if h_max > opts.p:
+        rows.append(_skip_row("energy", opts, f"H={opts.p + 1}..{h_max}", "needs H <= p"))
     return rows
 
 
 def suite_deltaH(opts: TaskOptions) -> list[Row]:
-    """Report-only worst-case normalised box sums for the quadratic character."""
+    """Report-only worst-case normalised box sums for the quadratic character;
+    a side H above p is no box side, and gets one skip row."""
+    h = opts.h if opts.h > 0 else 1
+    if h > opts.p:
+        return [_skip_row("deltaH", opts, f"H={h}", "needs H <= p")]
     ctx = live_field(opts.p, opts.r)
     chi = make_char(ctx, 2, 1)
-    h = opts.h if opts.h > 0 else 1
     try:
         rep = delta_H(ctx, h, chi, opts.budget)
     except BudgetExceeded:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -8,9 +9,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from digitsquares import HypothesisNotMet, LemmaReport, characters, make_field
+from digitsquares import (DeltaReport, HypothesisNotMet, IntervalBox, LemmaReport,
+                          char_sum, characters, make_field)
 from digitsquares.bounds import IV_PREC, _iv, _upper
-from digitsquares.boxes import poly_blocks
+from digitsquares.boxes import check_budget, index_blocks, poly_blocks
 from digitsquares.characters import (CycloSum, legendre_table, make_char,
                                      quad_char_coords)
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
@@ -480,3 +482,34 @@ def _fmt_value(x) -> str:
 def fmt_value():
     """Oracle for a report cell's string: the isinstance chain str replaced."""
     return _fmt_value
+
+
+def _delta_H_loop(ctx, H, chi, budget=None) -> DeltaReport:
+    """delta_H one box at a time: each box walked through index_blocks, its
+    character sum held as a CycloSum and its magnitude certified."""
+    if not 1 <= H <= ctx.p:
+        raise ValueError(f"H = {H} outside [1, p]")
+    lengths = range(H, min(2 * H, ctx.p) + 1)
+    n_boxes = (ctx.p * len(lengths)) ** ctx.r
+    check_budget(n_boxes * (2 * H) ** ctx.r, budget, "exhaustive search over parallelepipeds")
+    best = None
+    count = 0
+    for hs in itertools.product(lengths, repeat=ctx.r):
+        for ns in itertools.product(range(ctx.p), repeat=ctx.r):
+            box = IntervalBox(ctx, ns, hs)
+            count += 1
+            total = CycloSum(chi.order)
+            for idx in index_blocks(box):
+                total = total + char_sum(chi, idx)
+            lo, hi = total.magnitude_interval()
+            val = (lo + hi) / 2.0 / box.size()
+            if best is None or val > best[0]:
+                best = (val, box)
+    return DeltaReport(delta=best[0], best_box=best[1], n_boxes=count)
+
+
+@pytest.fixture(scope="session")
+def delta_H_loop():
+    """Oracle for oracles.delta_H: the per-box walk its tensor contractions
+    replaced."""
+    return _delta_H_loop

@@ -380,11 +380,11 @@ class TestMakeChar:
     def test_tableless_quadratic_above_dlog_cap(self, field, euler):
         ctx = field(1031, 2)  # q = 1062961 > 2^20: no dlog table available
         chi = make_char(ctx, 2, 1)
-        assert chi._exp is None
         rng = np.random.default_rng(8)
         idx = rng.integers(0, ctx.q, size=50, dtype=np.int64)
         idx[0] = 0
         exps = chi.exponents_for_indices(idx)
+        assert "dlog" not in ctx._cache
         for i, k in zip(idx, exps):
             qc = euler(ctx, int(i))
             assert (k == -1 and qc == 0) or (k == 0 and qc == 1) or (k == 1 and qc == -1)
@@ -392,6 +392,22 @@ class TestMakeChar:
         assert principal.tolist() == [-1 if i == 0 else 0 for i in idx]
         with pytest.raises(ValueError):
             make_char(ctx, 5, 1)  # orders above 2 need the dlog table
+
+    @pytest.mark.parametrize("p,r", [(7, 2), (5, 3), (13, 2)])
+    def test_exponents_follow_the_exponent_table_rule(self, field, p, r):
+        """Every character above order 2 against the q-entry exponent table
+        make_char built for it when characters still carried one."""
+        ctx = field(p, r)
+        dl = dlog_table(ctx)
+        idx = np.arange(ctx.q, dtype=np.int64)
+        for s in divisors(ctx.q - 1):
+            if s <= 2:
+                continue
+            for j in range(s):
+                want = (j * (dl % s)) % s
+                want[0] = -1
+                got = make_char(ctx, s, j).exponents_for_indices(idx)
+                assert np.array_equal(got, want), (s, j)
 
     def test_order_must_divide_group_order(self, field):
         with pytest.raises(ValueError):

@@ -655,3 +655,76 @@ class TestDeltaH:
         rep = delta_H(ctx, 2, chi)
         total = char_sum(chi, enumerate_box(rep.best_box))
         assert abs(total.value_int()) / rep.best_box.size() == pytest.approx(rep.delta)
+
+    CHARS = ((1, 0), (2, 0), (2, 1))
+    # every (p, r, H) with p <= 13, r <= 3 whose search spans at most 4000 boxes
+    CASES = [(p, r, h) for p in (3, 5, 7, 11, 13) for r in (1, 2, 3)
+             for h in range(1, p + 1) if (p * (min(2 * h, p) - h + 1)) ** r <= 4000]
+
+    @staticmethod
+    def rebased(ctx, seed):
+        rng = np.random.default_rng(seed)
+        while True:  # a random basis; most draws are independent
+            try:
+                return ctx.with_basis([ctx.from_index(int(i))
+                                       for i in rng.integers(1, ctx.q, size=ctx.r)])
+            except ValueError:
+                continue
+
+    @staticmethod
+    def assert_matches_loop(ctx, h, order, index, delta_H_loop):
+        chi = make_char(ctx, order, index)
+        got, want = delta_H(ctx, h, chi), delta_H_loop(ctx, h, chi)
+        assert got.delta == want.delta
+        assert got.best_box == want.best_box
+        assert got.best_box.describe() == want.best_box.describe()
+        assert got.n_boxes == want.n_boxes
+
+    @pytest.mark.parametrize("p,r,h", [(3, 1, 1), (13, 1, 4), (3, 2, 2), (5, 2, 2),
+                                       (7, 2, 3), (13, 2, 13), (3, 3, 1), (5, 3, 5)])
+    def test_matches_the_box_loop_seeded(self, field, delta_H_loop, p, r, h):
+        ctx = field(p, r)
+        for seed in (None, 11, 12):
+            bctx = ctx if seed is None else self.rebased(ctx, seed)
+            for order, index in self.CHARS:
+                self.assert_matches_loop(bctx, h, order, index, delta_H_loop)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(CASES), char=st.sampled_from(CHARS),
+           seed=st.none() | st.integers(0, 2 ** 16))
+    def test_matches_the_box_loop(self, field, delta_H_loop, case, char, seed):
+        p, r, h = case
+        ctx = field(p, r) if seed is None else self.rebased(field(p, r), seed)
+        self.assert_matches_loop(ctx, h, *char, delta_H_loop)
+
+    def test_order_above_two_raises(self, field):
+        ctx = field(7, 1)
+        with pytest.raises(ValueError):
+            delta_H(ctx, 2, make_char(ctx, 3, 1))
+
+    def test_large_prime_line_matches_direct_window_sums(self, field):
+        # r = 1 with a large p: every window sum read directly from the
+        # Legendre symbols, and a memory peak far below a p x p table
+        p, h = 10007, 1
+        ctx = field(p, 1)
+        chi = make_char(ctx, 2, 1)
+        characters.quad_table(ctx)
+        tracemalloc.start()
+        try:
+            rep = delta_H(ctx, h, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coords = np.arange(p, dtype=np.int64)[:, None]
+        eta = quad_char_coords(ctx, coords @ ctx.basis_matrix.T % p).astype(np.int64)
+        best = None
+        for side in (1, 2):
+            starts = np.arange(p)
+            sums = sum(eta[(starts + 1 + k) % p] for k in range(side))
+            ratios = np.abs(sums) / side
+            n = int(ratios.argmax())
+            if best is None or ratios[n] > best[0]:
+                best = (float(ratios[n]), IntervalBox(ctx, (n,), (side,)))
+        assert (rep.delta, rep.best_box) == best
+        assert rep.n_boxes == 2 * p
+        assert peak < 2 ** 22

@@ -14,7 +14,8 @@ rows, and is printed by str; the isinstance formatter that str replaced is
 the oracle (conftest's fmt_value).
 
 The energy suite's exact counts are pinned on fields on both sides of the
-2^20 table cap, as recorded when it still forked on q.
+2^20 table cap, as recorded when it still forked on q, and the deltaH
+suite's worst boxes as recorded when each box was walked element by element.
 
 A bound row's verdict is the exact comparison of a rational deviation with
 a float right-hand side (suites._bound_row).
@@ -207,6 +208,38 @@ def test_energy_suite_golden_digest(capsys, fields, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fields,lines,digest", [
+    (["--p", "3,5,7", "--r", "1,2,3", "--h", "2"], 10,
+     "685858e8696404da289cacaa9025cb36fea2d6287ba2bb149d1527ffac67f415"),
+    (["--p", "31", "--r", "2", "--h", "5"], 2,
+     "e7957451429ddd797286be55f625952a7f106c39e7e408e2879e5d984ab3098a"),
+    (["--p", "13", "--r", "3", "--h", "2"], 2,
+     "e382e4f94cbee2039b016c87677cff574372f6e3ca274a3b3a5fd6680bebe7ef"),
+], ids=["small-fields-h2", "p31-r2-h5", "p13-r3-h2"])
+def test_deltaH_suite_golden_digest(capsys, fields, lines, digest):
+    """Recorded when every box was summed by its own element walk."""
+    code = main(["verify", "--suite", "deltaH"] + fields)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sides_above_p_skip_and_keep_the_valid_rows(capsys):
+    assert main(["verify", "--suite", "energy", "--p", "5", "--r", "2", "--h", "5"]) == 0
+    valid = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--suite", "energy,deltaH", "--p", "5", "--r", "2", "--h", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(valid)] == valid
+    assert out[len(valid):] == ["energy,5,2,H=6..7;needs H <= p,,,,skip-hypothesis",
+                                "deltaH,5,2,H=7;needs H <= p,,,,skip-hypothesis"]
+
+
+def test_deltaH_side_above_p_skips_before_the_field():
+    rows = SUITES["deltaH"](TaskOptions(p=9, r=2, h=12))  # 9 is no prime
+    assert rows == [Row("deltaH", 9, 2, "H=12;needs H <= p", verdict="skip-hypothesis")]
 
 
 @pytest.mark.parametrize("value,text", [

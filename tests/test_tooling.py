@@ -6,9 +6,10 @@ deleted one would only show when a traced benchmark round runs.  Every
 report a benchmark command writes must keep the digest recorded in
 perfbench/digests.json.  The README's list of config keys must be the keys
 of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
-never through assert, which python -O strips, and every module-level
+never through assert, which python -O strips; every module-level
 constant in src/ is read somewhere in src/, and the full-table cap
-DLOG_CAP only in characters.py.  Every demo prints the bytes recorded in
+DLOG_CAP only in characters.py; every top-level function and class is
+read elsewhere in src/, exported, or wrapped by the tracer.  Every demo prints the bytes recorded in
 DEMO_DIGESTS.
 """
 
@@ -128,6 +129,39 @@ def test_every_module_constant_is_used():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     unused = sorted(where for name, where in defined.items() if name not in used)
+    assert not unused, unused
+
+
+def _names_read(node) -> set:
+    """Every name node reads: loaded names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_top_level_def_is_used():
+    """A top-level function or class of the package is read by another
+    top-level statement of src/, exported, or wrapped by the tracer."""
+    import digitsquares
+
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    [layers] = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)]
+    kept = set(digitsquares.__all__) | {key.split(".")[1] for key in ast.literal_eval(layers)}
+    defined, reads = {}, []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[id(node)] = (node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+            reads.append((id(node), _names_read(node)))
+    unused = sorted(where for key, (name, where) in defined.items() if name not in kept
+                    and not any(name in names for other, names in reads if other != key))
     assert not unused, unused
 
 
