@@ -52,7 +52,7 @@ import numpy as np
 
 from .bounds import IV_PREC
 from .errors import InvariantViolation
-from .fields import (FieldCtx, FieldElem, prime_factors, vec_decode,
+from .fields import (FieldCtx, FieldElem, _mod_p, prime_factors, vec_decode,
                      vec_encode, vec_mul, vec_norm)
 
 DLOG_CAP = 1 << 20
@@ -338,17 +338,19 @@ def _unit_powers(p: int) -> np.ndarray:
     return pows
 
 
+def _square_dtype(p: int, r: int):
+    """The narrowest signed type, int16 or wider, that holds (2r-1)(p-1)^2,
+    the largest intermediate of _square_monic."""
+    return np.promote_types(np.min_scalar_type(-(2 * r - 1) * (p - 1) ** 2 - 1), np.int16)
+
+
 def _square_monic(ctx: FieldCtx, mon: np.ndarray, sign: np.ndarray):
     """The body of monic_table: eta(y / l) = sign[l] for the square y of
     every monic m in the slabs k = 1..r-1, l the top coordinate of y.
-
-    x - x // p * p stands for x % p: numpy divides an integer array by a
-    scalar with a multiply and a shift, but has no such loop for %, which
-    took 10x as long on int16 and 4x on int32.
+    Every reduction goes through fields._mod_p.
     """
     p, r = ctx.p, ctx.r
-    # the narrowest signed type, int16 or wider, that holds (2r-1)(p-1)^2
-    dt = np.promote_types(np.min_scalar_type(-(2 * r - 1) * (p - 1) ** 2 - 1), np.int16)
+    dt = _square_dtype(p, r)
     inv = inverse_table(ctx).astype(dt)
     ppow = np.asarray(ctx._ppow, dtype=np.int64)
     # monic index minus element index of a monic element with top a_t = 1
@@ -357,17 +359,19 @@ def _square_monic(ctx: FieldCtx, mon: np.ndarray, sign: np.ndarray):
     for k in range(1, r):
         for a in _monic_blocks(p, k, dt):
             Y = np.zeros((r,) + np.broadcast_shapes(*map(np.shape, a)), dtype=dt)
+            tmp = np.empty_like(Y)
             for n in range(2 * k + 1):
                 c = sum((2 if i < n - i else 1) * a[i] * a[n - i]
                         for i in range(max(0, n - k), n // 2 + 1))
                 if n < r:
                     Y[n] += c
                     continue
-                c = c - c // p * p
+                c = np.asarray(c, dtype=dt)  # a fresh array, or an int from int terms
+                _mod_p(c, p, np.empty_like(c))
                 for t in range(r):
                     if red[n - r][t]:
                         Y[t] += red[n - r][t] * c
-            Y -= Y // p * p
+            _mod_p(Y, p, tmp)
             lead = Y[r - 1].copy()
             idx = np.full(lead.shape, shift[r - 1], dtype=np.int64)
             for t in range(r - 2, -1, -1):
@@ -375,7 +379,7 @@ def _square_monic(ctx: FieldCtx, mon: np.ndarray, sign: np.ndarray):
                 np.copyto(idx, shift[t], where=below)
                 np.copyto(lead, Y[t], where=below)
             Y *= inv[lead]
-            Y -= Y // p * p
+            _mod_p(Y, p, tmp)
             for t in range(r):
                 idx += ppow[t] * Y[t]
             mon[idx] = sign[lead]

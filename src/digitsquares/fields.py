@@ -21,7 +21,9 @@ the cached frobenius_matrix.
 
 The vector kernels multiply coefficient-major (r, n) arrays in the
 narrowest integer type that holds r p^2 (_kernel_dtype); the characteristic
-cap of 2^20 keeps that within int64 for every r < 2^23.
+cap of 2^20 keeps that within int64 for every r < 2^23.  They reduce mod p
+with _mod_p, a floor division into scratch the caller allocates once, not
+with numpy's %, which is several times slower on integer arrays.
 """
 
 from __future__ import annotations
@@ -539,11 +541,12 @@ def _kernel_dtype(p: int, r: int):
     one, and each full sum is below r p^2:
     - the convolution c_m = sum_{i+j=m} a_i b_j has at most r terms, so
       c_m <= r (p-1)^2;
-    - after c %= p, the fold c_t + sum_s reduction[s, t] c_{r+s} adds r-1
-      products to c_t <= p-1: at most (p-1) + (r-1)(p-1)^2;
+    - after c is reduced mod p, the fold c_t + sum_s reduction[s, t] c_{r+s}
+      adds r-1 products to c_t <= p-1: at most (p-1) + (r-1)(p-1)^2;
     - a Frobenius image sum_j F[j, t] y_j has r terms: at most r (p-1)^2.
     So int32 is exact when r p^2 < 2^31 and int64 when r p^2 < 2^63, which
-    P_CAP = 2^20 guarantees for every r < 2^23.
+    P_CAP = 2^20 guarantees for every r < 2^23.  _mod_p's x // p * p never
+    exceeds x, so the reductions stay within the same bound.
     """
     bound = r * p * p
     if bound < 1 << 31:
@@ -553,15 +556,33 @@ def _kernel_dtype(p: int, r: int):
     raise ValueError(f"r p^2 = {bound} overflows int64 in the field kernels")
 
 
-def _mul_cm(A, B, red, p, full, out):
+def _mod_p(x, p, tmp):
+    """x <- x mod p in place (floor semantics, as np.remainder), through
+    tmp, a buffer of x's shape and type; returns x.
+
+    x - x // p * p stands for x % p: numpy divides an integer array by a
+    scalar with a multiply and a shift, but has no such loop for %, which
+    took 10x as long on int16 and 4x on int32.  Writing x // p into tmp
+    and subtracting in place allocates nothing.
+    """
+    np.floor_divide(x, p, out=tmp)
+    tmp *= p
+    x -= tmp
+    return x
+
+
+def _mul_cm(A, B, red, p, full, out, tmp):
     """out <- A * B on coefficient-major arrays of reduced coefficients.
 
     A and B broadcast to out's (r, ...) shape, e.g. (r, k, 1) by (r, 1, m)
-    for all k m pairs; red is ctx._reduction.T and full a (2r-1, ...)
-    buffer, in the kernel type, with full and out contiguous past axis 0.
-    r slab multiply-adds build the 2r-1 product coefficients, one % p
-    reduces them, and the fold red @ full[r:] adds x^r..x^{2r-2} back into
-    the low r.  out may be A or B: both are read before out is written.
+    for all k m pairs; red is ctx._reduction.T, full a (2r-1, ...) buffer
+    and tmp a scratch of out's shape, all in the kernel type, with full,
+    out and tmp contiguous past axis 0.  r slab multiply-adds, each
+    A[i] * B written into tmp, build the 2r-1 product coefficients;
+    _mod_p reduces them through tmp, the fold red @ full[r:] adds
+    x^r..x^{2r-2} back into the low r, and _mod_p reduces those through
+    full[:r], so a call allocates nothing.  out may be A or B (both are
+    read before out is written) or else tmp; tmp is neither A nor B.
     np.einsum contracts the fold and vec_norm's Frobenius images: integer
     matmul has no BLAS path and took 3.5x as long on (20, 3000) int32 slabs.
     """
@@ -569,12 +590,13 @@ def _mul_cm(A, B, red, p, full, out):
     np.multiply(A[0], B, out=full[:r])
     full[r:] = 0
     for i in range(1, r):
-        full[i:i + r] += A[i] * B
-    full %= p
+        np.multiply(A[i], B, out=tmp)
+        full[i:i + r] += tmp
+    _mod_p(full[:r], p, tmp)
+    _mod_p(full[r:], p, tmp[:r - 1])
     np.einsum("ts,sn->tn", red, full[r:].reshape(r - 1, n), out=out.reshape(r, n))
     out += full[:r]
-    out %= p
-    return out
+    return _mod_p(out, p, full[:r])
 
 
 def vec_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -582,9 +604,9 @@ def vec_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dt = _kernel_dtype(ctx.p, ctx.r)
     a = np.array(A.T, dtype=dt, order="C")
     b = np.array(B.T, dtype=dt, order="C")
-    full = np.empty((2 * ctx.r - 1, a.shape[1]), dtype=dt)
-    _mul_cm(a, b, ctx._reduction.T.astype(dt), ctx.p, full, out=a)
-    return np.ascontiguousarray(a.T, dtype=np.int64)
+    full, out = np.empty((2 * ctx.r - 1, a.shape[1]), dtype=dt), np.empty_like(a)
+    _mul_cm(a, b, ctx._reduction.T.astype(dt), ctx.p, full, out=out, tmp=out)
+    return np.ascontiguousarray(out.T, dtype=np.int64)
 
 
 def vec_pow(ctx: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
@@ -655,28 +677,30 @@ def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     y_{2k} = y_k * Frob^k(y_k) and y_{k+1} = a * Frob(y_k), so the product
     costs O(log r) field multiplications.  The rows are transposed and cast
     to the kernel type once; every step then runs coefficient-major, Frob^k
-    as F_k.T @ y and the product through _mul_cm, in scratch buffers
-    allocated once per call.  Raises InvariantViolation if a result leaves
+    as F_k.T @ y reduced by _mod_p and the product through _mul_cm, in
+    four (r, n) buffers and one (2r-1, n) buffer allocated once per call,
+    so no step allocates.  Raises InvariantViolation if a result leaves
     the prime field.
     """
     p, r = ctx.p, ctx.r
     dt = _kernel_dtype(p, r)
     a = np.array(A.T, dtype=dt, order="C")
     red = ctx._reduction.T.astype(dt)
-    conj, out = np.empty_like(a), np.empty_like(a)
+    conj, out, tmp = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     full = np.empty((2 * r - 1, a.shape[1]), dtype=dt)
     y = a
     k = 1
     for bit in bin(r)[3:]:
         np.einsum("ji,jn->in", frobenius_matrix(ctx, k).astype(dt), y, out=conj)
-        conj %= p
-        y = _mul_cm(y, conj, red, p, full, out=out)
+        _mod_p(conj, p, tmp)
+        y = _mul_cm(y, conj, red, p, full, out=out, tmp=tmp)
         k *= 2
         if bit == "1":
             np.einsum("ji,jn->in", frobenius_matrix(ctx, 1).astype(dt), y, out=conj)
-            conj %= p
-            y = _mul_cm(a, conj, red, p, full, out=out)
+            _mod_p(conj, p, tmp)
+            y = _mul_cm(a, conj, red, p, full, out=out, tmp=tmp)
             k += 1
+    del conj, tmp, full  # freed before the int64 copy below, which would stack on them
     if y[1:].any():
         raise InvariantViolation("a norm N(x) landed outside the prime field F_p")
     return y[0].astype(np.int64)
@@ -691,8 +715,18 @@ def vec_encode(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
 
 
 def vec_from_coords(ctx: FieldCtx, coords: np.ndarray, out=None) -> np.ndarray:
-    """Installed-basis coordinate rows -> poly-coordinate rows (written into
-    out when given)."""
+    """Reduced installed-basis coordinate rows -> poly-coordinate rows, int64
+    (written into out when given), never a view of coords.
+
+    Under the polynomial basis the coordinates are the poly coordinates, so
+    they are copied instead of multiplied by the identity: every caller
+    passes the digits of a DigitBox, which lie in [0, p).
+    """
+    if ctx.poly_basis:
+        if out is None:
+            return np.array(coords, dtype=np.int64)
+        np.copyto(out, coords)
+        return out
     out = np.matmul(coords, ctx.basis_matrix.T, out=out)
     out %= ctx.p
     return out

@@ -293,7 +293,8 @@ def energy_count(box: DigitBox, budget: int | None = None) -> EnergyReport:
     E = sum_w f(w)^2 with f(w) = #{(x, y) in B^2 : x y = w}; collisions of
     the product map are exactly the quadruple solutions, at O(|B|^2) cost.
     The nonzero elements x are decoded once; k of them at a time meet all
-    m in one broadcast kernel call (k m r <= PAIR_CHUNK).  Each call's
+    m in one broadcast kernel call (k m r <= PAIR_CHUNK), which takes its
+    slab products and writes its result in the same buffer.  Each call's
     np.unique (w, count) pair waits until the waiting pairs hold as many
     entries as the held (w, f(w)) pair, and then all merge into it at once
     (_merge_counts), so each entry is merged O(1) times on average and
@@ -312,7 +313,8 @@ def energy_count(box: DigitBox, budget: int | None = None) -> EnergyReport:
     waiting = 0
     for lo in range(0, m, k):
         kk = min(k, m - lo)  # x_lo..x_{lo+kk-1} times every x: (r, kk, 1) by (r, 1, m)
-        out = _mul_cm(cols[:, lo:lo + kk, None], cols[:, None], red, p, full[:, :kk], prod[:, :kk])
+        out = _mul_cm(cols[:, lo:lo + kk, None], cols[:, None], red, p, full[:, :kk],
+                      out=prod[:, :kk], tmp=prod[:, :kk])
         pairs.append(np.unique(vec_encode(ctx, out.reshape(r, -1).T), return_counts=True))
         waiting += pairs[-1][0].size
         if waiting >= pairs[0][0].size:

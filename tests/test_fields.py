@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from digitsquares import (InvariantViolation, conjugates, element_degree,
                           field_generator, fields, frobenius, is_generator,
                           make_field)
-from digitsquares.characters import dlog_table, legendre_table, quad_table
-from digitsquares.fields import (FieldCtx, _kernel_dtype, all_poly_coords, divisors,
+from digitsquares.characters import _square_dtype, dlog_table, legendre_table, quad_table
+from digitsquares.fields import (FieldCtx, _kernel_dtype, _mod_p, all_poly_coords, divisors,
                                  frobenius_matrix, is_irreducible, is_prime, poly_str,
                                  smallest_irreducible, vec_degrees, vec_encode,
                                  vec_from_coords, vec_mul, vec_norm, vec_pow)
@@ -484,16 +484,48 @@ class TestVectorKernels:
         basis = [x + 3, x * x + x, ctx.from_int(2)]
         bctx = ctx.with_basis(basis)
         coords = np.random.default_rng(4).integers(0, 7, size=(50, 3))
-        want = []
-        for row in coords:
-            y = ctx.zero()
-            for c, b in zip(row, basis):
-                y = y + int(c) * b
-            want.append(y.poly_coords)
+        want = basis_combinations(ctx, basis, coords)
         assert (vec_from_coords(bctx, coords) == np.asarray(want)).all()
         out = np.empty_like(coords)
         assert vec_from_coords(bctx, coords, out=out) is out
         assert (out == np.asarray(want)).all()
+
+    def test_fold_takes_reduced_products(self):
+        # x^3 + x^2 + 2x + 10 over F_26731: x^3 and x^4 both reduce with x^2
+        # coefficient p - 1, and 3 p^2 < 2^31, so the kernel runs in int32.
+        # For a = (p-1, p-1, u), b = (p-1, p-1, v) with u + v = p + 1 and
+        # u v = -1 mod p, c_2 = (p-1)(p+1) + (p-1)^2 and c_3 = c_4 = p - 1
+        # mod p: folding c_3, c_4 into c_2 before reducing it passes 2^31.
+        p = 26731
+        ctx = FieldCtx(p, 3, (10, 2, 1, 1))
+        assert _kernel_dtype(p, 3) is np.int32
+        s = next(s for s in range(p) if s * s % p == 5)
+        u, v = (1 + s) * (p + 1) // 2 % p, (1 - s) * (p + 1) // 2 % p
+        A, B = np.array([[p - 1, p - 1, u]]), np.array([[p - 1, p - 1, v]])
+        c2, c3, c4 = (p - 1) * (u + v) + (p - 1) ** 2, (p - 1) * (u + v), u * v
+        red = ctx._reduction
+        assert c2 + red[0, 2] * (c3 % p) + red[1, 2] * (c4 % p) >= 1 << 31
+        got = ctx.poly_coords_to_index(vec_mul(ctx, A, B)[0])
+        assert got == ctx.mul_idx(ctx.poly_coords_to_index(A[0]), ctx.poly_coords_to_index(B[0]))
+
+    @pytest.mark.parametrize("p,r", [(7, 3), (101, 20)])
+    def test_vec_from_coords_polynomial_basis(self, field, p, r):
+        ctx = field(p, r)
+        assert ctx.poly_basis
+        basis = [ctx.from_index(b) for b in ctx.basis_indices]
+        coords = np.random.default_rng(9).integers(0, p, size=(40, r))
+        coords[0], coords[1] = 0, p - 1
+        want = np.asarray(basis_combinations(ctx, basis, coords))
+        before = coords.copy()
+        got = vec_from_coords(ctx, coords)
+        assert got.dtype == np.int64 and (got == want).all()
+        got += 1  # a copy, never a view of the coordinates
+        assert (coords == before).all()
+        out = np.empty_like(coords)
+        assert vec_from_coords(ctx, coords, out=out) is out
+        assert (out == want).all()
+        out[:] = 0
+        assert (coords == before).all()
 
     def test_vec_encode_exact_above_int64(self, field):
         ctx = field(101, 20)  # q > 2^62: indices are Python ints
@@ -507,6 +539,18 @@ class TestVectorKernels:
         idx = np.arange(ctx.q, dtype=np.int64)
         from digitsquares.fields import vec_decode
         assert (vec_encode(ctx, vec_decode(ctx, idx)) == idx).all()
+
+
+def basis_combinations(ctx, basis, coords):
+    """Poly coords of sum_i c_i b_i for each coordinate row, by scalar
+    field arithmetic."""
+    want = []
+    for row in coords:
+        y = ctx.zero()
+        for c, b in zip(row, basis):
+            y = y + int(c) * b
+        want.append(y.poly_coords)
+    return want
 
 
 def kernel_rows(ctx, n, seed):
@@ -598,6 +642,57 @@ class TestKernelSafety:
             if not tracing:
                 tracemalloc.stop()
         assert peak < limit <= 6.5 * A.nbytes
+
+
+def mod_p_edges(dtype, p):
+    """0, p-1, multiples of p and the ends of _mod_p's domain [min + p, max]
+    of the type: below min + p, x // p * p may wrap."""
+    info = np.iinfo(dtype)
+    lo, hi = info.min + p, info.max
+    return [0, 1, p - 1, p, p + 1, 2 * p, -1, -p, -p - 1, -2 * p,
+            hi // p * p, hi // p * p - 1, hi, -(-lo // p) * p, lo, lo + 1]
+
+
+class TestModP:
+    """_mod_p against np.remainder, floor semantics included."""
+
+    def check(self, values, dtype, p):
+        x = np.asarray(values, dtype=dtype)
+        want = np.remainder(x, p)
+        got = _mod_p(x, p, np.empty_like(x))
+        assert got is x and got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_remainder(self, data):
+        dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+        info = np.iinfo(dtype)
+        p = data.draw(st.sampled_from([q for q in ODD_PRIMES_16 if q < info.max // 2]))
+        values = data.draw(st.lists(st.integers(info.min + p, info.max), max_size=64))
+        self.check(values + mod_p_edges(dtype, p), dtype, p)
+
+    @pytest.mark.parametrize("p,r", SWITCH_FIELDS + [(101, 20)])
+    def test_kernel_maxima(self, p, r):
+        # the largest value _kernel_dtype proves, r p^2 - 1, and the sums
+        # its docstring bounds, in the kernel type on both sides of 2^31
+        dtype = _kernel_dtype(p, r)
+        top = r * p * p - 1
+        assert top <= np.iinfo(dtype).max
+        values = [top, top - p, r * (p - 1) ** 2, (p - 1) + (r - 1) * (p - 1) ** 2]
+        self.check(values + mod_p_edges(dtype, p), dtype, p)
+
+    @pytest.mark.parametrize("p,r", [(101, 3), (37, 4), (37, 5), (3, 13), (1021, 2),
+                                     (32749, 2)])
+    def test_monic_square_bound(self, p, r):
+        # monic_table's squares reach (2r-1)(p-1)^2 in int16, int32, int64
+        dtype = _square_dtype(p, r)
+        top = (2 * r - 1) * (p - 1) ** 2
+        self.check([top, top - 1, top - p] + mod_p_edges(dtype, p), dtype, p)
+
+    def test_monic_square_types(self):
+        types = {_square_dtype(p, r) for p, r in [(37, 4), (101, 3), (32749, 2)]}
+        assert types == {np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)}
 
 
 def test_poly_str():

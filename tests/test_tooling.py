@@ -9,7 +9,8 @@ of cli.OPTIONS, in order.  Invariants in src/ raise InvariantViolation,
 never through assert, which python -O strips; every module-level
 constant in src/ is read somewhere in src/, and the full-table cap
 DLOG_CAP only in characters.py; every top-level function and class is
-read elsewhere in src/, exported, or wrapped by the tracer.  Every demo prints the bytes recorded in
+read elsewhere in src/, exported, or wrapped by the tracer.  The field
+kernels never reduce with numpy's %.  Every demo prints the bytes recorded in
 DEMO_DIGESTS.
 """
 
@@ -175,6 +176,26 @@ def test_only_characters_reads_the_table_cap():
                         and any(alias.name == "DLOG_CAP" for alias in node.names))):
                 readers.add(path.name)
     assert readers == {"characters.py"}
+
+
+# kernels that reduce through fields._mod_p: numpy's % is several times
+# slower on integer arrays than a floor division into scratch
+MOD_FREE_KERNELS = {"fields.py": ["_mul_cm", "vec_norm", "vec_mul"],
+                    "characters.py": ["_square_monic"]}
+
+
+def test_kernels_never_use_mod_operator():
+    found = []
+    for module, names in MOD_FREE_KERNELS.items():
+        path = ROOT / "src" / "digitsquares" / module
+        defs = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs), f"{module} lost one of {names}"
+        for name in names:
+            for node in ast.walk(defs[name]):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+                    found.append(f"{module}:{name}:{node.lineno}")
+    assert not found, found
 
 
 def test_readme_lists_every_config_key():
