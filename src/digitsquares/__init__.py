@@ -19,8 +19,9 @@ from .errors import BudgetExceeded, HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, conjugates, element_degree,
                      frobenius, is_generator, make_field)
 from .oracles import (DeltaReport, EnergyReport, LemmaReport, delta_H,
-                      energy_count, lemma1_check, lemma1_reports, lemmaD_check,
-                      lemmaD_reports, lemmaE_check, subfield_partition)
+                      energy_count, lemma1_check, lemma1_pair_reports, lemma1_reports,
+                      lemmaD_check, lemmaD_reports, lemmaE_check, lemmaE_reports,
+                      subfield_partition)
 
 __version__ = "0.1.0"
 
@@ -33,7 +34,8 @@ __all__ = [
     "count_squares", "delta_H", "element_degree", "energy_count",
     "enumerate_box", "estimate_square_fraction", "field_generator",
     "format_digit_set", "frobenius", "is_generator", "lemma1_check",
-    "lemma1_reports", "lemmaD_check", "lemmaD_reports", "lemmaE_check",
+    "lemma1_pair_reports", "lemma1_reports", "lemmaD_check", "lemmaD_reports",
+    "lemmaE_check", "lemmaE_reports",
     "make_char", "make_field",
     "parse_digit_spec", "quad_char_coords", "sample_uniform", "split_box",
     "subfield_partition",

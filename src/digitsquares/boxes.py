@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded
-from .fields import FieldCtx, FieldElem, vec_encode, vec_from_coords
+from .fields import FieldCtx, FieldElem, _mod_p, vec_encode, vec_from_coords
 
 DEFAULT_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "DIGITSQUARES_BUDGET"
@@ -172,8 +172,10 @@ def check_budget(n: int, budget: int | None = None, what="enumeration of the box
 def coords_blocks(box: DigitBox, block: int = BLOCK):
     """Yield (n, r) arrays of installed-basis coordinates in lex order.
 
-    The blocks and their scratch are allocated once per walk, so each block
-    overwrites the previous one: consume (or copy) it before advancing.
+    Digit positions (k // stride) mod size are reduced by fields._mod_p,
+    not numpy's slower %.  The blocks and their scratch are allocated once
+    per walk, so each block overwrites the previous one: consume (or copy)
+    it before advancing.
     """
     sets = [np.asarray(s, dtype=np.int64) for s in box.digits]
     sizes = [len(s) for s in sets]
@@ -187,14 +189,14 @@ def coords_blocks(box: DigitBox, block: int = BLOCK):
         acc *= sizes[i]
     r = box.ctx.r
     k = np.arange(min(block, total), dtype=np.int64)
-    quot = np.empty_like(k)
+    quot, tmp = np.empty_like(k), np.empty_like(k)
     buf = np.empty((k.shape[0], r), dtype=np.int64)
     for lo in range(0, total, block):
         n = min(block, total - lo)
         out = buf[:n]
         for i in range(r):
             np.floor_divide(k[:n], strides[i], out=quot[:n])
-            quot[:n] %= sizes[i]
+            _mod_p(quot[:n], sizes[i], tmp[:n])
             out[:, i] = sets[i][quot[:n]]
         yield out
         k += block

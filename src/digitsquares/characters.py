@@ -10,9 +10,10 @@ monic_table, built while the monic elements fit under DLOG_CAP
 (monic_fits).  counting reads it slab by slab above the cap.  The full
 tables are built while the q elements fit (table_fits); only these two
 predicates read DLOG_CAP.  eta has one entry point for blocks of rows,
-quad_char_coords.  Where table_fits it looks x up in the full table that
-quad_table expands from the monic one.
-Above the cap it evaluates eta(x) = (N(x) / p), the Legendre symbol of
+quad_char_coords, and MultChar reads it by element index.  Where
+table_fits both look x up in the full table that quad_table expands from
+the monic one.
+Above the cap they evaluate eta(x) = (N(x) / p), the Legendre symbol of
 the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.
 fields.vec_norm computes the norms of a block of elements in O(log r)
 field multiplications, on coefficient-major (r, n) arrays in the
@@ -35,7 +36,8 @@ mantissa-exponent pairs, replaying the directed rounding of mpmath.libmp
 step by step; libmp, called with the precision passed explicitly so no
 mpmath context is read or written, serves only the unit roots (one
 mpi_cos_sin per root, cached, and shared by orders s and s / 2^j where
-the angles are the same bit for bit) and the final square root.  mpmath
+the angles are the same bit for bit, its endpoints kept as signed
+mantissa-exponent pairs) and the final square root.  mpmath
 is imported by the first magnitude that needs it, and no other function
 here uses it.  Lower endpoints are rounded toward -inf and upper ones
 toward +inf, and the result is rounded outward to floats, so a reported
@@ -68,7 +70,6 @@ def _point(n: int):
     return x, x
 
 
-@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _unit_root(s: int, k: int):
     """Raw libmp intervals (cos, sin) of 2 pi k / s at IV_PREC bits.
 
@@ -85,8 +86,21 @@ def _unit_root(s: int, k: int):
     return mpi_cos_sin(mpi_div(ang, _point(s), prec), prec)
 
 
+@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _root_ends(s: int, k: int):
+    """cos lo, -(cos hi), sin lo, -(sin hi) of _unit_root(s, k) as flat
+    integer pairs (m0, e0, ..., m3, e3), value m 2^e, sign folded into m:
+    the factors of a count c > 0 in the slots of CycloSum._sum_intervals,
+    whose upper sums are kept negated.  A c < 0 reads slot i ^ 1 times |c|,
+    since c [a, b] = [c b, c a].  Smaller than the libmp intervals."""
+    (cos_lo, cos_hi), (sin_lo, sin_hi) = _unit_root(s, k)
+    return tuple(x for (sign, m, e, _), neg in
+                 ((cos_lo, 0), (cos_hi, 1), (sin_lo, 0), (sin_hi, 1))
+                 for x in ((-m if sign != neg else m), e))
+
+
 def _root(s: int, k: int):
-    """_unit_root(s, k), looked up with the power of two common to s and k
+    """_root_ends(s, k), looked up with the power of two common to s and k
     removed, and (s, 0) as (1, 0).
 
     Both pairs build the same angle interval bit for bit: rounding to
@@ -95,9 +109,9 @@ def _root(s: int, k: int):
     common factor does not commute with the divide, so it stays.
     """
     if not k:
-        return _unit_root(1, 0)
+        return _root_ends(1, 0)
     two = (s | k) & -(s | k)
-    return _unit_root(s // two, k // two)
+    return _root_ends(s // two, k // two)
 
 
 class CycloSum:
@@ -198,38 +212,38 @@ class CycloSum:
         sums run on plain integers, each a pair (m, e) with value m * 2^e.
         The upper sums are kept negated, since ceil(x) = -floor(-x), so
         every rounding is toward -inf.  Each step forms the exact product
-        of c (-c for an upper sum) with the endpoint's signed mantissa,
-        rounds it to IV_PREC bits with one shift (m >> sh is floor for
-        either sign), adds it to the sum exactly by aligning exponents, and
-        rounds the sum the same way.  Both roundings are the correctly
-        rounded results that mpf_mul_int and mpf_add return (mpf_add's
-        shortcut for a far smaller addend rounds the same), so every
-        endpoint equals theirs.
+        of |c| with the endpoint's signed mantissa (_root), rounds it to
+        IV_PREC bits with one shift (m >> sh is floor for either sign),
+        adds it to the sum exactly by aligning exponents, and rounds the
+        sum the same way.  Both roundings are the correctly rounded results
+        that mpf_mul_int and mpf_add return (mpf_add's shortcut for a far
+        smaller addend rounds the same), so every endpoint equals theirs.
+        Each sum takes its own pass over the terms, in increasing k.
         """
         from mpmath.libmp import from_man_exp
 
         prec = IV_PREC
         s = self.order
-        # [mantissa, exponent] of re lower, -(re upper), im lower, -(im upper)
-        acc = [[0, 0], [0, 0], [0, 0], [0, 0]]
+        terms = []
         for k, c in enumerate(self.counts):
             if not c:
                 continue
             c = operator.index(c)
             if abs(c) >> prec:
                 raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
-            (cos_lo, cos_hi), (sin_lo, sin_hi) = _root(s, k)
-            if c < 0:  # c * [a, b] = [c b, c a]
-                cos_lo, cos_hi = cos_hi, cos_lo
-                sin_lo, sin_hi = sin_hi, sin_lo
-            for slot, (sign, m, e, _), f in zip(acc, (cos_lo, cos_hi, sin_lo, sin_hi),
-                                                (c, -c, c, -c)):
-                m *= -f if sign else f
+            terms.append((_root(s, k), 2 if c < 0 else 0, abs(c)))
+        # re lower, -(re upper), im lower, -(im upper): the pair at ends[off]
+        sums = []
+        for off in (0, 2, 4, 6):
+            am = ae = 0
+            for ends, swap, c in terms:
+                i = off ^ swap
+                m = ends[i] * c
+                e = ends[i + 1]
                 sh = m.bit_length() - prec
                 if sh > 0:
                     m >>= sh
                     e += sh
-                am, ae = slot
                 if ae > e:
                     am = (am << (ae - e)) + m
                     ae = e
@@ -239,8 +253,8 @@ class CycloSum:
                 if sh > 0:
                     am >>= sh
                     ae += sh
-                slot[0], slot[1] = am, ae
-        (rl, rle), (rh, rhe), (il, ile), (ih, ihe) = acc
+            sums.append((am, ae))
+        (rl, rle), (rh, rhe), (il, ile), (ih, ihe) = sums
         return ((from_man_exp(rl, rle), from_man_exp(-rh, rhe)),
                 (from_man_exp(il, ile), from_man_exp(-ih, ihe)))
 
@@ -545,10 +559,10 @@ def inverse_table(ctx: FieldCtx) -> np.ndarray:
 def quad_char_coords(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
     """Quadratic character of reduced poly-coordinate rows; int8 in {-1, 0, 1}.
 
-    The single entry point: the quad table where table_fits, the Legendre
-    symbol of the norm above it.  Blocks of rows never build the monic
-    table: above the cap that build outweighed the norms of a sampling or
-    lemma-oracle call (BENCH_monic_census.json).
+    The single entry point for coordinate rows: the quad table where
+    table_fits, the Legendre symbol of the norm above it.  Blocks of rows
+    never build the monic table: above the cap that build outweighed the
+    norms of a sampling or lemma-oracle call (BENCH_monic_census.json).
     """
     if table_fits(ctx):
         return quad_table(ctx)[vec_encode(ctx, coords)]
@@ -562,8 +576,9 @@ class MultChar:
     """Multiplicative character chi(x) = zeta_s^{j * dlog(x) mod s}.
 
     order s and index j define chi; its exact order in the character group
-    is s / gcd(s, j).  Root orders 1 and 2 are evaluated as eta^j through
-    quad_char_coords; higher orders read j * dlog mod s from the field's
+    is s / gcd(s, j).  Root orders 1 and 2 are evaluated as eta^j, read
+    from quad_table by index where table_fits and through quad_char_coords
+    above it; higher orders read j * dlog mod s from the field's
     discrete-log table when they are evaluated, so a character holds no
     table of its own.
     """
@@ -601,7 +616,11 @@ class MultChar:
         if self.is_principal:
             return np.where(idx == 0, -1, 0)
         # chi = eta: exponent 1 on nonsquares, 0 on squares
-        eta = quad_char_coords(self.ctx, vec_decode(self.ctx, idx))
+        if table_fits(self.ctx):
+            eta = quad_table(self.ctx)[idx]
+        else:
+            rows = vec_decode(self.ctx, idx.ravel())
+            eta = quad_char_coords(self.ctx, rows).reshape(idx.shape)
         out = (eta == -1).astype(np.int64)
         out[eta == 0] = -1
         return out

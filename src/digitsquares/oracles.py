@@ -11,8 +11,10 @@ HypothesisNotMet so sweep drivers can mark the row skipped rather than
 failed.  lemmaD_reports proves the Lemma D hypotheses once for all its
 pairs and yields only instances of the lemma, so its suite skips no pair;
 a walk over the whole field that exceeds the budget is refused once per
-task, before any check runs (see suites).  lemma1_reports likewise counts
-its sum once for every nu it reports on.
+task, before any check runs (see suites).  lemmaE_reports and
+lemma1_pair_reports check all trials of a field first and then evaluate
+them in vectorised chunks; lemmaE_check, lemma1_reports and lemma1_check
+are one-trial calls into them.
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -32,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import (DigitBox, IntervalBox, check_budget, coords_blocks,
+from .boxes import (BLOCK, DigitBox, IntervalBox, check_budget, coords_blocks,
                     poly_blocks)
 from .bounds import _float_above, _memoised
-from .characters import CycloSum, MultChar, make_char, quad_char_coords
+from .characters import CycloSum, MultChar, dlog_table, make_char, quad_char_coords
 from .errors import HypothesisNotMet, InvariantViolation
 from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
                      frobenius_matrix, vec_decode, vec_degrees, vec_encode,
@@ -147,34 +149,110 @@ def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
 # ---------------------------------------------------------------------------
 # complete sums of shifted character products (the lemmaE check)
 
+def lemmaE_reports(ctx: FieldCtx, trials):
+    """Yield one report per (chars, shifts) trial:
+    |sum_a prod_i chi_i(a + h_i)| <= (t - t0 - 1) sqrt(q) + t0 + 1.
+
+    Shifts are FieldElems or indices.  All trials are checked first, then
+    evaluated in chunks of at most BLOCK (row, element) entries.  With L
+    the lcm of a trial's orders, chi_i(a + h_i) = zeta_L^(e m_i), where
+    m_i = j_i L / s_i and e is the dlog (orders above 2) or the eta
+    exponent (orders 1 and 2) of a + h_i, each read once per chunk.
+    np.add.reduceat sums each trial's rows and one offset np.bincount
+    counts every trial; the a with some a + h_i = 0 go to an extra bin.
+    """
+    specs = []
+    for chars, shifts in trials:
+        t = len(chars)
+        if t != len(shifts):
+            raise ValueError("need one shift per character")
+        if not 1 <= t < ctx.q:
+            raise ValueError(f"t = {t} outside [1, q)")
+        h = tuple(x.idx if isinstance(x, FieldElem) else int(x) for x in shifts)
+        if len(set(h)) != t:
+            raise ValueError("shifts must be pairwise distinct")
+        if min(h) < 0 or max(h) >= ctx.q:
+            raise ValueError(f"a shift index lies outside [0, {ctx.q})")
+        t0 = sum(1 for c in chars if c.is_principal)
+        if t0 == t:
+            raise HypothesisNotMet("at least one character must be non-principal")
+        specs.append((tuple(chars), h, t0))
+    for chunk in _chunks(specs, [(len(chars) - t0) * ctx.q for chars, _, t0 in specs]):
+        for (chars, h, t0), total in zip(chunk, _lemmaE_sums(ctx, chunk)):
+            params = {"t": len(chars), "t0": t0, "orders": tuple(c.order for c in chars),
+                      "indices": tuple(c.index for c in chars),
+                      "shifts": h, "p": ctx.p, "r": ctx.r}
+            yield _report("E", params, total, lemmaE_rhs(ctx.q, len(chars), t0))
+
+
+def _chunks(items: list, sizes: list[int]):
+    """Consecutive slices of items whose sizes add up to at most BLOCK, or
+    a single item that alone exceeds it."""
+    lo = 0
+    while lo < len(items):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(items) and total + sizes[hi] <= BLOCK:
+            total += sizes[hi]
+            hi += 1
+        yield items[lo:hi]
+        lo = hi
+
+
+def _lemmaE_sums(ctx: FieldCtx, specs):
+    """Yield the CycloSum of each checked (chars, shifts, t0) trial."""
+    lcms, starts, shifts, mults, big, dead_rows, dead_shifts = [], [], [], [], [], [], []
+    for k, (chars, h, _) in enumerate(specs):
+        lcm = math.lcm(*(c.order for c in chars))
+        lcms.append(lcm)
+        starts.append(len(shifts))
+        for c, x in zip(chars, h):
+            if not c.is_principal:
+                shifts.append(x)
+                mults.append(c.index * (lcm // c.order))
+                big.append(c.order > 2)
+        dead_rows.extend([k] * len(h))
+        dead_shifts.extend(h)
+    idx = _shifted_indices(ctx, np.asarray(shifts, dtype=np.int64))
+    big = np.asarray(big)
+    eta = None if big.all() else make_char(ctx, 2, 1)  # the one non-principal below order 3
+    if not big.any():
+        exps = eta.exponents_for_indices(idx)
+    else:  # every row read from the discrete logs, the eta rows then overwritten
+        exps = np.take(dlog_table(ctx), idx)
+        if eta is not None:
+            exps[~big] = eta.exponents_for_indices(idx[~big])
+    del idx
+    exps *= np.asarray(mults, dtype=np.int64)[:, None]
+    sums = np.add.reduceat(exps, starts, axis=0)
+    del exps
+    lcms = np.asarray(lcms, dtype=np.int64)
+    offsets = np.cumsum(lcms) - lcms
+    sums %= lcms[:, None]
+    sums += offsets[:, None]
+    neg = -vec_decode(ctx, np.asarray(dead_shifts, dtype=np.int64)) % ctx.p
+    sums[dead_rows, vec_encode(ctx, neg)] = lcms.sum()  # the extra bin
+    counts = np.bincount(sums.ravel(), minlength=int(lcms.sum()) + 1)
+    del sums
+    for o, n in zip(offsets.tolist(), lcms.tolist()):
+        yield CycloSum(n, counts[o:o + n].tolist())
+
+
+def _shifted_indices(ctx: FieldCtx, h: np.ndarray) -> np.ndarray:
+    """(n, q) int64 indices of a + h[i], a in index order: an outer sum
+    over the coordinates j of ((0..p-1) + c_j(h[i]) mod p) p^j."""
+    p = ctx.p
+    digits = vec_decode(ctx, h)
+    out = np.zeros((h.size, 1), dtype=np.int64)
+    for j in range(ctx.r - 1, -1, -1):
+        axis = (np.arange(p, dtype=np.int64) + digits[:, j, None]) % p
+        axis *= ctx._ppow[j]
+        out = (out[:, :, None] + axis[:, None, :]).reshape(h.size, -1)
+    return out
+
+
 def lemmaE_check(ctx: FieldCtx, chars: list[MultChar], shifts: list[FieldElem]) -> LemmaReport:
-    """|sum_a prod_i chi_i(a + h_i)| <= (t - t0 - 1) sqrt(q) + t0 + 1."""
-    t = len(chars)
-    if t != len(shifts):
-        raise ValueError("need one shift per character")
-    if not 1 <= t < ctx.q:
-        raise ValueError(f"t = {t} outside [1, q)")
-    if len({h.idx for h in shifts}) != t:
-        raise ValueError("shifts must be pairwise distinct")
-    t0 = sum(1 for c in chars if c.is_principal)
-    if t0 == t:
-        raise HypothesisNotMet("at least one character must be non-principal")
-    order = math.lcm(*(c.order for c in chars))
-    base = all_poly_coords(ctx)
-    total_exp = np.zeros(ctx.q, dtype=np.int64)
-    dead = np.zeros(ctx.q, dtype=bool)
-    for chi, h in zip(chars, shifts):
-        shifted = vec_encode(ctx, (base + np.asarray(h.poly_coords, dtype=np.int64)) % ctx.p)
-        exps = chi.exponents_for_indices(shifted)
-        dead |= exps < 0
-        total_exp += (order // chi.order) * np.maximum(exps, 0)
-    exps = total_exp[~dead] % order
-    total = CycloSum(order, [int(c) for c in np.bincount(exps, minlength=order)])
-    rhs = lemmaE_rhs(ctx.q, t, t0)
-    params = {"t": t, "t0": t0, "orders": tuple(c.order for c in chars),
-              "indices": tuple(c.index for c in chars),
-              "shifts": tuple(h.idx for h in shifts), "p": ctx.p, "r": ctx.r}
-    return _report("E", params, total, rhs)
+    """|sum_a prod_i chi_i(a + h_i)| <= (t - t0 - 1) sqrt(q) + t0 + 1, for one trial."""
+    return next(lemmaE_reports(ctx, [(chars, shifts)]))
 
 
 @_memoised
@@ -216,28 +294,62 @@ def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
                         lead * 4 * nu * size_v ** (2 * nu), q, 2 * nu)
 
 
-def lemma1_reports(ctx: FieldCtx, U, V, nus):
-    """Yield one report per nu in nus: |sum_{u in U} sum_{v in V} chi(u + v)|
-    against the moment bound.
+def lemma1_pair_reports(ctx: FieldCtx, pairs, nus):
+    """Yield, per (U, V) pair, its reports for each nu in nus:
+    |sum_{u in U} sum_{v in V} chi(u + v)| against the moment bound.
 
-    The sum does not depend on nu, so it is counted once, from one
-    quad_char_coords call over the |U| |V| sums u + v.
+    U and V hold FieldElems or indices.  All pairs are checked first; then
+    one quad_char_coords call per chunk of at most BLOCK sums u + v counts
+    every pair of the chunk, split by np.add.reduceat.
     """
-    u_idx = np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in U],
-                       dtype=np.int64)
-    v_idx = np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in V],
-                       dtype=np.int64)
-    if u_idx.size == 0 or v_idx.size == 0:
-        raise ValueError("U and V must be nonempty")
-    cu = vec_decode(ctx, u_idx)
-    cv = vec_decode(ctx, v_idx)
-    sums = ((cu[:, None, :] + cv[None, :, :]) % ctx.p).reshape(-1, ctx.r)
-    lhs = abs(int(quad_char_coords(ctx, sums).sum()))
-    for nu in nus:
-        rhs = lemma1_rhs(ctx.q, nu, u_idx.size, v_idx.size)
-        params = {"nu": nu, "size_u": int(u_idx.size), "size_v": int(v_idx.size),
-                  "p": ctx.p, "r": ctx.r}
-        yield LemmaReport("1", params, lhs=float(lhs), rhs=rhs, holds=lhs <= rhs)
+    nus = tuple(nus)
+    checked = []
+    for U, V in pairs:
+        u, v = _element_indices(U), _element_indices(V)
+        if u.size == 0 or v.size == 0:
+            raise ValueError("U and V must be nonempty")
+        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= ctx.q:
+            raise ValueError(f"an element index of U or V lies outside [0, {ctx.q})")
+        checked.append((u, v))
+    for chunk in _chunks(checked, [u.size * v.size for u, v in checked]):
+        for (u, v), lhs in zip(chunk, _lemma1_sums(ctx, chunk)):
+            params = {"size_u": int(u.size), "size_v": int(v.size), "p": ctx.p, "r": ctx.r}
+            reports = []
+            for nu in nus:
+                rhs = lemma1_rhs(ctx.q, nu, u.size, v.size)
+                reports.append(LemmaReport("1", {"nu": nu, **params}, lhs=float(lhs),
+                                           rhs=rhs, holds=lhs <= rhs))
+            yield reports
+
+
+def _element_indices(elems) -> np.ndarray:
+    """int64 indices of FieldElems or indices; an index array as it is."""
+    if isinstance(elems, np.ndarray):
+        return elems.astype(np.int64, copy=False)
+    return np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in elems],
+                      dtype=np.int64)
+
+
+def _lemma1_sums(ctx: FieldCtx, pairs) -> list[int]:
+    """|sum chi(u + v)| of each (u, v) pair of index arrays."""
+    cu = vec_decode(ctx, np.concatenate([u for u, _ in pairs]))
+    cv = vec_decode(ctx, np.concatenate([v for _, v in pairs]))
+    sizes = [u.size * v.size for u, v in pairs]
+    sums = np.empty((sum(sizes), ctx.r), dtype=np.int64)
+    row = iu = iv = 0
+    for (u, v), n in zip(pairs, sizes):
+        np.add(cu[iu:iu + u.size, None], cv[None, iv:iv + v.size],
+               out=sums[row:row + n].reshape(u.size, v.size, ctx.r))
+        row, iu, iv = row + n, iu + u.size, iv + v.size
+    sums %= ctx.p
+    starts = np.cumsum(sizes) - sizes
+    return [abs(x) for x in
+            np.add.reduceat(quad_char_coords(ctx, sums), starts, dtype=np.int64).tolist()]
+
+
+def lemma1_reports(ctx: FieldCtx, U, V, nus):
+    """lemma1_pair_reports of the one pair (U, V)."""
+    yield from next(lemma1_pair_reports(ctx, [(U, V)], nus))
 
 
 def lemma1_check(ctx: FieldCtx, U, V, nu: int) -> LemmaReport:

@@ -48,9 +48,9 @@ from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
 from .characters import make_char
 from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
-from .fields import FieldCtx, FieldElem, divisors, make_field
-from .oracles import (delta_H, energy_count, generator_elements, lemma1_reports,
-                      lemmaD_reports, lemmaE_check, subfield_partition)
+from .fields import FieldCtx, divisors, make_field
+from .oracles import (delta_H, energy_count, generator_elements, lemma1_pair_reports,
+                      lemmaD_reports, lemmaE_reports, subfield_partition)
 from .reporting import Row, slack_ratio
 
 
@@ -227,7 +227,7 @@ def suite_est1(opts: TaskOptions) -> list[Row]:
     most the rhs, so a row that gets here passes.
     """
     def rows_of(label, ds, rep, _):
-        rhs = Fraction(abs(rep.char_sum), 2) + Fraction(1, 2)
+        rhs = Fraction(abs(rep.char_sum) + 1, 2)
         return [Row("est1", opts.p, opts.r, label,
                     lhs=rep.deviation, rhs=rhs, slack=slack_ratio(rep.deviation, rhs))]
     ctx = live_field(opts.p, opts.r)
@@ -349,16 +349,19 @@ def suite_lemmaD(opts: TaskOptions) -> list[Row]:
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
     """Seeded shifted-product instances; raises BudgetExceeded (one budget
     skip row for the task) when q exceeds the budget, since every instance
-    sums over all of F_q."""
+    sums over all of F_q.  All trials are drawn first, the shifts as index
+    arrays, and evaluated in one lemmaE_reports call.
+    """
     _needs_seed(opts, "random shifted-product instances")
     ctx = live_field(opts.p, opts.r)
     check_budget(ctx.q, opts.budget, "complete sums over F_q")
-    trials = opts.trials if opts.trials is not None else 200
+    n_trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
-    divs = [s for s in divisors(ctx.q - 1)]
-    rows = []
+    divs = divisors(ctx.q - 1)
+    big = [s for s in divs if s > 1]
     t_hi = min(5, ctx.q)  # the lemma needs t < q
-    for i in range(trials):
+    trials = []
+    for _ in range(n_trials):
         t = int(rng.integers(1, t_hi))
         orders, indices = [], []
         for _ in range(t):
@@ -366,34 +369,33 @@ def suite_lemmaE(opts: TaskOptions) -> list[Row]:
             orders.append(s)
             indices.append(int(rng.integers(0, s)))
         if all(j % s == 0 for s, j in zip(orders, indices)):
-            big = [s for s in divs if s > 1]
             s = int(big[rng.integers(0, len(big))])
             orders[-1] = s
             indices[-1] = int(rng.integers(1, s))
         chars = [make_char(ctx, s, j) for s, j in zip(orders, indices)]
-        shift_idx = rng.choice(ctx.q, size=t, replace=False)
-        shifts = [FieldElem(ctx, int(ix)) for ix in shift_idx]
-        rep = lemmaE_check(ctx, chars, shifts)
-        rows.append(_lemma_row("lemmaE", opts, f"trial{i};t={t}", rep))
-    return rows
+        trials.append((chars, rng.choice(ctx.q, size=t, replace=False)))
+    return [_lemma_row("lemmaE", opts, f"trial{i};t={len(chars)}", rep)
+            for i, ((chars, _), rep) in enumerate(zip(trials, lemmaE_reports(ctx, trials)))]
 
 
 def suite_lemma1(opts: TaskOptions) -> list[Row]:
-    """Seeded (U, V) pairs, one row per nu = 1, 2, 3 from one sum per pair."""
+    """Seeded (U, V) pairs, one row per nu = 1, 2, 3 from one sum per pair;
+    all pairs are drawn first, as index arrays, and counted in one call."""
     _needs_seed(opts, "random (U, V) pairs")
     ctx = live_field(opts.p, opts.r)
-    trials = opts.trials if opts.trials is not None else 100
+    n_trials = opts.trials if opts.trials is not None else 100
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 3])
     cap = min(ctx.q, 25)
-    rows = []
-    for i in range(trials):
+    pairs = []
+    for _ in range(n_trials):
         su = int(rng.integers(1, cap + 1))
         sv = int(rng.integers(1, cap + 1))
-        U = [FieldElem(ctx, int(ix)) for ix in rng.choice(ctx.q, size=su, replace=False)]
-        V = [FieldElem(ctx, int(ix)) for ix in rng.choice(ctx.q, size=sv, replace=False)]
-        for rep in lemma1_reports(ctx, U, V, (1, 2, 3)):
-            rows.append(_lemma_row("lemma1", opts, f"trial{i};|U|={su};|V|={sv};"
-                                   f"nu={rep.parameters['nu']}", rep))
+        pairs.append((rng.choice(ctx.q, size=su, replace=False),
+                      rng.choice(ctx.q, size=sv, replace=False)))
+    rows = []
+    for i, ((U, V), reports) in enumerate(zip(pairs, lemma1_pair_reports(ctx, pairs, (1, 2, 3)))):
+        rows.extend(_lemma_row("lemma1", opts, f"trial{i};|U|={U.size};|V|={V.size};"
+                               f"nu={rep.parameters['nu']}", rep) for rep in reports)
     return rows
 
 

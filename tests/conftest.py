@@ -13,11 +13,11 @@ from digitsquares import (DeltaReport, HypothesisNotMet, IntervalBox, LemmaRepor
                           char_sum, characters, make_field)
 from digitsquares.bounds import IV_PREC, _iv, _upper
 from digitsquares.boxes import check_budget, index_blocks, poly_blocks
-from digitsquares.characters import (CycloSum, legendre_table, make_char,
+from digitsquares.characters import (CycloSum, dlog_table, legendre_table, make_char,
                                      quad_char_coords)
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
                                  vec_decode, vec_encode, vec_mul, vec_norm, vec_pow)
-from digitsquares.oracles import lemmaD_rhs
+from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 
 @pytest.fixture(scope="session")
@@ -406,6 +406,13 @@ def pairwise_lemmaD_check():
     return _pairwise_lemmaD_check
 
 
+@functools.lru_cache(maxsize=None)
+def _libmp_unit_root(s: int, k: int):
+    """characters._unit_root, cached for the libmp oracles: the package
+    caches only the folded endpoints of each root."""
+    return characters._unit_root(s, k)
+
+
 def _sum_intervals_libmp(total: CycloSum):
     """CycloSum._sum_intervals as one libmp mpf_mul_int and mpf_add per
     endpoint and term, on the unit root of the unreduced (s, k)."""
@@ -419,7 +426,7 @@ def _sum_intervals_libmp(total: CycloSum):
         c = operator.index(c)
         if abs(c) >> prec:
             raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
-        (cos_lo, cos_hi), (sin_lo, sin_hi) = characters._unit_root(total.order, k)
+        (cos_lo, cos_hi), (sin_lo, sin_hi) = _libmp_unit_root(total.order, k)
         if c < 0:  # c * [a, b] = [c b, c a]
             cos_lo, cos_hi = cos_hi, cos_lo
             sin_lo, sin_hi = sin_hi, sin_lo
@@ -513,3 +520,144 @@ def delta_H_loop():
     """Oracle for oracles.delta_H: the per-box walk its tensor contractions
     replaced."""
     return _delta_H_loop
+
+
+def _eta_exponents_by_coords(ctx, idx):
+    """MultChar.exponents_for_indices of eta (root order 2, index 1) as it
+    read it before the quad table by index: the indices decoded to poly
+    coordinates and looked up through quad_char_coords."""
+    eta = quad_char_coords(ctx, vec_decode(ctx, idx))
+    out = (eta == -1).astype(np.int64)
+    out[eta == 0] = -1
+    return out
+
+
+@pytest.fixture(scope="session")
+def eta_exponents_by_coords():
+    """Oracle for the order-2 branch of MultChar.exponents_for_indices."""
+    return _eta_exponents_by_coords
+
+
+def _sum_intervals_tuples(total: CycloSum):
+    """CycloSum._sum_intervals as one interleaved pass over the terms, each
+    term unpacking the libmp 4-tuples of its root (looked up with the power
+    of two common to s and k removed) and folding the signs itself."""
+    from mpmath.libmp import from_man_exp
+
+    prec = IV_PREC
+    s = total.order
+    acc = [[0, 0], [0, 0], [0, 0], [0, 0]]
+    for k, c in enumerate(total.counts):
+        if not c:
+            continue
+        c = operator.index(c)
+        if abs(c) >> prec:
+            raise ValueError(f"count {c} of root {k} is not below 2^{prec}")
+        two = (s | k) & -(s | k)
+        (cos_lo, cos_hi), (sin_lo, sin_hi) = (_libmp_unit_root(s // two, k // two) if k
+                                              else _libmp_unit_root(1, 0))
+        if c < 0:  # c * [a, b] = [c b, c a]
+            cos_lo, cos_hi = cos_hi, cos_lo
+            sin_lo, sin_hi = sin_hi, sin_lo
+        for slot, (sign, m, e, _), f in zip(acc, (cos_lo, cos_hi, sin_lo, sin_hi),
+                                            (c, -c, c, -c)):
+            m *= -f if sign else f
+            sh = m.bit_length() - prec
+            if sh > 0:
+                m >>= sh
+                e += sh
+            am, ae = slot
+            if ae > e:
+                am = (am << (ae - e)) + m
+                ae = e
+            else:
+                am += m << (e - ae)
+            sh = am.bit_length() - prec
+            if sh > 0:
+                am >>= sh
+                ae += sh
+            slot[0], slot[1] = am, ae
+    (rl, rle), (rh, rhe), (il, ile), (ih, ihe) = acc
+    return ((from_man_exp(rl, rle), from_man_exp(-rh, rhe)),
+            (from_man_exp(il, ile), from_man_exp(-ih, ihe)))
+
+
+@pytest.fixture(scope="session")
+def sum_intervals_tuples():
+    """Oracle for CycloSum._sum_intervals: the interleaved loop over libmp
+    4-tuples that the slot passes over cached endpoints replaced."""
+    return _sum_intervals_tuples
+
+
+def _lemmaE_check_loop(ctx, chars, shifts) -> LemmaReport:
+    """lemmaE_check one trial and one character at a time: every character
+    reads its exponents over all q shifted elements, eta through
+    quad_char_coords of decoded coordinates, the others from the dlog
+    table; the product's exponents are counted in one bincount."""
+    t = len(chars)
+    if t != len(shifts):
+        raise ValueError("need one shift per character")
+    if not 1 <= t < ctx.q:
+        raise ValueError(f"t = {t} outside [1, q)")
+    if len({h.idx for h in shifts}) != t:
+        raise ValueError("shifts must be pairwise distinct")
+    t0 = sum(1 for c in chars if c.is_principal)
+    if t0 == t:
+        raise HypothesisNotMet("at least one character must be non-principal")
+    order = math.lcm(*(c.order for c in chars))
+    base = vec_decode(ctx, np.arange(ctx.q, dtype=np.int64))
+    total_exp = np.zeros(ctx.q, dtype=np.int64)
+    dead = np.zeros(ctx.q, dtype=bool)
+    for chi, h in zip(chars, shifts):
+        shifted = vec_encode(ctx, (base + np.asarray(h.poly_coords, dtype=np.int64)) % ctx.p)
+        if chi.order > 2:
+            dl = dlog_table(ctx)[shifted]
+            exps = dl * chi.index % chi.order
+            exps[dl < 0] = -1
+        elif chi.is_principal:
+            exps = np.where(shifted == 0, -1, 0)
+        else:
+            exps = _eta_exponents_by_coords(ctx, shifted)
+        dead |= exps < 0
+        total_exp += (order // chi.order) * np.maximum(exps, 0)
+    exps = total_exp[~dead] % order
+    total = CycloSum(order, [int(c) for c in np.bincount(exps, minlength=order)])
+    lo, hi = total.magnitude_interval()
+    rhs = lemmaE_rhs(ctx.q, t, t0)
+    params = {"t": t, "t0": t0, "orders": tuple(c.order for c in chars),
+              "indices": tuple(c.index for c in chars),
+              "shifts": tuple(h.idx for h in shifts), "p": ctx.p, "r": ctx.r}
+    return LemmaReport("E", params, lhs=(lo + hi) / 2.0, rhs=rhs, holds=lo <= rhs)
+
+
+@pytest.fixture(scope="session")
+def lemmaE_check_loop():
+    """Oracle for oracles.lemmaE_reports and lemmaE_check: the per-trial,
+    per-character body the batched pass replaced."""
+    return _lemmaE_check_loop
+
+
+def _lemma1_reports_loop(ctx, U, V, nus):
+    """lemma1_reports for one (U, V) pair, its |U| |V| sums u + v counted
+    by their own quad_char_coords call."""
+    u_idx = np.asarray([x.idx for x in U], dtype=np.int64)
+    v_idx = np.asarray([x.idx for x in V], dtype=np.int64)
+    if u_idx.size == 0 or v_idx.size == 0:
+        raise ValueError("U and V must be nonempty")
+    cu, cv = vec_decode(ctx, u_idx), vec_decode(ctx, v_idx)
+    sums = ((cu[:, None, :] + cv[None, :, :]) % ctx.p).reshape(-1, ctx.r)
+    lhs = abs(int(quad_char_coords(ctx, sums).sum()))
+    out = []
+    for nu in nus:
+        rhs = lemma1_rhs(ctx.q, nu, u_idx.size, v_idx.size)
+        params = {"nu": nu, "size_u": int(u_idx.size), "size_v": int(v_idx.size),
+                  "p": ctx.p, "r": ctx.r}
+        out.append(LemmaReport("1", params, lhs=float(lhs), rhs=rhs, holds=lhs <= rhs))
+    return out
+
+
+@pytest.fixture(scope="session")
+def lemma1_reports_loop():
+    """Oracle for oracles.lemma1_pair_reports and lemma1_reports: the
+    per-pair count the batched pass replaced."""
+    return _lemma1_reports_loop

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from digitsquares import (BudgetExceeded, DigitBox, IntervalBox, count_squares,
                           enumerate_box, format_digit_set, parse_digit_spec,
                           sample_uniform, split_box)
-from digitsquares.boxes import BUDGET_ENV_VAR, default_budget, poly_blocks, sample_coords
+from digitsquares.boxes import (BUDGET_ENV_VAR, coords_blocks, default_budget, poly_blocks,
+                               sample_coords)
 
 
 class TestParsing:
@@ -144,6 +145,20 @@ class TestEnumeration:
         assert [len(b) for b in blocks] == [5, 5, 5, 5, 4]
         lex = [ctx.coords_to_index(c) for c in itertools.product(*box.digits)]
         assert np.concatenate(blocks).tolist() == lex
+
+    @pytest.mark.parametrize("pr", [(3, 2), (5, 3), (7, 2), (13, 2), (3, 4)])
+    def test_coords_blocks_follow_itertools_product(self, field, pr):
+        """Seeded boxes, walked in blocks that split the radix periods
+        unevenly: the rows are itertools.product of the digit sets."""
+        ctx = field(*pr)
+        rng = np.random.default_rng(list(pr))
+        for block in (1, 7, 64, 1 << 15):
+            digits = tuple(tuple(sorted(rng.choice(ctx.p, size=int(rng.integers(1, ctx.p + 1)),
+                                                   replace=False).tolist()))
+                           for _ in range(ctx.r))
+            box = DigitBox(ctx, digits)
+            rows = np.concatenate([b.copy() for b in coords_blocks(box, block)])
+            assert rows.tolist() == [list(c) for c in itertools.product(*digits)]
 
     def test_budget_refusal_names_monte_carlo(self, field):
         ctx = field(5, 3)

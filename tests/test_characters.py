@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from digitsquares import (CycloSum, DigitBox, char_sum, characters, enumerate_box,
                           field_generator, make_char, make_field, oracles,
@@ -393,6 +394,30 @@ class TestMakeChar:
         with pytest.raises(ValueError):
             make_char(ctx, 5, 1)  # orders above 2 need the dlog table
 
+    @pytest.mark.parametrize("p,r", [(3, 2), (13, 2), (5, 3)])
+    def test_eta_exponents_by_index_match_the_coordinate_path(self, field, monkeypatch,
+                                                               eta_exponents_by_coords, p, r):
+        """Every index, read from the quad table by index, against the old
+        decode-and-encode path; and as a 2-D array, which the table keeps
+        and the norm path above the cap reshapes."""
+        ctx = field(p, r)
+        eta = make_char(ctx, 2, 1)
+        idx = np.arange(ctx.q, dtype=np.int64)
+        want = eta_exponents_by_coords(ctx, idx)
+        calls = []
+        monkeypatch.setattr(characters, "quad_char_coords",
+                            lambda *a: calls.append(a) or quad_char_coords(*a))
+        assert np.array_equal(eta.exponents_for_indices(idx), want)
+        assert not calls  # the table, by index
+        q = ctx.q
+        rows = np.random.default_rng(q).integers(0, q, size=(3, q))
+        assert np.array_equal(eta.exponents_for_indices(rows),
+                              want[rows.ravel()].reshape(rows.shape))
+        monkeypatch.setattr(characters, "DLOG_CAP", q - 1)  # the norm path
+        assert np.array_equal(eta.exponents_for_indices(rows),
+                              want[rows.ravel()].reshape(rows.shape))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("p,r", [(7, 2), (5, 3), (13, 2)])
     def test_exponents_follow_the_exponent_table_rule(self, field, p, r):
         """Every character above order 2 against the q-entry exponent table
@@ -604,9 +629,42 @@ class TestCycloSum:
         magnitude_interval_libmp(CycloSum(5, [3, 0, 2, 0, 1]))  # the spy sees the old loop
         assert calls == {"mpf_add": 12, "mpf_mul_int": 12}
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_sum_intervals_match_tuple_loop_on_lemma_sums(self, sum_intervals_tuples, seed):
+        """Every sum above order 2 of the lemmaE half of a cert_grid round."""
+        from digitsquares import suites
+
+        sums = []
+        real = oracles._report
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(oracles, "_report", lambda lemma, params, total, rhs:
+                                sums.append(total) or real(lemma, params, total, rhs))
+            for p in (3, 5, 7, 11, 13):
+                suites.live_field.cache_clear()
+                suites.suite_lemmaE(suites.TaskOptions(p=p, r=2, seed=seed, trials=40))
+        suites.live_field.cache_clear()
+        big = [total for total in sums if total.order > 2]
+        assert len(big) > 150
+        for total in big:
+            assert total._sum_intervals() == sum_intervals_tuples(total)
+            negated = CycloSum(total.order, [-c for c in total.counts])
+            assert negated._sum_intervals() == sum_intervals_tuples(negated)
+
+    @given(st.integers(3, 200).flatmap(lambda s: st.tuples(st.just(s), st.dictionaries(
+        st.integers(0, s - 1), st.integers(-(1 << 20), 1 << 20), max_size=16))))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_intervals_match_tuple_loop_generated(self, sum_intervals_tuples, case):
+        s, entries = case
+        counts = [0] * s
+        for k, c in entries.items():
+            counts[k] = c
+        total = CycloSum(s, counts)
+        assert total._sum_intervals() == sum_intervals_tuples(total)
+
     def test_root_matches_iv_of_the_unreduced_pair(self):
         """(s 2^j, k 2^j) is looked up as the pair with no common power of
-        two, and its intervals are those iv gives the unreduced pair."""
+        two, and its endpoints (the upper ones stored negated) are those iv
+        gives the unreduced pair."""
         saved = iv.prec
         iv.dps = 40
         cos_sin = {}  # iv.cos and iv.sin depend on the angle interval alone
@@ -617,7 +675,10 @@ class TestCycloSum:
                         ang = 2 * iv.pi * (k << j) / (s << j)
                         if ang._mpi_ not in cos_sin:
                             cos_sin[ang._mpi_] = (iv.cos(ang)._mpi_, iv.sin(ang)._mpi_)
-                        assert characters._root(s << j, k << j) == cos_sin[ang._mpi_]
+                        ends = characters._root(s << j, k << j)
+                        got = [from_man_exp(ends[2 * i], ends[2 * i + 1]) for i in range(4)]
+                        got[1], got[3] = mpf_neg(got[1]), mpf_neg(got[3])
+                        assert ((got[0], got[1]), (got[2], got[3])) == cos_sin[ang._mpi_]
         finally:
             iv.prec = saved
 
@@ -643,7 +704,7 @@ class TestCycloSum:
             looked_up.add((s, k))
             return real_unit_root(s, k)
 
-        real_unit_root.cache_clear()
+        characters._root_ends.cache_clear()
         monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", cos_sin)
         monkeypatch.setattr(characters, "_root", root)
         monkeypatch.setattr(characters, "_unit_root", unit_root)
@@ -660,7 +721,7 @@ class TestCycloSum:
         iv.dps = dps
         prec = iv.prec
         try:
-            characters._unit_root.cache_clear()
+            characters._root_ends.cache_clear()
             assert [total.magnitude_interval() for total in totals] == expected
             assert iv.prec == prec
         finally:
@@ -672,7 +733,7 @@ class TestCycloSum:
         monkeypatch.setattr(type(iv), "prec", property(untouchable, untouchable))
         monkeypatch.setattr(type(iv), "dps", property(untouchable, untouchable))
         monkeypatch.setattr(iv, "make_mpf", untouchable)
-        characters._unit_root.cache_clear()
+        characters._root_ends.cache_clear()
         lo, hi = CycloSum(9, [1, 0, 4, 0, 0, -2, 0, 0, 1]).magnitude_interval()
         assert 0 < lo <= hi
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -346,8 +347,177 @@ class TestLemma1:
 
         monkeypatch.setattr(oracles, "quad_char_coords", spy)
         rows = suite_lemma1(TaskOptions(p=5, r=2, seed=3, trials=15))
-        assert len(calls) == 15 and len(rows) == 45
+        assert len(rows) == 45
         assert [row.instance.rsplit(";", 1)[1] for row in rows] == ["nu=1", "nu=2", "nu=3"] * 15
+        sizes = [re.findall(r"\|[UV]\|=(\d+)", row.instance) for row in rows[::3]]
+        # one character call over the |U| |V| sums of all 15 pairs
+        assert calls == [sum(int(su) * int(sv) for su, sv in sizes)]
+
+
+def _same_reports(got, expected):
+    assert [(r.lemma, r.parameters, r.lhs, r.rhs, r.holds) for r in got] == \
+        [(r.lemma, r.parameters, r.lhs, r.rhs, r.holds) for r in expected]
+
+
+def _seeded_trials(ctx, rng, n, orders=None):
+    """n valid lemmaE trials: t = 1..4 characters of seeded orders (divisors
+    of q - 1, or the given ones), at least one non-principal, on distinct
+    shifts that include the zero element about half the time."""
+    divs = orders or divisors(ctx.q - 1)
+    trials = []
+    for _ in range(n):
+        t = int(rng.integers(1, min(5, ctx.q)))
+        pairs = [(int(s), int(rng.integers(0, s))) for s in rng.choice(divs, size=t)]
+        if all(j % s == 0 for s, j in pairs):
+            s = int(max(divs))
+            pairs[-1] = (s, int(rng.integers(1, s)) if s > 1 else 0)
+        shifts = rng.choice(ctx.q, size=t, replace=False)
+        if rng.random() < 0.5 and 0 not in shifts:
+            shifts[0] = 0
+        trials.append(([make_char(ctx, s, j) for s, j in pairs],
+                       [ctx.from_index(int(h)) for h in shifts]))
+    return trials
+
+
+class TestLemmaEBatch:
+    """lemmaE_reports against one lemmaE_check per trial and against the
+    per-trial, per-character oracle it replaced."""
+
+    @pytest.mark.parametrize("pr", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3)])
+    def test_seeded_trial_lists(self, field, lemmaE_check_loop, pr):
+        ctx = field(*pr)
+        trials = _seeded_trials(ctx, np.random.default_rng(list(pr)), 30)
+        got = list(oracles.lemmaE_reports(ctx, trials))
+        _same_reports(got, [lemmaE_check(ctx, *tr) for tr in trials])
+        _same_reports(got, [lemmaE_check_loop(ctx, *tr) for tr in trials])
+
+    @pytest.mark.parametrize("block", [1, 50, 400])
+    def test_chunks_give_the_same_reports(self, field, monkeypatch, lemmaE_check_loop, block):
+        ctx = field(7, 2)
+        trials = _seeded_trials(ctx, np.random.default_rng(block), 25)
+        monkeypatch.setattr(oracles, "BLOCK", block)
+        _same_reports(oracles.lemmaE_reports(ctx, trials),
+                      [lemmaE_check_loop(ctx, *tr) for tr in trials])
+
+    def test_shifts_as_indices(self, field):
+        ctx = field(5, 3)
+        trials = _seeded_trials(ctx, np.random.default_rng(8), 10)
+        as_idx = [(chars, np.asarray([h.idx for h in shifts])) for chars, shifts in trials]
+        _same_reports(oracles.lemmaE_reports(ctx, as_idx), oracles.lemmaE_reports(ctx, trials))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_trial_lists(self, field, lemmaE_check_loop, data):
+        ctx = field(*data.draw(st.sampled_from([(5, 2), (7, 2), (13, 2), (3, 3)])))
+        divs = divisors(ctx.q - 1)
+        trials = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            t = data.draw(st.integers(1, min(4, ctx.q - 1)))
+            orders = data.draw(st.lists(st.sampled_from(divs), min_size=t, max_size=t))
+            chars = [make_char(ctx, s, data.draw(st.integers(0, s - 1))) for s in orders]
+            if all(c.is_principal for c in chars):
+                s = data.draw(st.sampled_from([d for d in divs if d > 1]))
+                chars[-1] = make_char(ctx, s, data.draw(st.integers(1, s - 1)))
+            shifts = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=t, max_size=t,
+                                        unique=True))
+            if data.draw(st.booleans()) and 0 not in shifts:
+                shifts[0] = 0
+            trials.append((chars, [ctx.from_index(h) for h in shifts]))
+        got = list(oracles.lemmaE_reports(ctx, trials))
+        _same_reports(got, [lemmaE_check_loop(ctx, *tr) for tr in trials])
+        _same_reports(got, [lemmaE_check(ctx, *tr) for tr in trials])
+
+    def test_eta_above_the_table_cap(self, field, monkeypatch, lemmaE_check_loop):
+        """With the cap below q only orders 1 and 2 exist, and eta comes
+        from the norm; the oracle then reads it through the norm too."""
+        ctx = make_field(13, 2)
+        monkeypatch.setattr(characters, "DLOG_CAP", ctx.q - 1)
+        trials = _seeded_trials(ctx, np.random.default_rng(13), 12, orders=[1, 2])
+        _same_reports(oracles.lemmaE_reports(ctx, trials),
+                      [lemmaE_check_loop(ctx, *tr) for tr in trials])
+
+    def test_shift_index_outside_the_field_refused(self, field):
+        ctx = field(5, 2)
+        chi = make_char(ctx, 4, 1)
+        for shifts in ([0, 25], [-1, 3]):
+            with pytest.raises(ValueError, match="outside"):
+                list(oracles.lemmaE_reports(ctx, [([chi, chi], shifts)]))
+
+    @pytest.mark.parametrize("bad,exc", [
+        (lambda ctx, chi: ([chi, chi], [ctx.one()]), ValueError),
+        (lambda ctx, chi: ([chi] * ctx.q, list(ctx.elements())), ValueError),
+        (lambda ctx, chi: ([chi, chi], [ctx.one(), ctx.one()]), ValueError),
+        (lambda ctx, chi: ([make_char(ctx, 4, 0)], [ctx.one()]), HypothesisNotMet)])
+    def test_one_invalid_trial_raises_its_single_check_error(self, field, bad, exc):
+        ctx = field(5, 2)
+        trials = _seeded_trials(ctx, np.random.default_rng(5), 6)
+        wrong = bad(ctx, make_char(ctx, 4, 1))
+        with pytest.raises(exc) as single:
+            lemmaE_check(ctx, *wrong)
+        with pytest.raises(exc, match=re.escape(str(single.value))):
+            list(oracles.lemmaE_reports(ctx, trials[:3] + [wrong] + trials[3:]))
+
+
+class TestLemma1Batch:
+    """lemma1_pair_reports against lemma1_reports per pair and against the
+    per-pair count it replaced."""
+
+    @staticmethod
+    def _pairs(ctx, rng, n, cap=25):
+        cap = min(cap, ctx.q)
+        return [tuple([ctx.from_index(int(i)) for i in
+                       rng.choice(ctx.q, size=int(rng.integers(1, cap + 1)), replace=False)]
+                      for _ in range(2)) for _ in range(n)]
+
+    @pytest.mark.parametrize("pr", [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3)])
+    def test_seeded_pairs(self, field, lemma1_reports_loop, pr):
+        ctx = field(*pr)
+        pairs = self._pairs(ctx, np.random.default_rng(list(pr)), 30)
+        got = list(oracles.lemma1_pair_reports(ctx, pairs, (1, 2, 3)))
+        assert len(got) == len(pairs)
+        for reports, (U, V) in zip(got, pairs):
+            _same_reports(reports, list(lemma1_reports(ctx, U, V, (1, 2, 3))))
+            _same_reports(reports, lemma1_reports_loop(ctx, U, V, (1, 2, 3)))
+
+    @pytest.mark.parametrize("block", [1, 100, 1000])
+    def test_chunks_give_the_same_reports(self, field, monkeypatch, lemma1_reports_loop, block):
+        ctx = field(11, 2)
+        pairs = self._pairs(ctx, np.random.default_rng(block), 20)
+        monkeypatch.setattr(oracles, "BLOCK", block)
+        for reports, (U, V) in zip(oracles.lemma1_pair_reports(ctx, pairs, (2,)), pairs):
+            _same_reports(reports, lemma1_reports_loop(ctx, U, V, (2,)))
+
+    def test_norm_path_above_the_table_cap(self, field, lemma1_reports_loop):
+        ctx = field(1031, 2)
+        pairs = self._pairs(ctx, np.random.default_rng(4), 6, cap=9)
+        for reports, (U, V) in zip(oracles.lemma1_pair_reports(ctx, pairs, (1, 3)), pairs):
+            _same_reports(reports, lemma1_reports_loop(ctx, U, V, (1, 3)))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_pairs(self, field, lemma1_reports_loop, data):
+        ctx = field(*data.draw(st.sampled_from([(3, 2), (5, 2), (13, 2), (3, 3)])))
+        side = st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=min(ctx.q, 25),
+                        unique=True)
+        pairs = [tuple([ctx.from_index(i) for i in data.draw(side)] for _ in range(2))
+                 for _ in range(data.draw(st.integers(1, 6)))]
+        for reports, (U, V) in zip(oracles.lemma1_pair_reports(ctx, pairs, (1, 2)), pairs):
+            _same_reports(reports, lemma1_reports_loop(ctx, U, V, (1, 2)))
+
+    def test_index_outside_the_field_refused(self, field):
+        ctx = field(5, 2)
+        for U, V in [([0, 25], [1]), ([3], [-1])]:
+            with pytest.raises(ValueError, match="outside"):
+                list(oracles.lemma1_pair_reports(ctx, [(U, V)], (1,)))
+
+    def test_one_empty_side_raises_its_single_check_error(self, field):
+        ctx = field(5, 2)
+        pairs = self._pairs(ctx, np.random.default_rng(2), 4)
+        with pytest.raises(ValueError) as single:
+            lemma1_check(ctx, [], [ctx.one()], 1)
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            list(oracles.lemma1_pair_reports(ctx, pairs[:2] + [([ctx.one()], [])] + pairs[2:],
+                                             (1,)))
 
 
 class TestSubfieldPartition:

@@ -181,7 +181,8 @@ def test_only_characters_reads_the_table_cap():
 # kernels that reduce through fields._mod_p: numpy's % is several times
 # slower on integer arrays than a floor division into scratch
 MOD_FREE_KERNELS = {"fields.py": ["_mul_cm", "vec_norm", "vec_mul"],
-                    "characters.py": ["_square_monic"]}
+                    "characters.py": ["_square_monic"],
+                    "boxes.py": ["coords_blocks"]}
 
 
 def test_kernels_never_use_mod_operator():
