@@ -12,7 +12,8 @@ tables are built while the q elements fit (table_fits); only these two
 predicates read DLOG_CAP.  eta has one entry point for blocks of rows,
 quad_char_coords, and MultChar reads it by element index.  Where
 table_fits both look x up in the full table that quad_table expands from
-the monic one.
+the monic one.  Digit boxes read eta as one tensor over the installed
+coordinates, eta_tensor, whose docstring states the axis convention.
 Above the cap they evaluate eta(x) = (N(x) / p), the Legendre symbol of
 the norm N(x) = x * x^p * ... * x^{p^{r-1}}, which lies in F_p.
 fields.vec_norm computes the norms of a block of elements in O(log r)
@@ -53,9 +54,10 @@ import operator
 import numpy as np
 
 from .bounds import IV_PREC
+from .boxes import check_budget
 from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, _mod_p, prime_factors, vec_decode,
-                     vec_encode, vec_mul, vec_norm)
+                     vec_encode, vec_from_coords, vec_mul, vec_norm)
 
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
@@ -126,9 +128,6 @@ class CycloSum:
         self.counts = [0] * order if counts is None else list(counts)
         if len(self.counts) != order:
             raise ValueError("counts length must equal the root order")
-
-    def add_root(self, k: int, mult: int = 1):
-        self.counts[k % self.order] += mult
 
     def __add__(self, other: "CycloSum") -> "CycloSum":
         if self.order != other.order:
@@ -569,6 +568,27 @@ def quad_char_coords(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
     return legendre_table(ctx)[vec_norm(ctx, coords)]
 
 
+def eta_tensor(ctx: FieldCtx, budget: int | None = None) -> np.ndarray:
+    """eta as a read-only int8 p x ... x p tensor, axis i installed
+    coordinate i: entry [c_0, ..., c_{r-1}] is eta(c_0 a_1 + ... + c_{r-1} a_r).
+
+    The one axis convention for eta on F_p^r.  Under the polynomial basis
+    the index c_0 + c_1 p + ... puts c_{r-1} on axis 0 of the quad table
+    reshaped to p x ... x p, so where table_fits the tensor is that
+    reshape's .T, a view whose .T is the C-contiguous table.  Otherwise
+    quad_char_coords reads every coordinate row, once q fits the budget.
+    """
+    shape = (ctx.p,) * ctx.r
+    if ctx.poly_basis and table_fits(ctx):
+        out = quad_table(ctx).reshape(shape).T
+    else:
+        check_budget(ctx.q, budget, "the quadratic character of every element")
+        coords = np.indices(shape).reshape(ctx.r, -1).T  # lex order, first axis slowest
+        out = quad_char_coords(ctx, vec_from_coords(ctx, coords)).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # general multiplicative characters
 
@@ -643,15 +663,16 @@ def make_char(ctx: FieldCtx, order: int, index: int) -> MultChar:
     return MultChar(ctx, order, index)
 
 
-def char_sum(chi: MultChar, elems) -> CycloSum:
-    """Exact accumulation of chi over an iterable of elements (or an index array)."""
+def _element_indices(elems) -> np.ndarray:
+    """int64 indices of FieldElems or indices; an index array as it is."""
     if isinstance(elems, np.ndarray):
-        exps = chi.exponents_for_indices(elems)
-        counts = np.bincount(exps[exps >= 0], minlength=chi.order)
-        return CycloSum(chi.order, [int(c) for c in counts])
-    out = CycloSum(chi.order)
-    for x in elems:
-        k = chi.root_exponent(x)
-        if k is not None:
-            out.add_root(k)
-    return out
+        return elems.astype(np.int64, copy=False)
+    return np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in elems],
+                      dtype=np.int64)
+
+
+def char_sum(chi: MultChar, elems) -> CycloSum:
+    """Exact sum of chi over an index array, or FieldElems or indices."""
+    exps = chi.exponents_for_indices(_element_indices(elems))
+    counts = np.bincount(exps[exps >= 0], minlength=chi.order)
+    return CycloSum(chi.order, [int(c) for c in counts])

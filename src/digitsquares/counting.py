@@ -7,18 +7,15 @@ the quadratic character chi over W, and verifies the linking identity
 
 before returning.  Under the polynomial basis (ctx.poly_basis) no element
 of W is enumerated while the monic elements fit the cap (table_fits and
-monic_fits pick the tier).  For q <= 2^20 the quad table reshaped to
-p x ... x p is chi as an r-way tensor in coordinates, and both sums are r
-single-axis reductions of it, one of chi and one of [chi = 1], so the
-identity checks every table row the first time a census reads it.  The
-table itself is built once per field by squaring the (q-1)/(p-1) monic
-elements (characters.monic_table) and filling in their F_p* multiples
-(characters.quad_table).  The first reduction, over the rows D_r, is the
-only one over p^{r-1} entries per row; it is a sum of at most p values in
-{-1, 0, 1} per entry and so runs in the narrowest signed integer type
-that holds -p, and the field keeps it in ctx._cache between censuses as
-FirstAxisSums, so the next census reads only the rows its D_r adds or
-drops.  The later reductions run in int64.  For q > 2^20 with
+monic_fits pick the tier).  For q <= 2^20 chi is read as an r-way tensor
+in coordinates (characters.eta_tensor, which states the axis order), and
+both sums are r single-axis reductions of it, one of chi and one of
+[chi = 1], so the identity checks every table row the first time a census
+reads it.  The first reduction, over the rows D_r, is the only one over
+p^{r-1} entries per row; it is a sum of at most p values in {-1, 0, 1}
+per entry and so runs in the narrowest signed integer type that holds -p,
+and the field keeps it in ctx._cache between censuses as FirstAxisSums,
+so the next census reads only the rows its D_r adds or drops.  The later reductions run in int64.  For q > 2^20 with
 (q-1)/(p-1) <= 2^20 the monic table alone serves: W splits by the
 position k and value l of its top nonzero coordinate, and each part is
 the same axis reduction on slab k of the monic table with the digit sets
@@ -38,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .boxes import DigitBox, check_budget, poly_blocks, sample_coords
-from .characters import (inverse_table, monic_fits, monic_offsets, monic_table,
-                         quad_char_coords, quad_table, scalar_char, table_fits)
+from .characters import (eta_tensor, inverse_table, monic_fits, monic_offsets,
+                         monic_table, quad_char_coords, scalar_char, table_fits)
 from .errors import InvariantViolation
 from .fields import vec_from_coords
 
@@ -125,10 +122,10 @@ def count_squares(box: DigitBox, budget: int | None = None) -> SquareCountReport
 
 
 def _table_sums(box: DigitBox) -> tuple[int, int]:
-    """(count_q, char_sum) of a box, contracting the quad table axis by axis.
+    """(count_q, char_sum) of a box, contracting eta_tensor axis by axis.
 
-    Element index = sum_i c_i p^i, so axis 0 of the p x ... x p reshape is
-    the last coordinate: reduce it first, then the one before, and so on.
+    Its .T has the last coordinate on axis 0: D_r is reduced first, then
+    D_{r-1}, and so on.
     The first reduction is the only one over p^{r-1} entries per row of
     D_r, and the field's FirstAxisSums carries it from the previous census:
     the rows D_r adds are added and the rows it drops subtracted.  It
@@ -144,7 +141,7 @@ def _table_sums(box: DigitBox) -> tuple[int, int]:
     """
     ctx = box.ctx
     *rest, last = box.digits
-    tab = quad_table(ctx).reshape(ctx.p, -1)
+    tab = eta_tensor(ctx).T.reshape(ctx.p, -1)
     running = ctx._cache.setdefault("first_axis", FirstAxisSums())
     held, want = set(running.rows), set(last)
     add = [d for d in last if d not in held]

@@ -14,9 +14,9 @@ polynomial coefficients.  Basis indices must lie in [0, q), and the
 context records once (ctx.poly_basis) whether its basis is the polynomial one.
 
 Tables that do not depend on the basis (Frobenius matrices, quadratic and
-Legendre tables, all poly coords) live in ctx._tables, which with_basis
-shares; the generator, discrete logs and square counts live in ctx._cache,
-one per context.  Frobenius, subfield degrees and conjugates all go through
+Legendre tables) live in ctx._tables, which with_basis shares; the
+generator, discrete logs and square counts live in ctx._cache, one per
+context.  Frobenius, subfield degrees and conjugates all go through
 the cached frobenius_matrix.
 
 The vector kernels multiply coefficient-major (r, n) arrays in the
@@ -741,12 +741,3 @@ def vec_decode(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
         out[:, j] = cur % p
         cur //= p
     return out
-
-
-def all_poly_coords(ctx: FieldCtx) -> np.ndarray:
-    """(q, r) array with the poly coords of every element, cached on the ctx."""
-    tab = ctx._tables.get("all_coords")
-    if tab is None:
-        tab = vec_decode(ctx, np.arange(ctx.q, dtype=np.int64))
-        ctx._tables["all_coords"] = tab
-    return tab

@@ -22,7 +22,8 @@ slack ratios and never asserted; the only asserted energy fact is the
 unconditional diagonal lower bound E >= |B|^2, counted exactly from the
 field-kernel products of all pairs in B for every q, with no discrete logs.
 The normalised box sums Delta(H, chi) (root order 1 or 2) are read from
-wrapped prefix sums of chi along each coordinate axis, a summed-area table.
+wrapped prefix sums of chi along each axis of characters.eta_tensor, a
+summed-area table.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ import numpy as np
 from .boxes import (BLOCK, DigitBox, IntervalBox, check_budget, coords_blocks,
                     poly_blocks)
 from .bounds import _float_above, _memoised
-from .characters import CycloSum, MultChar, dlog_table, make_char, quad_char_coords
+from .characters import (CycloSum, MultChar, _element_indices, dlog_table, eta_tensor,
+                         make_char, quad_char_coords)
 from .errors import HypothesisNotMet, InvariantViolation
-from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, all_poly_coords,
-                     frobenius_matrix, vec_decode, vec_degrees, vec_encode,
-                     vec_from_coords)
+from .fields import (FieldCtx, FieldElem, _kernel_dtype, _mul_cm, frobenius_matrix,
+                     vec_decode, vec_degrees, vec_encode, vec_from_coords)
 from .reporting import slack_ratio
 
 PAIR_CHUNK = 1 << 19  # product coefficients per kernel call in energy_count
@@ -64,14 +65,6 @@ def _report(lemma: str, params: dict, total: CycloSum, rhs: float) -> LemmaRepor
     lo, hi = total.magnitude_interval()
     # a violation is reported only when even the certified lower bound exceeds rhs
     return LemmaReport(lemma, params, lhs=(lo + hi) / 2.0, rhs=rhs, holds=lo <= rhs)
-
-
-def _subfield_shift_indices(ctx: FieldCtx, alpha_idx: np.ndarray) -> np.ndarray:
-    """(G, p) indices of xi + alpha for xi = 0..p-1, one row per index in
-    alpha_idx (only the constant digit moves)."""
-    p = ctx.p
-    c0 = alpha_idx[:, None] % p
-    return alpha_idx[:, None] - c0 + (c0 + np.arange(p, dtype=np.int64)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +99,7 @@ def lemmaD_reports(ctx: FieldCtx, gens, s: int, index: int = 1):
     if not pairs:
         return
     chi = make_char(ctx, s, index)
-    shifts = _subfield_shift_indices(ctx, idx)
+    shifts = _shifted_indices(ctx, idx, 1)  # xi + alpha, xi = 0..p-1
     k = chi.exponents_for_indices(shifts.ravel()).reshape(shifts.shape)
     rhs = lemmaD_rhs(ctx.p, ctx.r)
     reports = {}  # pairs with equal counts differ only in their parameters
@@ -142,7 +135,7 @@ def lemmaD_rhs(p: int, r: int) -> float:
 
 def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
     """All elements of degree r, i.e. lying in no proper subfield."""
-    degrees = vec_degrees(ctx, all_poly_coords(ctx))
+    degrees = vec_degrees(ctx, vec_decode(ctx, np.arange(ctx.q, dtype=np.int64)))
     return [FieldElem(ctx, int(idx)) for idx in np.flatnonzero(degrees == ctx.r)]
 
 
@@ -168,7 +161,7 @@ def lemmaE_reports(ctx: FieldCtx, trials):
             raise ValueError("need one shift per character")
         if not 1 <= t < ctx.q:
             raise ValueError(f"t = {t} outside [1, q)")
-        h = tuple(x.idx if isinstance(x, FieldElem) else int(x) for x in shifts)
+        h = tuple(_element_indices(shifts).tolist())
         if len(set(h)) != t:
             raise ValueError("shifts must be pairwise distinct")
         if min(h) < 0 or max(h) >= ctx.q:
@@ -212,7 +205,7 @@ def _lemmaE_sums(ctx: FieldCtx, specs):
                 big.append(c.order > 2)
         dead_rows.extend([k] * len(h))
         dead_shifts.extend(h)
-    idx = _shifted_indices(ctx, np.asarray(shifts, dtype=np.int64))
+    idx = _shifted_indices(ctx, np.asarray(shifts, dtype=np.int64), ctx.r)
     big = np.asarray(big)
     eta = None if big.all() else make_char(ctx, 2, 1)  # the one non-principal below order 3
     if not big.any():
@@ -237,16 +230,17 @@ def _lemmaE_sums(ctx: FieldCtx, specs):
         yield CycloSum(n, counts[o:o + n].tolist())
 
 
-def _shifted_indices(ctx: FieldCtx, h: np.ndarray) -> np.ndarray:
-    """(n, q) int64 indices of a + h[i], a in index order: an outer sum
-    over the coordinates j of ((0..p-1) + c_j(h[i]) mod p) p^j."""
+def _shifted_indices(ctx: FieldCtx, h: np.ndarray, low: int) -> np.ndarray:
+    """(n, p^low) int64 indices of a + h[i], a in index order with poly
+    coordinates 0 from low on (low = r: F_q, low = 1: F_p): an outer sum
+    over j of ((0..p-1) + c_j(h[i]) mod p) p^j below low, and of the one
+    fixed column c_j(h[i]) p^j from low on."""
     p = ctx.p
     digits = vec_decode(ctx, h)
     out = np.zeros((h.size, 1), dtype=np.int64)
     for j in range(ctx.r - 1, -1, -1):
-        axis = (np.arange(p, dtype=np.int64) + digits[:, j, None]) % p
-        axis *= ctx._ppow[j]
-        out = (out[:, :, None] + axis[:, None, :]).reshape(h.size, -1)
+        axis = digits[:, j, None] if j >= low else (np.arange(p) + digits[:, j, None]) % p
+        out = (out[:, :, None] + ctx._ppow[j] * axis[:, None, :]).reshape(h.size, -1)
     return out
 
 
@@ -320,14 +314,6 @@ def lemma1_pair_reports(ctx: FieldCtx, pairs, nus):
                 reports.append(LemmaReport("1", {"nu": nu, **params}, lhs=float(lhs),
                                            rhs=rhs, holds=lhs <= rhs))
             yield reports
-
-
-def _element_indices(elems) -> np.ndarray:
-    """int64 indices of FieldElems or indices; an index array as it is."""
-    if isinstance(elems, np.ndarray):
-        return elems.astype(np.int64, copy=False)
-    return np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in elems],
-                      dtype=np.int64)
 
 
 def _lemma1_sums(ctx: FieldCtx, pairs) -> list[int]:
@@ -489,8 +475,8 @@ def delta_H(ctx: FieldCtx, H: int, chi: MultChar,
             budget: int | None = None) -> DeltaReport:
     """max over boxes with sides in [H, 2H] of |sum_B chi| / |B|, by exhaustion.
 
-    chi, of root order 1 or 2, is read once as a p x ... x p integer tensor
-    in installed-basis coordinates.  For each side tuple hs, r prefix sums,
+    chi, of root order 1 or 2, is read once as characters.eta_tensor, under
+    the same budget.  For each side tuple hs, r prefix sums,
     each along one axis extended by its first h slices so that windows wrap
     mod p (a summed-area table), give the sums of all p^r boxes
     N + 1 .. N + hs in O(q) memory.  The first maximum in (hs, N) order wins.
@@ -503,8 +489,7 @@ def delta_H(ctx: FieldCtx, H: int, chi: MultChar,
     lengths = range(H, min(2 * H, p) + 1)
     n_boxes = (p * len(lengths)) ** r
     check_budget(n_boxes * (2 * H) ** r, budget, "exhaustive search over parallelepipeds")
-    coords = np.indices((p,) * r).reshape(r, -1).T  # lex order, first axis slowest
-    eta = quad_char_coords(ctx, vec_from_coords(ctx, coords)).reshape((p,) * r)
+    eta = eta_tensor(ctx, budget)
     values = (eta != 0).astype(np.int8) if chi.is_principal else eta
     best = None
     for hs in itertools.product(lengths, repeat=r):

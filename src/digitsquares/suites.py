@@ -14,7 +14,8 @@ gets is decided in this order, the first that applies winning:
    the threshold exceeds p-1): one skip row; or a suite that walks the
    whole field (lemmaD, lemmaE) or expands its digit-set spec would exceed
    the budget: the suite raises BudgetExceeded and run_config writes the
-   task's one "all;budget" skip row;
+   task's one "all;budget" skip row; or lemmaE's q is above the table cap,
+   where orders above 2 have no discrete logs: one skip row;
 4. per instance: its right-hand side raises HypothesisNotMet: a skip row;
 5. per instance: its exhaustive count would exceed the budget: a budget
    skip row;
@@ -45,7 +46,7 @@ import numpy as np
 from . import bounds
 from .boxes import (DigitBox, IntervalBox, check_budget, format_digit_set,
                     parse_digit_spec)
-from .characters import make_char
+from .characters import make_char, table_fits
 from .counting import SquareCountReport, count_squares
 from .errors import BudgetExceeded, HypothesisNotMet
 from .fields import FieldCtx, divisors, make_field
@@ -349,12 +350,15 @@ def suite_lemmaD(opts: TaskOptions) -> list[Row]:
 def suite_lemmaE(opts: TaskOptions) -> list[Row]:
     """Seeded shifted-product instances; raises BudgetExceeded (one budget
     skip row for the task) when q exceeds the budget, since every instance
-    sums over all of F_q.  All trials are drawn first, the shifts as index
-    arrays, and evaluated in one lemmaE_reports call.
+    sums over all of F_q; one skip row above the table cap.  All trials are
+    drawn first, the shifts as index arrays, and evaluated in one
+    lemmaE_reports call.
     """
     _needs_seed(opts, "random shifted-product instances")
     ctx = live_field(opts.p, opts.r)
     check_budget(ctx.q, opts.budget, "complete sums over F_q")
+    if not table_fits(ctx):
+        return [_skip_row("lemmaE", opts, "all", "needs q <= 2^20 for orders above 2")]
     n_trials = opts.trials if opts.trials is not None else 200
     rng = np.random.default_rng([opts.seed, opts.p, opts.r, 2])
     divs = divisors(ctx.q - 1)

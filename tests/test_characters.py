@@ -17,9 +17,10 @@ from mpmath.libmp import from_man_exp, mpf_neg
 from digitsquares import (CycloSum, DigitBox, char_sum, characters, enumerate_box,
                           field_generator, make_char, make_field, oracles,
                           quad_char_coords)
-from digitsquares.characters import (DLOG_CAP, dlog_table, legendre_table,
+from digitsquares.boxes import index_blocks
+from digitsquares.characters import (DLOG_CAP, dlog_table, eta_tensor, legendre_table,
                                      quad_table)
-from digitsquares.errors import InvariantViolation
+from digitsquares.errors import BudgetExceeded, InvariantViolation
 from digitsquares.fields import (FieldCtx, FieldElem, divisors, is_irreducible,
                                  is_prime, prime_factors, smallest_irreducible,
                                  vec_norm)
@@ -35,6 +36,23 @@ TABLE_FIELDS = [(1048573, 1), (3, 12), (5, 8), (7, 7), (13, 5), (31, 4),
 # of step 2), even r with p = 3 mod 4 (every (c / p)^r is 1)
 BUILD_EDGE_FIELDS = [(3, 1), (65537, 1), (3, 2), (3, 3), (3, 5), (7, 2), (11, 2),
                      (19, 2), (7, 4), (3, 6)]
+
+
+def random_basis(ctx, seed):
+    """ctx under a seeded random basis; most draws are independent."""
+    rng = np.random.default_rng(seed)
+    while True:
+        try:
+            return ctx.with_basis([ctx.from_index(int(i))
+                                   for i in rng.integers(1, ctx.q, size=ctx.r)])
+        except ValueError:
+            continue
+
+
+def basis_combination(ctx, c):
+    """c_0 a_1 + ... + c_{r-1} a_r in field arithmetic."""
+    return sum((ctx.from_index(a) * int(ci) for a, ci in zip(ctx.basis_indices, c)),
+               ctx.zero())
 
 
 def brute_square_set(ctx):
@@ -107,7 +125,7 @@ def squared_magnitude(total: CycloSum) -> CycloSum:
     for j, a in enumerate(total.counts):
         for k, b in enumerate(total.counts):
             if a and b:
-                out.add_root(j - k, a * b)
+                out.counts[(j - k) % total.order] += a * b
     return out
 
 
@@ -486,13 +504,88 @@ class TestCharSum:
         assert total.value_int() == -4
 
     def test_index_array_path_matches_iterable_path(self, field):
-        import numpy as np
         ctx = field(7, 2)
         chi = make_char(ctx, 3, 1)
         idx = np.arange(ctx.q, dtype=np.int64)
         a = char_sum(chi, idx)
         b = char_sum(chi, ctx.elements())
         assert a == b
+
+    @staticmethod
+    def assert_every_input_form_agrees(chi, box, elems):
+        """FieldElems, a list of ints and enumerate_box each give the index
+        array's sum."""
+        idx = np.asarray([x.idx for x in elems], dtype=np.int64)
+        assert char_sum(chi, iter(elems)) == char_sum(chi, idx)
+        assert char_sum(chi, idx.tolist()) == char_sum(chi, idx)
+        walked = np.concatenate(list(index_blocks(box)))
+        assert char_sum(chi, enumerate_box(box)) == char_sum(chi, walked)
+
+    @pytest.mark.parametrize("p,r", [(7, 2), (5, 3), (13, 2)])
+    def test_every_input_form_matches_the_index_array(self, field, p, r):
+        ctx = field(p, r)
+        box = DigitBox(ctx, ((0, 1, 3),) + ((1, 2),) * (r - 1))
+        big = [s for s in divisors(ctx.q - 1) if 2 < s <= 8]
+        assert big
+        elems = list(ctx.elements())
+        for s, j in [(1, 0), (2, 0), (2, 1)] + [(s, 1) for s in big] + [(big[-1], 3)]:
+            self.assert_every_input_form_agrees(make_char(ctx, s, j), box, elems)
+
+    def test_every_input_form_above_the_table_cap(self, field, euler):
+        ctx = field(1031, 2)
+        assert ctx.q > DLOG_CAP
+        rng = np.random.default_rng(7)
+        elems = [ctx.from_index(int(i)) for i in rng.choice(ctx.q, size=300, replace=False)]
+        elems.append(ctx.zero())
+        box = DigitBox(ctx, (tuple(range(0, 1031, 61)), tuple(range(5, 1031, 97))))
+        chi = make_char(ctx, 2, 1)
+        self.assert_every_input_form_agrees(chi, box, elems)
+        assert char_sum(chi, elems).value_int() == sum(euler(ctx, x) for x in elems)
+
+
+class TestEtaTensor:
+    FIELDS = [(3, 2), (7, 2), (13, 2), (5, 3), (3, 4)]
+
+    @pytest.mark.parametrize("p,r", FIELDS)
+    @pytest.mark.parametrize("seed", [None, 3, 4])
+    def test_entry_c_is_euler_at_the_basis_combination(self, field, euler, p, r, seed):
+        ctx = field(p, r) if seed is None else random_basis(field(p, r), seed)
+        eta = eta_tensor(ctx)
+        assert eta.shape == (p,) * r and eta.dtype == np.int8
+        for c in np.ndindex(eta.shape):
+            assert eta[c] == euler(ctx, basis_combination(ctx, c)), c
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_norm_branch_above_the_cap(self, field, seed):
+        ctx = field(1031, 2) if seed is None else random_basis(field(1031, 2), seed)
+        assert ctx.q > DLOG_CAP
+        eta = eta_tensor(ctx)
+        assert eta.shape == (1031, 1031) and not eta.flags.writeable
+        rng = np.random.default_rng(11)
+        cs = [tuple(int(v) for v in c) for c in rng.integers(0, 1031, size=(300, 2))]
+        cs += [(0, 0), (1, 0), (0, 1), (1030, 1030)]
+        rows = np.asarray([basis_combination(ctx, c).poly_coords for c in cs], dtype=np.int64)
+        assert [int(eta[c]) for c in cs] == quad_char_coords(ctx, rows).tolist()
+
+    @pytest.mark.parametrize("p,r", FIELDS + [(13, 1)])
+    def test_polynomial_basis_is_a_read_only_view_of_the_table(self, field, p, r):
+        ctx = field(p, r)
+        eta, tab = eta_tensor(ctx), quad_table(ctx)
+        assert not eta.flags.writeable and tab.flags.writeable
+        assert np.shares_memory(eta, tab)
+        assert eta.T.flags.c_contiguous
+        assert np.array_equal(eta.T.ravel(), tab)
+        with pytest.raises(ValueError):
+            eta[(0,) * r] = 1
+
+    def test_other_bases_are_read_only_and_budgeted(self, field):
+        ctx = random_basis(field(5, 3), 3)
+        eta = eta_tensor(ctx)
+        assert not eta.flags.writeable
+        assert not np.shares_memory(eta, quad_table(ctx))
+        assert eta_tensor(ctx, budget=125).shape == (5, 5, 5)
+        with pytest.raises(BudgetExceeded):
+            eta_tensor(ctx, budget=124)
 
 
 class TestCycloSum:

@@ -15,8 +15,8 @@ import pytest
 
 import mpmath
 
-from digitsquares import (DigitBox, bounds, boxes, cli, counting, fields, make_field,
-                          oracles, suites)
+from digitsquares import (DigitBox, bounds, boxes, characters, cli, counting, fields,
+                          make_field, oracles, suites)
 from digitsquares.cli import NU_MAX_CAP, ConfigError, SweepConfig, main, run_config
 from digitsquares.errors import BudgetExceeded
 from digitsquares.reporting import ROW_FIELDS, rows_to_csv, summarize
@@ -179,6 +179,26 @@ class TestVerify:
             assert len(got) == rows and all(r[-1] == "pass" for r in got)
         else:
             assert got == [[suite, "3", "2", "all;budget", "", "", "", "skip-hypothesis"]]
+
+    def test_lemmaE_above_the_table_cap_is_one_skip_row(self, capsys, monkeypatch):
+        # orders above 2 need the discrete-log table: the task skips before
+        # it draws a trial, and a budget below q still wins
+        def draw(*args):
+            raise AssertionError("a trial was drawn above the table cap")
+
+        monkeypatch.setattr(suites, "make_char", draw)
+        args = ("verify", "--suite", "lemmaE", "--p", "1031", "--r", "2", "--seed", "0",
+                "--trials", "3")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            ["lemmaE", "1031", "2", "all;needs q <= 2^20 for orders above 2",
+             "", "", "", "skip-hypothesis"]]
+        assert "summary: passed=0 failed=0 skipped-hypothesis=1 report-only=0" in err
+        code, out, _ = run_cli(capsys, *args, "--budget", "1062960")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1:] == [
+            ["lemmaE", "1031", "2", "all;budget", "", "", "", "skip-hypothesis"]]
 
     def test_lemmaD_budget_checked_before_the_sieve(self, monkeypatch):
         # the task's "all;budget" row is written by the task runner
@@ -449,14 +469,14 @@ class TestRunConfig:
                                                     budget=digits - 1))
 
     def test_corrupted_quad_table_is_the_tasks_error_row(self, capsys, monkeypatch):
-        real = counting.quad_table
+        real = characters.quad_table
 
         def corrupted(ctx):
             tab = real(ctx).copy()
             tab[ctx.from_coords((1, 1)).idx] = 0  # a nonzero element classified as zero
             return tab
 
-        monkeypatch.setattr(counting, "quad_table", corrupted)
+        monkeypatch.setattr(characters, "quad_table", corrupted)
         code, out, _ = run_cli(capsys, "verify", "--suite", "identity", "--p", "5", "--r", "2")
         assert code == 1
         [row] = list(csv.reader(io.StringIO(out)))[1:]

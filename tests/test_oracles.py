@@ -872,6 +872,21 @@ class TestDeltaH:
         with pytest.raises(ValueError):
             delta_H(ctx, 2, make_char(ctx, 3, 1))
 
+    @pytest.mark.parametrize("p,r,h", [(13, 1, 4), (7, 2, 3), (5, 3, 2)])
+    def test_polynomial_basis_reads_the_table_view(self, field, monkeypatch, p, r, h):
+        # under the polynomial basis, eta_tensor is a view of the quad table:
+        # no coordinate row is mapped to poly coordinates or evaluated
+        ctx = field(p, r)
+        chi = make_char(ctx, 2, 1)
+        want = delta_H(ctx, h, chi)
+
+        def spy(*args, **kwargs):
+            raise AssertionError("delta_H evaluated eta row by row")
+        for module in (characters, oracles):
+            for name in ("quad_char_coords", "vec_from_coords"):
+                monkeypatch.setattr(module, name, spy)
+        assert delta_H(ctx, h, chi) == want
+
     def test_large_prime_line_matches_direct_window_sums(self, field):
         # r = 1 with a large p: every window sum read directly from the
         # Legendre symbols, and a memory peak far below a p x p table

@@ -166,16 +166,28 @@ def test_every_top_level_def_is_used():
     assert not unused, unused
 
 
-def test_only_characters_reads_the_table_cap():
-    readers = set()
+def _modules_naming(name: str) -> set[str]:
+    """The src modules that read, import or define name."""
+    found = set()
     for path in sorted((ROOT / "src" / "digitsquares").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if ((isinstance(node, ast.Name) and node.id == "DLOG_CAP")
-                    or (isinstance(node, ast.Attribute) and node.attr == "DLOG_CAP")
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.FunctionDef) and node.name == name)
                     or (isinstance(node, ast.ImportFrom)
-                        and any(alias.name == "DLOG_CAP" for alias in node.names))):
-                readers.add(path.name)
-    assert readers == {"characters.py"}
+                        and any(alias.name == name for alias in node.names))):
+                found.add(path.name)
+    return found
+
+
+def test_only_characters_reads_the_table_cap():
+    assert _modules_naming("DLOG_CAP") == {"characters.py"}
+
+
+def test_only_characters_names_the_quad_table():
+    # digit boxes read eta through characters.eta_tensor, blocks of rows
+    # through quad_char_coords: the table's index order stays in one module
+    assert _modules_naming("quad_table") == {"characters.py"}
 
 
 # kernels that reduce through fields._mod_p: numpy's % is several times
