@@ -18,16 +18,23 @@ never a rounding artifact.  Two kinds of evaluation give that float:
   - Theorem 1 is a sum of fourth roots of integers; each root is bracketed
     between integer roots, more finely until no float lies in the bracket.
 * The values that involve pi, logarithms or real exponents (Theorem B's
-  constant C(p, t), Corollary C, the Theorem 2 threshold) are evaluated in
-  interval arithmetic at IV_PREC = 136 bits (40 decimal digits), then
-  rounded up.  They run in one private mpmath interval context, built at
-  that precision on first use (_iv), so mpmath's global contexts are never
-  read or written.  Only these evaluators import mpmath, on their first
-  call.
+  constant C(p, t), Corollary C, the Theorem 2 threshold) run on one integer
+  kernel: pi by Machin's formula, log by the atanh series after reduction
+  by powers of 2, exp and cos/sin by their Taylor series, square roots by
+  isqrt.  Each kernel function takes a scaled integer x (the value
+  x / 2^w) and returns its value times 2^w with an explicit error bound in
+  units of 2^-w.  Ziv's loop (_ziv) brackets the expression at w = 96 bits
+  and doubles w until one float is the smallest float at or above every
+  point of the bracket; that float is returned, so it is the smallest float
+  at or above the exact value.  (mpmath's 136-bit interval gave the same
+  float wherever no float lay inside it.)  corC_hypothesis refines until
+  the bracket decides t >= p^(1/4 + eps), and counts it as not met if the
+  last precision still does not.  characters certifies the magnitudes of
+  cyclotomic sums on the same kernel's pi and cos/sin.
 
-Each evaluator is a pure function of its arguments and is memoised: a sweep
-asks for the same few hundred values thousands of times.  Natural logarithms
-throughout.
+Nothing here imports mpmath.  Each evaluator is a pure function of its
+arguments and is memoised: a sweep asks for the same few hundred values
+thousands of times.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -38,35 +45,156 @@ import operator
 
 from .errors import HypothesisNotMet, InvariantViolation
 
-IV_PREC = 136          # bits of every interval evaluation: mpmath's dps_to_prec(40)
+IV_PREC = 136          # bits of the interval steps characters replays: mpmath's dps_to_prec(40)
 RHS_CACHE_SIZE = 1 << 14
 ROOT_BITS = 70         # bits of the integer root that places _float_above's guess
 ULP_STEPS = 8          # _float_above's guess is at most 2 ulps off
 THM1_BITS = 64         # first scale 2^K of thm1_rhs's fourth-root bracket
 THM1_DOUBLINGS = 8     # thm1_rhs doubles K at most this many times
+GUARD = 24             # guard bits of the cached pi and log 2
+ZIV_BITS = 96          # first precision 2^-w of a Ziv loop
+ZIV_DOUBLINGS = 6      # a Ziv loop tries at most this many precisions, doubling w
 
 
-def _upper(x) -> float:
-    """Float upper bound of an interval value."""
-    b = x.b
-    f = float(b)
-    while f < b:
-        f = math.nextafter(f, math.inf)
-    return f
+def _shift(v: int, err: int, g: int) -> tuple[int, int]:
+    """A (value, error bound) pair scaled down by 2^g."""
+    return v >> g, (err >> g) + 1
+
+
+def _atan_inv(n: int, w: int) -> tuple[int, int]:
+    """atan(1/n) 2^w as (value, error bound in units), for an integer n >= 2.
+
+    x_j = floor(2^w / n^(2j+1)) is exact (nested floors), so each term
+    x_j // (2j+1) is within 2 units, and the alternating tail after the last
+    nonzero x_j is below 1.
+    """
+    x, total, j = (1 << w) // n, 0, 0
+    while x:
+        total += -(x // (2 * j + 1)) if j & 1 else x // (2 * j + 1)
+        x //= n * n
+        j += 1
+    return total, 2 * (j + 1)
+
+
+def _atanh(num: int, den: int, w: int) -> tuple[int, int]:
+    """atanh(z) 2^w as (value, error bound), for z = num / den in [0, 1/3].
+
+    y_j, the floor of z^(2j+1) 2^w times z^2, is within 9/8 units, so each
+    term y_j // (2j+1) is within 3, and the tail after y_j = 0 is below 2.
+    """
+    y, total, j = (num << w) // den, 0, 0
+    while y:
+        total += y // (2 * j + 1)
+        y = y * num * num // (den * den)
+        j += 1
+    return total, 3 * (j + 1)
 
 
 @functools.cache
-def _iv():
-    """The interval context of every evaluator here: private, at IV_PREC bits.
+def _pi(w: int) -> tuple[int, int]:
+    """pi 2^w as (value, error bound): 16 atan(1/5) - 4 atan(1/239) (Machin)."""
+    a, ea = _atan_inv(5, w + GUARD)
+    b, eb = _atan_inv(239, w + GUARD)
+    return _shift(16 * a - 4 * b, 16 * ea + 4 * eb, GUARD)
 
-    Built on the first call, which imports mpmath; nothing sets its
-    precision again.
+
+@functools.cache
+def _ln2(w: int) -> tuple[int, int]:
+    """log(2) 2^w as (value, error bound): 2 atanh(1/3)."""
+    v, err = _atanh(1, 3, w + GUARD)
+    return _shift(2 * v, 2 * err, GUARD)
+
+
+def _log(x: int, w: int) -> tuple[int, int]:
+    """log(x / 2^w) 2^w as (value, error bound), for an integer x >= 1.
+
+    With x = m 2^(w+e), m in [1, 2): e log(2) + 2 atanh((m-1) / (m+1)).
     """
-    from mpmath.ctx_iv import MPIntervalContext
+    if x < 1:
+        raise ValueError(f"log of {x} / 2^{w}: the argument must be at least 2^-{w}")
+    e = x.bit_length() - 1 - w
+    one = 1 << (w + e)
+    t, et = _atanh(x - one, x + one, w)
+    l2, el2 = _ln2(w)
+    return e * l2 + 2 * t, abs(e) * el2 + 2 * et
 
-    ctx = MPIntervalContext()
-    ctx.prec = IV_PREC
-    return ctx
+
+def _exp(x: int, w: int) -> tuple[int, int]:
+    """exp(x / 2^w) 2^w as (value, error bound), for any integer x.
+
+    2^n exp(r) with n = floor(x / log 2): the Taylor terms of exp(r),
+    0 <= r < 0.7, are each within 4 units, and the error of r, n times that
+    of log 2, moves exp(r) by at most thrice as much.
+    """
+    l2, el2 = _ln2(w)
+    n = x // l2
+    r = x - n * l2
+    total, t, k = 0, 1 << w, 0
+    while t:
+        total += t
+        k += 1
+        t = t * r // (k << w)
+    err = 4 * (k + 2) + 3 * abs(n) * el2
+    if n >= 0:
+        return total << n, err << n
+    return _shift(total, err, -n)
+
+
+def _cos_sin(x: int, w: int) -> tuple[int, int, int]:
+    """(cos, sin) of x / 2^w, times 2^w, and one error bound for both, for
+    |x| <= 2.5 2^w: the Taylor terms |x|^k / k! are each within 3 units."""
+    a = abs(x)
+    c = s = k = 0
+    t = 1 << w
+    while t:
+        if k & 1:
+            s += -t if k & 2 else t
+        else:
+            c += -t if k & 2 else t
+        k += 1
+        t = t * a // (k << w)
+    return c, -s if x < 0 else s, 3 * (k + 2)
+
+
+def _up(f, lo: int, hi: int, w: int) -> tuple[int, int]:
+    """(lo, hi) bracket of an increasing kernel function f over [lo, hi] / 2^w."""
+    a, ea = f(lo, w)
+    b, eb = f(hi, w)
+    return a - ea, b + eb
+
+
+def _exp_up(lo: int, hi: int, w: int) -> tuple[int, int]:
+    """_up of _exp, its lower end raised to 0, as exp is positive."""
+    a, b = _up(_exp, lo, hi, w)
+    return max(a, 0), b
+
+
+def _ceil_float(n: int, d: int) -> float:
+    """The smallest float at or above n / d, d > 0; inf beyond the float range."""
+    try:
+        f = n / d  # correctly rounded
+    except OverflowError:
+        return math.inf
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
+
+
+def _ziv(bracket) -> float:
+    """The smallest float at or above a value that bracket(w) places in
+    [lo, hi] / den, to within a few units of 2^-w.
+
+    Ziv's loop: w starts at ZIV_BITS and doubles until the smallest float at
+    or above lo is the one at or above hi, so at or above every point of the
+    bracket; that of hi is returned once w reaches ZIV_BITS 2^(ZIV_DOUBLINGS-1).
+    """
+    w = ZIV_BITS
+    for _ in range(ZIV_DOUBLINGS):
+        lo, hi, den = bracket(w)
+        f = _ceil_float(hi, den)
+        if _ceil_float(lo, den) == f:
+            return f
+        w *= 2
+    return f
 
 
 def _memoised(fn):
@@ -200,18 +328,32 @@ def thmA_heuristic_nontrivial(p: int, d: int) -> bool:
 @_memoised
 def thmB_C(p: int, t: int) -> float:
     """The piecewise constant C(p, t); undefined at t = p-1."""
-    iv = _iv()
+    p, t = map(operator.index, (p, t))
     if t == p - 1:
         raise HypothesisNotMet(f"C(p, t) is undefined at t = p - 1 (p = {p})")
     if not 2 <= t <= p - 2:
         raise ValueError(f"t = {t} outside [2, {p - 2}]")
-    if t == p - 2:
-        pv = iv.mpf(p)
-        val = 2 / pv + (2 / (iv.pi * (pv - 1))) * (1 - iv.log(2 * iv.sin(iv.pi / (2 * pv))))
-    else:
-        tv = iv.mpf(t)
-        val = iv.log(iv.mpf(p)) / tv + (iv.mpf(4) / 3 - iv.log(iv.mpf(3)) / 2) / tv + iv.mpf(1) / p
-    return _upper(val)
+
+    def bracket(w):
+        w += p.bit_length()  # sin(pi / 2p) > 1 / p keeps w bits of its own
+        one = 1 << w
+        if t == p - 2:
+            # 2 / p + 2 (1 - log(2 sin(pi / 2p))) / (pi (p - 1)); sin rises on [0, pi / 2]
+            pi, epi = _pi(w)
+            _, s_lo, e_lo = _cos_sin((pi - epi) // (2 * p), w)
+            _, s_hi, e_hi = _cos_sin(-(-(pi + epi) // (2 * p)), w)
+            l_lo, l_hi = _up(_log, 2 * (s_lo - e_lo), 2 * (s_hi + e_hi), w)
+            lo = (2 * (one - l_hi) << w) // ((pi + epi) * (p - 1)) + (2 << w) // p
+            hi = -(-(2 * (one - l_lo) << w) // ((pi - epi) * (p - 1))) - (-(2 << w) // p)
+            return lo, hi, one
+        # log(p) / t + (4/3 - log(3) / 2) / t + 1 / p = (6 log p - 3 log 3 + 8) / 6t + 1 / p
+        lp, ep = _log(p << w, w)
+        l3, e3 = _log(3 << w, w)
+        num, err = 6 * lp - 3 * l3 + 8 * one, 6 * ep + 3 * e3
+        return ((num - err) // (6 * t) + one // p,
+                -(-(num + err) // (6 * t)) - (-one // p), one)
+
+    return _ziv(bracket)
 
 
 @_memoised
@@ -321,36 +463,66 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
     return best
 
 
+def _cr_bracket(r: int, w: int) -> tuple[int, int]:
+    """(lo, hi) bracket of C(r) 2^w = exp((4 log r + 8) / r) 2^w."""
+    lr, er = _log(r << w, w)
+    return _exp_up((4 * (lr - er) + (8 << w)) // r, -(-(4 * (lr + er) + (8 << w)) // r), w)
+
+
 @_memoised
 def thm2_Cr(r: int) -> float:
     """C(r) = exp((4 log r + 8) / r), the threshold's leading constant."""
-    iv = _iv()
-    rv = iv.mpf(r)
-    return _upper(iv.exp((4 * iv.log(rv) + 8) / rv))
+    r = operator.index(r)
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+    return _ziv(lambda w: (*_cr_bracket(r, w), 1 << w))
 
 
 @_memoised
 def thm2_threshold(p: int, r: int) -> float:
     """Existence threshold C(r) sqrt(p) exp((log p + 4 log log p) / r), r >= 20."""
-    iv = _iv()
+    p, r = map(operator.index, (p, r))
     if r < 20:
         raise HypothesisNotMet(f"the thm2 existence threshold needs r >= 20, got r = {r}")
-    pv = iv.mpf(p)
-    cr = iv.exp((4 * iv.log(iv.mpf(r)) + 8) / r)
-    val = cr * iv.sqrt(pv) * iv.exp((iv.log(pv) + 4 * iv.log(iv.log(pv))) / r)
-    return _upper(val)
+    if p < 2:
+        raise ValueError(f"p = {p} must be >= 2")
+
+    def bracket(w):
+        c_lo, c_hi = _cr_bracket(r, w)
+        lp, ep = _log(p << w, w)
+        ll_lo, ll_hi = _up(_log, lp - ep, lp + ep, w)
+        x_lo, x_hi = _exp_up((lp - ep + 4 * ll_lo) // r, -(-(lp + ep + 4 * ll_hi) // r), w)
+        root = math.isqrt(p << 2 * w)
+        return c_lo * root * x_lo, c_hi * (root + 1) * x_hi, 1 << 3 * w
+
+    return _ziv(bracket)
 
 
 @_memoised
 def corC_hypothesis(p: int, t: int, eps: float) -> bool:
-    """t >= p^{1/4 + eps}, certified via interval arithmetic.
+    """t >= p^{1/4 + eps}, certified.
 
-    False unless certified: where the intervals overlap, mpmath's `>=`
-    gives None, and the hypothesis counts as not met.
+    With 1/4 + eps = c / 4b, that is c log p - 4b log t <= 0, bracketed at
+    2^-w for w from ZIV_BITS, doubling until the bracket excludes 0.  False
+    unless certified: where it still holds 0 at the last w (t equal to the
+    power, or within about 2^-3072 of it), the hypothesis counts as not met.
     """
-    iv = _iv()
-    bound = iv.mpf(p) ** (iv.mpf(1) / 4 + iv.mpf(eps))
-    return (iv.mpf(t) >= bound) is True
+    p, t = map(operator.index, (p, t))
+    if t < 1:
+        return False
+    a, b = eps.as_integer_ratio()
+    c = b + 4 * a
+    w = ZIV_BITS
+    for _ in range(ZIV_DOUBLINGS):
+        lp, ep = _log(p << w, w)
+        lt, et = _log(t << w, w)
+        d, err = c * lp - 4 * b * lt, abs(c) * ep + 4 * b * et
+        if d + err < 0:
+            return True
+        if d - err > 0:
+            return False
+        w *= 2
+    return False
 
 
 @_memoised
@@ -359,16 +531,25 @@ def corC_rhs(p: int, r: int, t: int, eps: float, constant: float) -> float:
 
     The underlying estimate carries an unquantified r^{O(1)}/eps factor,
     so the caller supplies the constant and no verdict is ever asserted
-    from this value.
+    from this value.  |W| = t^r; with eps = a / b and the constant n / d,
+    the value is (n r^4 b t^r / d a) exp(-a^2 log(p) / 2b^2).
     """
-    iv = _iv()
+    p, r, t = map(operator.index, (p, r, t))
     if not 0 < eps <= 0.25:
         raise ValueError(f"eps = {eps} outside (0, 1/4]")
     if constant <= 0:
         raise ValueError("the user constant must be positive")
     if not corC_hypothesis(p, t, eps):
         raise HypothesisNotMet(f"t = {t} below p^(1/4 + eps)")
-    ev = iv.mpf(eps)
-    size_w = iv.mpf(t) ** r
-    val = iv.mpf(constant) * (iv.mpf(r) ** 4 / ev) * iv.exp(-ev * ev / 2 * iv.log(iv.mpf(p))) * size_w
-    return _upper(val)
+    a, b = eps.as_integer_ratio()
+    n, d = constant.as_integer_ratio()
+    size_w, den = (t ** r, d * a) if r >= 0 else (1, d * a * t ** -r)
+    num = n * r ** 4 * b * size_w
+
+    def bracket(w):
+        lp, ep = _log(p << w, w)
+        e_lo, e_hi = _exp_up((-a * a * (lp + ep)) // (2 * b * b),
+                             -((a * a * (lp - ep)) // (2 * b * b)), w)
+        return num * e_lo, num * e_hi, den << w
+
+    return _ziv(bracket)

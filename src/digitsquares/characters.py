@@ -30,46 +30,181 @@ coordinates.
 Sums of character values are held exactly as CycloSum: integer
 multiplicities of the s-th roots of unity.  Whether a sum vanishes is
 decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
-O(s) steps per prime factor of s.  Its magnitude is certified in interval
-arithmetic at bounds.IV_PREC = 136 bits, the precision of every interval
-bound.  The sum of c * (cos, sin) over the roots runs on integer
-mantissa-exponent pairs, replaying the directed rounding of mpmath.libmp
-step by step; libmp, called with the precision passed explicitly so no
-mpmath context is read or written, serves only the unit roots (one
-mpi_cos_sin per root, cached, and shared by orders s and s / 2^j where
-the angles are the same bit for bit, its endpoints kept as signed
-mantissa-exponent pairs) and the final square root.  mpmath
-is imported by the first magnitude that needs it, and no other function
-here uses it.  Lower endpoints are rounded toward -inf and upper ones
-toward +inf, and the result is rounded outward to floats, so a reported
-bound violation can never be a rounding artifact.
+O(s) steps per prime factor of s.  Its magnitude is certified as mpmath's
+interval context computed it at bounds.IV_PREC = 136 bits, bit for bit,
+without mpmath: every step is replayed as a correctly rounded directed
+operation on integer mantissa-exponent pairs, lower endpoints rounded
+toward -inf and upper ones toward +inf, and the result is rounded outward
+to floats, so a reported bound violation can never be a rounding artifact.
+The unit roots' endpoints (mpi_cos_sin of the angle interval 2 pi k / s,
+one per root, cached and shared by orders s and s / 2^j where the angles
+are the same bit for bit) come from the integer kernel of bounds, guarded:
+each endpoint is taken at either end of a margin that covers libmp's own
+rounding, and a root where the two disagree falls back to libmp itself
+(_unit_root, the one place that imports mpmath).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
 
 import numpy as np
 
-from .bounds import IV_PREC
+from .bounds import IV_PREC, _cos_sin, _pi
 from .boxes import check_budget
 from .errors import InvariantViolation
-from .fields import (FieldCtx, FieldElem, _mod_p, prime_factors, vec_decode,
-                     vec_encode, vec_from_coords, vec_mul, vec_norm)
+from .fields import (FieldCtx, FieldElem, _mod_p, index_dtype, prime_factors,
+                     vec_decode, vec_encode, vec_from_coords, vec_mul, vec_norm)
 
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
 ROOT_CACHE_SIZE = 1 << 13
+ROOT_BITS = 400        # scale 2^-ROOT_BITS of the unit-root kernel
 
 
-def _point(n: int):
-    """The interval [n, n]; exact for |n| < 2^IV_PREC."""
-    from mpmath.libmp import from_int
+def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m 2^e rounded to prec bits toward +inf (up) or -inf, as libmp holds
+    it: an odd mantissa with its sign, or (0, 0)."""
+    sh = abs(m).bit_length() - prec
+    if sh > 0:
+        m = -(-m >> sh) if up else m >> sh
+        e += sh
+    if not m:
+        return 0, 0
+    tz = (m & -m).bit_length() - 1
+    return m >> tz, e + tz
 
-    x = from_int(n)
-    return x, x
+
+def _round_div(m: int, e: int, d: int, up: bool) -> tuple[int, int]:
+    """m 2^e / d rounded to IV_PREC bits, for m, d > 0: a quotient of at
+    least IV_PREC + 2 bits and a sticky bit for the remainder round as the
+    exact quotient does."""
+    sh = IV_PREC + 2 - m.bit_length() + d.bit_length()
+    q, rem = divmod(m << sh, d)
+    return _round(2 * q + (rem > 0), e - sh - 1, IV_PREC, up)
+
+
+@functools.cache
+def _pi_ends() -> tuple[tuple[int, int], tuple[int, int]]:
+    """mpf_pi at IV_PREC bits rounded down and up: pi 2^(IV_PREC-2) floored
+    and plus one, from the kernel's pi."""
+    v, err = _pi(ROOT_BITS)
+    sh = ROOT_BITS - IV_PREC + 2
+    lo = (v - err) >> sh
+    if (v + err) >> sh != lo:
+        raise InvariantViolation("pi at ROOT_BITS does not fix its IV_PREC-bit floor")
+    return _round(lo, 2 - IV_PREC, IV_PREC, False), _round(lo + 1, 2 - IV_PREC, IV_PREC, True)
+
+
+@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _zeta(s: int) -> tuple[int, int, int]:
+    """cos and sin of 2 pi / s times 2^ROOT_BITS, and a bound on the
+    modulus of their error, for s >= 3."""
+    v, err = _pi(ROOT_BITS)
+    c, sn, e = _cos_sin(2 * v // s, ROOT_BITS)  # the angle within err + 1 units
+    return c, sn, 2 * e + err + 1
+
+
+def _zeta_power(s: int, k: int) -> tuple[int, int, int]:
+    """_zeta(s) for zeta_s^k, k / s in lowest terms, by binary powering.
+
+    Each product of unit vectors known within a and b is within a + b + 2
+    (the two floors add at most sqrt(2)), so zeta^k is within k (e + 2).
+    """
+    g = math.gcd(s, k)
+    s, k = s // g, k // g
+    c, sn, e = _zeta(s)
+    re, im, err = 1 << ROOT_BITS, 0, 0
+    while True:
+        if k & 1:
+            re, im = (re * c - im * sn) >> ROOT_BITS, (re * sn + im * c) >> ROOT_BITS
+            err += e + 2
+        k >>= 1
+        if not k:
+            return re, im, err
+        c, sn, e = (c * c - sn * sn) >> ROOT_BITS, (c * sn) >> (ROOT_BITS - 1), 2 * e + 2
+
+
+def _margin(v: int, err: int, quarter: bool) -> int:
+    """How far libmp's 156-bit cos or sin of an angle endpoint may lie from
+    the kernel's value v (scale 2^-ROOT_BITS, error err): its rounding
+    toward 0, under 2^-155 |v|, and at an angle away from the quarter
+    points an absolute 2^-156 for its series; at the quarter points libmp
+    reduces the angle to a relative error, so the margin is relative."""
+    out = (abs(v) >> 154) + err + 1
+    return out if quarter else out + (1 << (ROOT_BITS - 156))
+
+
+def _finalize(x: int, up: bool) -> tuple[int, int]:
+    """mpi_cos_sin's last step on the real x 2^-ROOT_BITS: times
+    1 +- 2^-146 away from the interval, rounded to IV_PREC bits toward +inf
+    (up) or -inf, and clamped to [-1, 1]."""
+    m, e = _round(x * ((1 << 146) + (1 if (x < 0) != up else -1)), -ROOT_BITS - 146,
+                  IV_PREC, up)
+    if abs(m).bit_length() + e >= 1:
+        return -1 if m < 0 else 1, 0
+    return m, e
+
+
+def _settle(a: int, ma: int, b: int, mb: int, up: bool):
+    """_finalize of max (up) or min of two reals known as a +- ma and
+    b +- mb, or None where the margins leave it open."""
+    pick = max if up else min
+    out = _finalize(pick(a - ma, b - mb), up)
+    return out if out == _finalize(pick(a + ma, b + mb), up) else None
+
+
+def _kernel_root(s: int, k: int):
+    """_unit_root(s, k), 0 < k < s, as signed (m, e) pairs from the
+    integer kernel; None where a margin leaves an endpoint open.
+
+    The angle endpoints replay mpi_mul and mpi_div on mpf_pi's two ends.
+    cos and sin of an endpoint a come from those of theta = 2 pi k / s,
+    rotated by eps = a - theta.  At the quarter points (4k / s an integer)
+    cos and sin of theta are 0 or +-1 exactly, the two ends lie in
+    quadrants 4k / s - 1 and 4k / s, and mpi_cos_sin's quadrant rule sets
+    the end of the extremum between them to +-1.  Elsewhere both ends
+    share a quadrant, and no rule applies.  The rest is finalize, taken at
+    either end of each value's margin: where both agree, so does libmp's
+    value between them.
+    """
+    (pl, pe), (ph, phe) = _pi_ends()
+    ends = (_round_div(*_round(2 * pl * k, pe, IV_PREC, False), s, False),
+            _round_div(*_round(2 * ph * k, phe, IV_PREC, True), s, True))
+    quarter = 4 * k % s == 0
+    if quarter:  # theta = pi/2, pi or 3pi/2: cos and sin are 0 and +-1
+        (c0, s0), e0 = ((0, 1), (-1, 0), (0, -1))[4 * k // s - 1], 0
+    else:
+        c0, s0, e0 = _zeta_power(s, k)
+    v, err = _pi(ROOT_BITS)
+    theta = 2 * v * k // s  # within 2 err + 1 units, as k < s
+    vals = []
+    for m, e in ends:
+        ce, se, et = _cos_sin((m << (e + ROOT_BITS)) - theta, ROOT_BITS)
+        err_eps = 2 * et + 2 * err + 1
+        if quarter:
+            c, sn, ve = c0 * ce - s0 * se, s0 * ce + c0 * se, err_eps
+        else:
+            c = (c0 * ce - s0 * se) >> ROOT_BITS
+            sn = (s0 * ce + c0 * se) >> ROOT_BITS
+            ve = e0 + err_eps + 2
+        vals.append(((c, _margin(c, ve, quarter)), (sn, _margin(sn, ve, quarter))))
+    (ca, sa), (cb, sb) = vals
+    out = [_settle(*ca, *cb, False), _settle(*ca, *cb, True),
+           _settle(*sa, *sb, False), _settle(*sa, *sb, True)]
+    if quarter:  # the extremum inside: sin hi = 1, cos lo = -1 or sin lo = -1
+        i, one = ((3, 1), (0, -1), (2, -1))[4 * k // s - 1]
+        out[i] = one, 0
+    return None if None in out else ((out[0], out[1]), (out[2], out[3]))
+
+
+def _libmp_pair(x) -> tuple[int, int]:
+    """A raw libmp value (sign, man, exp, bc) as a signed (m, e) pair."""
+    sign, m, e, _ = x
+    return (-m if sign else m), e
 
 
 def _unit_root(s: int, k: int):
@@ -77,15 +212,16 @@ def _unit_root(s: int, k: int):
 
     The angle is built as mpmath's interval context evaluates
     2 * pi * k / s, and one mpi_cos_sin gives both intervals, so every
-    endpoint equals that of iv.cos and iv.sin at 40 digits.
+    endpoint equals that of iv.cos and iv.sin at 40 digits.  The fallback
+    of _root_ends, and the only use of mpmath in the package.
     """
-    from mpmath.libmp import (mpf_pi, mpi_cos_sin, mpi_div, mpi_mul,
+    from mpmath.libmp import (from_int, mpf_pi, mpi_cos_sin, mpi_div, mpi_mul,
                               round_ceiling, round_floor)
 
     prec = IV_PREC
     pi = (mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling))
-    ang = mpi_mul(mpi_mul(_point(2), pi, prec), _point(k), prec)
-    return mpi_cos_sin(mpi_div(ang, _point(s), prec), prec)
+    two, k, s = ((from_int(n), from_int(n)) for n in (2, k, s))
+    return mpi_cos_sin(mpi_div(mpi_mul(mpi_mul(two, pi, prec), k, prec), s, prec), prec)
 
 
 @functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
@@ -94,11 +230,62 @@ def _root_ends(s: int, k: int):
     integer pairs (m0, e0, ..., m3, e3), value m 2^e, sign folded into m:
     the factors of a count c > 0 in the slots of CycloSum._sum_intervals,
     whose upper sums are kept negated.  A c < 0 reads slot i ^ 1 times |c|,
-    since c [a, b] = [c b, c a].  Smaller than the libmp intervals."""
-    (cos_lo, cos_hi), (sin_lo, sin_hi) = _unit_root(s, k)
-    return tuple(x for (sign, m, e, _), neg in
-                 ((cos_lo, 0), (cos_hi, 1), (sin_lo, 0), (sin_hi, 1))
-                 for x in ((-m if sign != neg else m), e))
+    since c [a, b] = [c b, c a].
+
+    From the integer kernel (_kernel_root); a root whose margins leave an
+    endpoint open falls back to _unit_root, which imports mpmath.
+    """
+    if not k:
+        return 1, 0, -1, 0, 0, 0, 0, 0
+    ends = _kernel_root(s, k)
+    if ends is None:
+        ends = tuple(tuple(map(_libmp_pair, pair)) for pair in _unit_root(s, k))
+    ((m0, e0), (m1, e1)), ((m2, e2), (m3, e3)) = ends
+    return m0, e0, -m1, e1, m2, e2, -m3, e3
+
+
+def _align(a, b) -> tuple[int, int, int]:
+    """Two (m, e) pairs as mantissas at their common exponent, and it."""
+    (ma, ea), (mb, eb) = a, b
+    e = min(ea, eb)
+    return ma << (ea - e), mb << (eb - e), e
+
+
+def _add(a, b, up: bool) -> tuple[int, int]:
+    """mpf_add of two (m, e) pairs at IV_PREC bits."""
+    ma, mb, e = _align(a, b)
+    return _round(ma + mb, e, IV_PREC, up)
+
+
+def _square(lo, hi):
+    """mpi_square of [lo, hi], (m, e) pairs: the squares of the ends
+    rounded outward to IV_PREC bits, and 0 below an interval holding 0."""
+    (ml, el), (mh, eh) = lo, hi
+    if ml >= 0:
+        return _round(ml * ml, 2 * el, IV_PREC, False), _round(mh * mh, 2 * eh, IV_PREC, True)
+    if mh <= 0:
+        return _round(mh * mh, 2 * eh, IV_PREC, False), _round(ml * ml, 2 * el, IV_PREC, True)
+    a, b, _ = _align((-ml, el), hi)
+    m, e = (-ml, el) if a >= b else hi
+    return (0, 0), _round(m * m, 2 * e, IV_PREC, True)
+
+
+def _sqrt(x, up: bool) -> tuple[int, int]:
+    """mpf_sqrt of x = (m, e) >= 0 at IV_PREC bits: a root of at least
+    IV_PREC + 3 bits with a sticky bit for an inexact one."""
+    m, e = x
+    if not m:
+        return 0, 0
+    if e & 1:
+        m, e = m << 1, e - 1
+    sh = max(0, IV_PREC + 3 - m.bit_length() // 2)
+    r = math.isqrt(m << 2 * sh)
+    return _round(2 * r + (r * r != m << 2 * sh), e // 2 - sh - 1, IV_PREC, up)
+
+
+def _to_float(x, up: bool) -> float:
+    """libmp's to_float of x = (m, e), rounded toward +inf (up) or -inf."""
+    return math.ldexp(*_round(*x, 53, up))
 
 
 def _root(s: int, k: int):
@@ -133,10 +320,6 @@ class CycloSum:
         if self.order != other.order:
             raise ValueError("cannot merge sums over different root orders")
         return CycloSum(self.order, [a + b for a, b in zip(self.counts, other.counts)])
-
-    def value(self) -> complex:
-        return sum(c * cmath.exp(2j * cmath.pi * k / self.order)
-                   for k, c in enumerate(self.counts) if c)
 
     def value_int(self) -> int:
         """Exact integer value; only the real root orders 1 and 2 qualify."""
@@ -185,25 +368,22 @@ class CycloSum:
         root are taken on the intervals of _sum_intervals, and the two
         endpoints are rounded to floats outward (floor and ceiling).  The
         operation sequence is the one mpmath's interval context runs at 40
-        digits, so the result equals it bit for bit.  libmp serves only
-        the unit roots (_unit_root) and, once per sum, the squares, their
-        sum, the square root and the rounding to floats.
+        digits (mpi_square, mpi_add, mpi_sqrt, to_float), each step a
+        correctly rounded directed operation on integer pairs, so the
+        result equals it bit for bit.
         """
         if self.order <= 2:
             m = float(abs(self.value_int()))
             return m, m
-        from mpmath.libmp import (mpi_add, mpi_pow_int, mpi_sqrt, round_ceiling,
-                                  round_floor, to_float)
-
-        prec = IV_PREC
-        re, im = self._sum_intervals()
-        # squaring (not self-multiplication) keeps each interval square nonnegative
-        lo, hi = mpi_sqrt(mpi_add(mpi_pow_int(re, 2, prec),
-                                  mpi_pow_int(im, 2, prec), prec), prec)
-        return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+        (re_lo, re_hi), (im_lo, im_hi) = self._sum_intervals()
+        (re2_lo, re2_hi), (im2_lo, im2_hi) = _square(re_lo, re_hi), _square(im_lo, im_hi)
+        lo = _sqrt(_add(re2_lo, im2_lo, False), False)
+        hi = _sqrt(_add(re2_hi, im2_hi, True), True)
+        return _to_float(lo, False), _to_float(hi, True)
 
     def _sum_intervals(self):
-        """libmp intervals (re, im) of sum_k counts[k] * (cos, sin)(2 pi k / s).
+        """Intervals (re, im) of sum_k counts[k] * (cos, sin)(2 pi k / s),
+        each end an integer pair (m, e) with value m 2^e.
 
         Evaluated at IV_PREC = 136 bits: every term and every partial sum
         has its lower endpoint rounded toward -inf and its upper one toward
@@ -219,8 +399,6 @@ class CycloSum:
         smaller addend rounds the same), so every endpoint equals theirs.
         Each sum takes its own pass over the terms, in increasing k.
         """
-        from mpmath.libmp import from_man_exp
-
         prec = IV_PREC
         s = self.order
         terms = []
@@ -254,8 +432,7 @@ class CycloSum:
                     ae += sh
             sums.append((am, ae))
         (rl, rle), (rh, rhe), (il, ile), (ih, ihe) = sums
-        return ((from_man_exp(rl, rle), from_man_exp(-rh, rhe)),
-                (from_man_exp(il, ile), from_man_exp(-ih, ihe)))
+        return ((rl, rle), (-rh, rhe)), ((il, ile), (-ih, ihe))
 
     def __eq__(self, other):
         return (isinstance(other, CycloSum) and self.order == other.order
@@ -614,8 +791,7 @@ class MultChar:
 
     def root_exponent(self, x) -> int | None:
         """k with chi(x) = zeta_s^k, or None when chi(x) = 0."""
-        idx = x.idx if isinstance(x, FieldElem) else int(x)
-        k = int(self.exponents_for_indices(np.asarray([idx], dtype=np.int64))[0])
+        k = int(self.exponents_for_indices(_element_indices(self.ctx, [x]))[0])
         return None if k < 0 else k
 
     def value(self, x) -> complex:
@@ -663,16 +839,19 @@ def make_char(ctx: FieldCtx, order: int, index: int) -> MultChar:
     return MultChar(ctx, order, index)
 
 
-def _element_indices(elems) -> np.ndarray:
-    """int64 indices of FieldElems or indices; an index array as it is."""
+def _element_indices(ctx: FieldCtx, elems) -> np.ndarray:
+    """Indices of FieldElems or indices, an index array as it is: int64,
+    or exact Python ints (an object array) where q does not fit int64, as
+    in vec_encode."""
+    dtype = index_dtype(ctx)
     if isinstance(elems, np.ndarray):
-        return elems.astype(np.int64, copy=False)
+        return elems.astype(dtype, copy=False)
     return np.asarray([x.idx if isinstance(x, FieldElem) else int(x) for x in elems],
-                      dtype=np.int64)
+                      dtype=dtype)
 
 
 def char_sum(chi: MultChar, elems) -> CycloSum:
     """Exact sum of chi over an index array, or FieldElems or indices."""
-    exps = chi.exponents_for_indices(_element_indices(elems))
+    exps = chi.exponents_for_indices(_element_indices(chi.ctx, elems))
     counts = np.bincount(exps[exps >= 0], minlength=chi.order)
     return CycloSum(chi.order, [int(c) for c in counts])

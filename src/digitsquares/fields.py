@@ -706,12 +706,17 @@ def vec_norm(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     return y[0].astype(np.int64)
 
 
+def index_dtype(ctx: FieldCtx):
+    """The dtype of element-index arrays: int64 while q < 2^62, object
+    (exact Python ints) above."""
+    return np.int64 if ctx.q < 1 << 62 else object
+
+
 def vec_encode(ctx: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    """Poly-coordinate rows -> element indices: int64 while q < 2^62,
-    exact Python ints (an object array) above."""
-    if ctx.q < 1 << 62:
-        return coords @ np.asarray(ctx._ppow, dtype=np.int64)
-    return coords.astype(object) @ np.asarray(ctx._ppow, dtype=object)
+    """Poly-coordinate rows -> element indices, of index_dtype."""
+    if index_dtype(ctx) is object:
+        return coords.astype(object) @ np.asarray(ctx._ppow, dtype=object)
+    return coords @ np.asarray(ctx._ppow, dtype=np.int64)
 
 
 def vec_from_coords(ctx: FieldCtx, coords: np.ndarray, out=None) -> np.ndarray:
@@ -733,10 +738,11 @@ def vec_from_coords(ctx: FieldCtx, coords: np.ndarray, out=None) -> np.ndarray:
 
 
 def vec_decode(ctx: FieldCtx, idx: np.ndarray) -> np.ndarray:
-    """Element indices -> poly-coordinate rows."""
+    """Element indices -> int64 poly-coordinate rows; indices of
+    index_dtype."""
     p = ctx.p
     out = np.empty((idx.shape[0], ctx.r), dtype=np.int64)
-    cur = idx.astype(np.int64, copy=True)
+    cur = idx.astype(index_dtype(ctx), copy=True)
     for j in range(ctx.r):
         out[:, j] = cur % p
         cur //= p

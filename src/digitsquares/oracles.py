@@ -161,7 +161,7 @@ def lemmaE_reports(ctx: FieldCtx, trials):
             raise ValueError("need one shift per character")
         if not 1 <= t < ctx.q:
             raise ValueError(f"t = {t} outside [1, q)")
-        h = tuple(_element_indices(shifts).tolist())
+        h = tuple(_element_indices(ctx, shifts).tolist())
         if len(set(h)) != t:
             raise ValueError("shifts must be pairwise distinct")
         if min(h) < 0 or max(h) >= ctx.q:
@@ -299,7 +299,7 @@ def lemma1_pair_reports(ctx: FieldCtx, pairs, nus):
     nus = tuple(nus)
     checked = []
     for U, V in pairs:
-        u, v = _element_indices(U), _element_indices(V)
+        u, v = _element_indices(ctx, U), _element_indices(ctx, V)
         if u.size == 0 or v.size == 0:
             raise ValueError("U and V must be nonempty")
         if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= ctx.q:

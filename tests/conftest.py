@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import functools
 import itertools
@@ -10,14 +11,41 @@ import numpy as np
 import pytest
 
 from digitsquares import (DeltaReport, HypothesisNotMet, IntervalBox, LemmaReport,
-                          char_sum, characters, make_field)
-from digitsquares.bounds import IV_PREC, _iv, _upper
+                          char_sum, make_field)
+from digitsquares.bounds import IV_PREC
 from digitsquares.boxes import check_budget, index_blocks, poly_blocks
-from digitsquares.characters import (CycloSum, dlog_table, legendre_table, make_char,
-                                     quad_char_coords)
+from digitsquares.characters import (CycloSum, _unit_root, dlog_table, legendre_table,
+                                     make_char, quad_char_coords)
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
                                  vec_decode, vec_encode, vec_mul, vec_norm, vec_pow)
 from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
+
+
+def _upper(x) -> float:
+    """Float upper bound of an interval value."""
+    b = x.b
+    f = float(b)
+    while f < b:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+@functools.cache
+def _iv():
+    """A private mpmath interval context at IV_PREC bits, built once: the
+    context the interval evaluators of bounds ran in before the integer
+    kernel replaced them."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    ctx = MPIntervalContext()
+    ctx.prec = IV_PREC
+    return ctx
+
+
+@pytest.fixture(scope="session")
+def private_iv():
+    """The private 136-bit interval context of the oracles here."""
+    return _iv()
 
 
 @pytest.fixture(scope="session")
@@ -408,9 +436,10 @@ def pairwise_lemmaD_check():
 
 @functools.lru_cache(maxsize=None)
 def _libmp_unit_root(s: int, k: int):
-    """characters._unit_root, cached for the libmp oracles: the package
-    caches only the folded endpoints of each root."""
-    return characters._unit_root(s, k)
+    """characters._unit_root, cached for the libmp oracles, and bound when
+    the tests load, so a test that spies on the package's fallback does not
+    see the oracle's calls."""
+    return _unit_root(s, k)
 
 
 def _sum_intervals_libmp(total: CycloSum):
@@ -455,6 +484,49 @@ def _magnitude_interval_libmp(total: CycloSum):
     lo, hi = mpi_sqrt(mpi_add(mpi_pow_int(re, 2, prec),
                               mpi_pow_int(im, 2, prec), prec), prec)
     return to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+
+
+def _libmp_intervals(intervals):
+    """CycloSum._sum_intervals' integer pairs ((m, e), (m, e)) per interval
+    as raw libmp values, to compare with the libmp oracles."""
+    from mpmath.libmp import from_man_exp
+
+    return tuple(tuple(from_man_exp(m, e) for m, e in ends) for ends in intervals)
+
+
+@pytest.fixture(scope="session")
+def libmp_intervals():
+    """Converter of _sum_intervals' integer pairs to raw libmp intervals."""
+    return _libmp_intervals
+
+
+def _libmp_root_ends(s: int, k: int):
+    """characters._root_ends(s, k) folded from the libmp unit root:
+    cos lo, -(cos hi), sin lo, -(sin hi), sign in the mantissa."""
+    out = []
+    for x, neg in zip((end for pair in _libmp_unit_root(s, k) for end in pair), (0, 1, 0, 1)):
+        sign, m, e, _ = x
+        out += [-m if sign != neg else m, e]
+    return tuple(out)
+
+
+@pytest.fixture(scope="session")
+def libmp_root_ends():
+    """Oracle for characters._root_ends: the folded endpoints of the libmp
+    mpi_cos_sin root that the integer kernel replaced."""
+    return _libmp_root_ends
+
+
+def _cyclo_value(total: CycloSum) -> complex:
+    """sum_k counts[k] zeta_s^k in complex floating point."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / total.order)
+               for k, c in enumerate(total.counts) if c)
+
+
+@pytest.fixture(scope="session")
+def cyclo_value():
+    """A CycloSum's value as a complex float, for loose checks."""
+    return _cyclo_value
 
 
 @pytest.fixture(scope="session")

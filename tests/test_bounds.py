@@ -111,6 +111,14 @@ class TestThmB:
         ratio = thmB_rhs(11, 3, 4) / thmB_rhs(11, 2, 4)
         assert ratio == pytest.approx(thmB_C(11, 4) * 4 * math.sqrt(11), rel=1e-12)
 
+    def test_constant_at_a_large_prime(self):
+        # sin(pi / 2p) is about 2^-107 here, below the Ziv loop's first 2^-96
+        # bracket unless the precision grows with p
+        p = 2 ** 107 - 1
+        with mp.workdps(80):
+            for t in (2, p - 2):
+                assert_certified_upper(thmB_C(p, t), mp_thmB_C(p, t))
+
     def test_t_equal_p_minus_1_refused(self):
         with pytest.raises(HypothesisNotMet):
             thmB_rhs(7, 1, 6)
@@ -264,11 +272,10 @@ class TestExactMomentBounds:
             def __getattr__(self, name):
                 raise AssertionError(f"interval arithmetic used: iv.{name}")
 
-        # the interval evaluators take their context from bounds._iv when called;
-        # no iv is held at module level
+        # no interval context is held at module level, nor built on a call
         assert not hasattr(bounds, "iv") and not hasattr(oracles, "iv")
+        assert not hasattr(bounds, "_iv")
         monkeypatch.setattr(mpmath, "iv", NoIntervals())
-        monkeypatch.setattr(bounds, "_iv", NoIntervals)
         got = [fn.__wrapped__(*a) for fn, _, a in calls]
         assert got == want
 
@@ -420,16 +427,21 @@ class TestCorollaryC:
             corC_rhs(101, 2, 3, 0.25, 1.0)  # 3 < 101^{1/2}
 
     def test_undecided_hypothesis_is_not_met(self):
-        # 16^{1/4 + eps} for eps in [-0.01, 0.01] straddles t = 2, so mpmath's
-        # interval >= is undecided (None); the hypothesis must read False
-        assert corC_hypothesis.__wrapped__(16, 2, iv.mpf(["-0.01", "0.01"])) is False
-        assert corC_hypothesis.__wrapped__(16, 3, iv.mpf(["-0.01", "0.01"])) is True
-        assert corC_hypothesis.__wrapped__(16, 1, iv.mpf(["-0.01", "0.01"])) is False
+        # 16^{1/4 + 0} = 2 and 81^{1/4 + 1/4} = 9 exactly: every bracket of
+        # the comparison holds 0, so it is undecided at the last precision
+        # (mpmath's interval >= gave None); the hypothesis must read False
+        assert corC_hypothesis.__wrapped__(16, 2, 0.0) is False
+        assert corC_hypothesis.__wrapped__(81, 9, 0.25) is False
+        assert corC_hypothesis.__wrapped__(16, 3, 0.0) is True
+        assert corC_hypothesis.__wrapped__(16, 1, 0.0) is False
+        assert corC_hypothesis.__wrapped__(81, 10, 0.25) is True
 
 
 class TestPrivateIntervalContext:
-    """Each interval evaluator, in its private 136-bit context, against its
-    body as it ran in mpmath's global interval context at 40 digits."""
+    """Each evaluator of the integer kernel against its body as it ran in
+    mpmath's global interval context at 40 digits: the kernel returns the
+    smallest float at or above the exact value, which is the float above
+    the 136-bit interval wherever no float lies inside that interval."""
 
     PRIMES_BELOW_60 = [p for p in PRIMES_BELOW_1100 if p < 60]
 
@@ -452,6 +464,16 @@ class TestPrivateIntervalContext:
                 for r in (1, 2, 3):
                     self.assert_same(thmB_rhs, global_iv_evaluators["thmB_rhs"], p, r, t)
 
+    def test_thmB_C_below_200(self, global_iv_evaluators):
+        for p in PRIMES_BELOW_1100:
+            if p < 200:
+                for t in range(2, p - 1):
+                    self.assert_same(thmB_C, global_iv_evaluators["thmB_C"], p, t)
+
+    def test_thm2_Cr_below_120(self, global_iv_evaluators):
+        for r in range(1, 120):
+            self.assert_same(thm2_Cr, global_iv_evaluators["thm2_Cr"], r)
+
     def test_thmB_C_branches_below_1100(self, global_iv_evaluators):
         # the log branch (t = 2), the p - 2 branch, and the undefined t = p - 1
         for p in PRIMES_BELOW_1100:
@@ -471,10 +493,95 @@ class TestPrivateIntervalContext:
             for t in range(2, min(p, 60) + 1):
                 self.assert_same(corC_hypothesis, global_iv_evaluators["corC_hypothesis"],
                                  p, t, eps)
-                for r in (1, 2, 3):
+                for r in (1, 2, 3, 4):
                     for const in (1.0, 2.5):
                         self.assert_same(corC_rhs, global_iv_evaluators["corC_rhs"],
                                          p, r, t, eps, const)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: each (value, error) pair against mpmath, 50 digits
+# finer than the kernel's scale
+
+def assert_within(pair, exact, w):
+    """value - err <= exact 2^w <= value + err for a kernel (value, err)."""
+    value, err = pair
+    with mp.workdps(w * 3 // 10 + 50):
+        scaled = exact * mpf(2) ** w
+        assert value - err <= scaled <= value + err
+
+
+class TestKernel:
+    @pytest.mark.parametrize("w", [1, 20, 96, 136, 400, 1000])
+    def test_pi_and_log2(self, w):
+        with mp.workdps(w * 3 // 10 + 50):
+            assert_within(bounds._pi(w), +mp.pi, w)
+            assert_within(bounds._ln2(w), mp.log(2), w)
+        assert bounds._pi(w)[1] <= 2 and bounds._ln2(w)[1] <= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.integers(1, 1 << 300), w=st.sampled_from([40, 96, 192, 400]))
+    def test_log(self, x, w):
+        with mp.workdps(150):
+            assert_within(bounds._log(x, w), mp.log(mpf(x) / mpf(2) ** w), w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frac=st.fractions(-40, 40), w=st.sampled_from([60, 96, 192]))
+    def test_exp(self, frac, w):
+        x = (frac.numerator << w) // frac.denominator
+        with mp.workdps(150):
+            assert_within(bounds._exp(x, w), mp.exp(mpf(x) / mpf(2) ** w), w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frac=st.fractions(-Fraction(5, 2), Fraction(5, 2)),
+           w=st.sampled_from([60, 136, 400]))
+    def test_cos_sin(self, frac, w):
+        x = (frac.numerator << w) // frac.denominator
+        c, s, err = bounds._cos_sin(x, w)
+        with mp.workdps(150):
+            angle = mpf(x) / mpf(2) ** w
+            assert_within((c, err), mp.cos(angle), w)
+            assert_within((s, err), mp.sin(angle), w)
+
+    def test_log_refuses_arguments_below_one_unit(self):
+        # the atanh series would never end on a negative z
+        for x in (0, -1, -(1 << 100)):
+            with pytest.raises(ValueError, match="must be at least"):
+                bounds._log(x, 96)
+        with pytest.raises(ValueError, match="p = 1 must be >= 2"):
+            thm2_threshold.__wrapped__(1, 20)
+        with pytest.raises(ValueError, match="r = 0 must be >= 1"):
+            thm2_Cr.__wrapped__(0)
+
+    def test_ceil_float(self):
+        assert bounds._ceil_float(1, 3) == math.nextafter(1 / 3, math.inf)
+        assert bounds._ceil_float(2, 2) == 1.0  # an exact float is its own
+        assert bounds._ceil_float(0, 5) == 0.0
+        assert bounds._ceil_float(10 ** 400, 1) == math.inf
+
+    def test_ziv_doubles_until_one_float(self):
+        widths = []
+
+        def bracket(w):  # 1/3 within one unit of 2^-w
+            widths.append(w)
+            third = (1 << w) // 3
+            return third - 1, third + 1, 1 << w
+        assert bounds._ziv(bracket) == math.nextafter(1 / 3, math.inf)
+        assert widths == [96]
+
+        widths.clear()
+        assert bounds._ziv(lambda w: widths.append(w) or (1 << w, (1 << w) + 1, 1 << w)) \
+            == math.nextafter(1.0, math.inf)
+        assert widths == [bounds.ZIV_BITS << i for i in range(bounds.ZIV_DOUBLINGS)]
+
+    def test_capped_ziv_loop_still_bounds_from_above(self, monkeypatch):
+        monkeypatch.setattr(bounds, "ZIV_BITS", 16)
+        monkeypatch.setattr(bounds, "ZIV_DOUBLINGS", 1)
+        for fn, args, exact in [(thmB_C, (101, 37), mp_thmB_C(101, 37)),
+                                (thmB_C, (11, 9), mp_thmB_C(11, 9)),
+                                (thm2_Cr, (5,), mp.exp((4 * mp.log(5) + 8) / 5))]:
+            value = fn.__wrapped__(*args)
+            assert exact <= mpf(value) <= exact * (1 + mpf(2) ** -4)
 
 
 # ---------------------------------------------------------------------------

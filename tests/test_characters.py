@@ -162,11 +162,11 @@ def oracle_rows(ctx, n, seed):
 
 
 @pytest.fixture(scope="session")
-def assert_same_as_libmp(magnitude_interval_libmp, sum_intervals_libmp):
+def assert_same_as_libmp(magnitude_interval_libmp, sum_intervals_libmp, libmp_intervals):
     """Every 136-bit endpoint of the re and im sums, and the float magnitude,
     equal those of the libmp loop."""
     def check(total):
-        assert total._sum_intervals() == sum_intervals_libmp(total)
+        assert libmp_intervals(total._sum_intervals()) == sum_intervals_libmp(total)
         assert total.magnitude_interval() == magnitude_interval_libmp(total)
     return check
 
@@ -543,6 +543,26 @@ class TestCharSum:
         assert char_sum(chi, elems).value_int() == sum(euler(ctx, x) for x in elems)
 
 
+    def test_indices_beyond_int64(self, field):
+        """F_101^20 has q > 2^63: indices stay exact Python ints through
+        char_sum, chi(x) and root_exponent, and eta matches quad_char_coords
+        of the element's coordinates."""
+        ctx = field(101, 20)
+        rng = np.random.default_rng(63)
+        elems = [ctx.from_index(2 ** 70 + 5), ctx.from_index(ctx.q - 1), ctx.zero(),
+                 ctx.one()] + [ctx.from_index(int(i) << 70) for i in rng.integers(1, 99, 6)]
+        chi = make_char(ctx, 2, 1)
+        rows = np.asarray([x.poly_coords for x in elems], dtype=np.int64)
+        want = [int(v) for v in quad_char_coords(ctx, rows)]
+        assert [chi.root_exponent(x) for x in elems] == [None if v == 0 else (v < 0) + 0
+                                                         for v in want]
+        assert [chi(x).real for x in elems] == pytest.approx(want)
+        assert char_sum(chi, elems).value_int() == sum(want)
+        assert char_sum(chi, [x.idx for x in elems]).value_int() == sum(want)
+        principal = make_char(ctx, 1, 0)
+        assert char_sum(principal, elems).value_int() == len(elems) - 1
+
+
 class TestEtaTensor:
     FIELDS = [(3, 2), (7, 2), (13, 2), (5, 3), (3, 4)]
 
@@ -625,10 +645,10 @@ class TestCycloSum:
         s, weights = case
         assert_zero_exactly_here(coset_relation(s, weights))
 
-    def test_magnitude_interval_brackets_float_value(self):
+    def test_magnitude_interval_brackets_float_value(self, cyclo_value):
         s = CycloSum(5, [3, 0, 2, 0, 1])
         lo, hi = s.magnitude_interval()
-        assert lo <= abs(s.value()) <= hi
+        assert lo <= abs(cyclo_value(s)) <= hi
         assert hi - lo <= 4 * math.ulp(hi)  # tight up to float outward rounding
 
     def test_magnitude_interval_matches_uncached_seeded(self):
@@ -723,7 +743,8 @@ class TestCycloSum:
         assert calls == {"mpf_add": 12, "mpf_mul_int": 12}
 
     @pytest.mark.parametrize("seed", [0, 17])
-    def test_sum_intervals_match_tuple_loop_on_lemma_sums(self, sum_intervals_tuples, seed):
+    def test_sum_intervals_match_tuple_loop_on_lemma_sums(self, sum_intervals_tuples,
+                                                          libmp_intervals, seed):
         """Every sum above order 2 of the lemmaE half of a cert_grid round."""
         from digitsquares import suites
 
@@ -739,20 +760,21 @@ class TestCycloSum:
         big = [total for total in sums if total.order > 2]
         assert len(big) > 150
         for total in big:
-            assert total._sum_intervals() == sum_intervals_tuples(total)
+            assert libmp_intervals(total._sum_intervals()) == sum_intervals_tuples(total)
             negated = CycloSum(total.order, [-c for c in total.counts])
-            assert negated._sum_intervals() == sum_intervals_tuples(negated)
+            assert libmp_intervals(negated._sum_intervals()) == sum_intervals_tuples(negated)
 
     @given(st.integers(3, 200).flatmap(lambda s: st.tuples(st.just(s), st.dictionaries(
         st.integers(0, s - 1), st.integers(-(1 << 20), 1 << 20), max_size=16))))
     @settings(max_examples=60, deadline=None)
-    def test_sum_intervals_match_tuple_loop_generated(self, sum_intervals_tuples, case):
+    def test_sum_intervals_match_tuple_loop_generated(self, sum_intervals_tuples,
+                                                      libmp_intervals, case):
         s, entries = case
         counts = [0] * s
         for k, c in entries.items():
             counts[k] = c
         total = CycloSum(s, counts)
-        assert total._sum_intervals() == sum_intervals_tuples(total)
+        assert libmp_intervals(total._sum_intervals()) == sum_intervals_tuples(total)
 
     def test_root_matches_iv_of_the_unreduced_pair(self):
         """(s 2^j, k 2^j) is looked up as the pair with no common power of
@@ -776,35 +798,33 @@ class TestCycloSum:
             iv.prec = saved
 
     def test_cold_lemma_round_evaluates_one_cos_sin_per_reduced_root(self, monkeypatch):
-        """The lemmaE half of a cert_grid round at seed 0, from a cold cache."""
+        """The lemmaE half of a cert_grid round at seed 0, from a cold cache:
+        one kernel evaluation per reduced root, and no libmp fallback."""
         import mpmath.libmp
 
         from digitsquares import suites
 
-        real_cos_sin, real_root = mpmath.libmp.mpi_cos_sin, characters._root
-        real_unit_root = characters._unit_root
-        evaluated, asked, looked_up = [], set(), set()
+        real_kernel, real_root = characters._kernel_root, characters._root
+        evaluated, asked, fallbacks = [], set(), []
 
-        def cos_sin(*args):
-            evaluated.append(args)
-            return real_cos_sin(*args)
+        def kernel_root(s, k):
+            evaluated.append((s, k))
+            return real_kernel(s, k)
 
         def root(s, k):
             asked.add((s, k))
             return real_root(s, k)
 
-        def unit_root(s, k):
-            looked_up.add((s, k))
-            return real_unit_root(s, k)
-
         characters._root_ends.cache_clear()
-        monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", cos_sin)
+        monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", lambda *a: fallbacks.append(a))
+        monkeypatch.setattr(characters, "_kernel_root", kernel_root)
         monkeypatch.setattr(characters, "_root", root)
-        monkeypatch.setattr(characters, "_unit_root", unit_root)
         for p in (3, 5, 7, 11, 13):
             suites.suite_lemmaE(suites.TaskOptions(p=p, r=2, seed=0, trials=40))
-        assert all(s == 1 if k == 0 else (s | k) & 1 for s, k in looked_up)
-        assert len(evaluated) == len(looked_up) < len(asked)
+        characters._root_ends.cache_clear()
+        assert all((s | k) & 1 for s, k in evaluated)
+        assert len(set(evaluated)) == len(evaluated) < len(asked)
+        assert not fallbacks
 
     @pytest.mark.parametrize("dps", [15, 100])
     def test_magnitude_interval_ignores_caller_precision(self, dps):
@@ -830,22 +850,24 @@ class TestCycloSum:
         lo, hi = CycloSum(9, [1, 0, 4, 0, 0, -2, 0, 0, 1]).magnitude_interval()
         assert 0 < lo <= hi
 
-    def test_iv_prec_is_the_bits_of_iv_dps(self):
-        # one precision for every interval: the bounds context and the raw
-        # magnitude path both run at the bits of 40 decimal digits
+    def test_iv_prec_is_the_bits_of_iv_dps(self, private_iv):
+        # one precision for every interval: the magnitude path replays
+        # mpmath's interval context at the bits of 40 decimal digits
         from mpmath.libmp import dps_to_prec
 
         from digitsquares import bounds
-        assert bounds._iv().prec == bounds.IV_PREC == characters.IV_PREC == dps_to_prec(40)
+        assert private_iv.prec == bounds.IV_PREC == characters.IV_PREC == dps_to_prec(40)
 
     def test_magnitude_interval_refuses_counts_beyond_the_precision(self):
         with pytest.raises(ValueError):
             CycloSum(3, [1 << characters.IV_PREC, 0, 0]).magnitude_interval()
 
-    def test_value_matches_complex_sum(self):
+    def test_value_matches_complex_sum(self, cyclo_value):
         s = CycloSum(6, [1, 2, 0, 4, 0, 1])
         direct = sum(c * cmath.exp(2j * cmath.pi * k / 6) for k, c in enumerate(s.counts))
-        assert abs(s.value() - direct) < 1e-12
+        assert abs(cyclo_value(s) - direct) < 1e-12
+        lo, hi = s.magnitude_interval()
+        assert lo <= abs(direct) <= hi
 
     @given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
            st.lists(st.integers(-50, 50), min_size=4, max_size=4))
@@ -859,3 +881,97 @@ class TestCycloSum:
     def test_mismatched_orders_refuse_to_merge(self):
         with pytest.raises(ValueError):
             CycloSum(2) + CycloSum(4)
+
+
+def cert_grid_roots() -> set:
+    """The reduced (s, k) of every unit root a cert_grid round reads at
+    seeds 0-31: the lemmaE suites, the only magnitudes above order 2."""
+    from digitsquares import suites
+
+    asked = set()
+    real = characters._root
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(characters, "_root", lambda s, k: asked.add((s, k)) or real(s, k))
+        for seed in range(32):
+            for p in (3, 5, 7, 11, 13):
+                suites.live_field.cache_clear()
+                suites.suite_lemmaE(suites.TaskOptions(p=p, r=2, seed=seed, trials=40))
+    suites.live_field.cache_clear()
+    return {(1, 0) if not k else (s // ((s | k) & -(s | k)), k // ((s | k) & -(s | k)))
+            for s, k in asked}
+
+
+# roots whose kernel margin leaves an endpoint open: found by scanning every
+# reduced (s, k) with s < 2500; a zero margin decides the first three wrongly
+OPEN_ROOTS = [(1169, 459), (1907, 1720), (1923, 410), (107, 18), (404, 401), (2362, 1)]
+
+
+class TestUnitRootKernel:
+    """characters._root_ends from the integer kernel against the folded
+    libmp mpi_cos_sin root it replaced (conftest libmp_root_ends)."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The (s, k) sent to the libmp fallback, _unit_root."""
+        seen = []
+        real = characters._unit_root
+        monkeypatch.setattr(characters, "_unit_root",
+                            lambda s, k: seen.append((s, k)) or real(s, k))
+        return seen
+
+    @staticmethod
+    def assert_roots_match(pairs, libmp_root_ends):
+        wrong = [(s, k) for s, k in pairs
+                 if characters._root_ends.__wrapped__(s, k) != libmp_root_ends(s, k)]
+        assert not wrong
+
+    def test_every_root_below_order_300(self, libmp_root_ends, fallbacks):
+        self.assert_roots_match([(s, k) for s in range(1, 300) for k in range(s)],
+                                libmp_root_ends)
+        assert fallbacks == [(107, 18), (214, 36)]  # one root, reduced and not
+
+    def test_every_quarter_root_below_order_2000(self, libmp_root_ends, fallbacks):
+        pairs = [(s, k) for s in range(1, 2000) for k in range(1, s) if 4 * k % s == 0]
+        assert len(pairs) == 1997
+        self.assert_roots_match(pairs, libmp_root_ends)
+        assert not fallbacks
+
+    def test_seeded_random_roots_below_order_10000(self, libmp_root_ends, fallbacks):
+        rnd = random.Random(10 ** 4)
+        pairs = []
+        for _ in range(2000):
+            s = rnd.randrange(3, 10 ** 4)
+            pairs.append((s, rnd.randrange(s)))
+        self.assert_roots_match(pairs, libmp_root_ends)
+        assert len(fallbacks) == 1
+
+    def test_cert_grid_roots_need_no_fallback(self, libmp_root_ends, fallbacks):
+        roots = cert_grid_roots()
+        assert len(roots) == 443
+        assert sum(1 for s, k in roots if k and 4 * k % s == 0) == 18
+        self.assert_roots_match(sorted(roots), libmp_root_ends)
+        assert len(fallbacks) == 0
+
+    def test_open_roots_fall_back(self, libmp_root_ends, fallbacks):
+        assert all(characters._kernel_root(s, k) is None for s, k in OPEN_ROOTS)
+        self.assert_roots_match(OPEN_ROOTS, libmp_root_ends)
+        assert fallbacks == OPEN_ROOTS
+
+    def test_zero_margin_gets_roots_wrong(self, monkeypatch, libmp_root_ends):
+        """The margin is what makes the guard exact: without it every root
+        is decided, and some endpoint differs from libmp's."""
+        monkeypatch.setattr(characters, "_margin", lambda v, err, quarter: 0)
+        decided = [characters._kernel_root(s, k) for s, k in OPEN_ROOTS]
+        assert None not in decided
+        folded = [libmp_root_ends(s, k) for s, k in OPEN_ROOTS]
+        got = [(c0[0], c0[1], -c1[0], c1[1], s0[0], s0[1], -s1[0], s1[1])
+               for (c0, c1), (s0, s1) in decided]
+        assert sum(g != f for g, f in zip(got, folded)) == 3
+
+    @given(st.integers(3, 1 << 20).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(1, s - 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_roots(self, libmp_root_ends, case):
+        s, k = case
+        assert characters._root_ends.__wrapped__(s, k) == libmp_root_ends(s, k)
+

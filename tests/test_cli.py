@@ -432,7 +432,6 @@ class TestRunConfig:
                                "--p", "5,7,11,13", "--r", "2,3")
         assert code == 0 and out.count("\n") > 50
         assert writes == []
-        assert bounds._iv().prec == bounds.IV_PREC
 
     @pytest.mark.parametrize("spec,message", [
         ("random:-2", "random digit-set count -2 must be >= 1"),
@@ -660,6 +659,7 @@ assert codes == [0, 0], codes
 assert "mpmath" not in sys.modules, "imported by a census or estimate command"
 from digitsquares.bounds import thmB_rhs
 print(repr(thmB_rhs(5, 3, 2)))
+assert "mpmath" not in sys.modules, "imported by thmB_rhs"
 """
 
 
@@ -669,6 +669,30 @@ def test_census_and_estimate_never_import_mpmath():
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the later interval evaluation of C(p, t) still runs at 40 digits (at
-    # mpmath's default 53 bits this value would be 121.85820068498386)
+    # C(p, t) is the float above the exact value, as the 40-digit interval
+    # evaluation gave it (at 53 bits it would be 121.85820068498386)
     assert proc.stdout.strip() == repr(bounds.thmB_rhs(5, 3, 2)) == "121.85820068498374"
+
+
+CERT_GRID = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import digitsquares.cli
+from workloads import commands
+codes = []
+for cmd in commands("cert_grid", 0):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(digitsquares.cli.main(cmd))
+assert codes == [0, 0], codes
+assert "mpmath" not in sys.modules, "imported by a cert_grid command"
+"""
+
+
+def test_cert_grid_never_imports_mpmath():
+    """Both cert_grid command lines at seed 0 in a fresh process: every
+    right-hand side and lemma magnitude comes from the integer kernel."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", CERT_GRID, str(root / "perfbench")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -10,8 +10,8 @@ never through assert, which python -O strips; every module-level
 constant in src/ is read somewhere in src/, and the full-table cap
 DLOG_CAP only in characters.py; every top-level function and class is
 read elsewhere in src/, exported, or wrapped by the tracer.  The field
-kernels never reduce with numpy's %.  Every demo prints the bytes recorded in
-DEMO_DIGESTS.
+kernels never reduce with numpy's %.  mpmath is imported in src/ only by the
+unit-root fallback.  Every demo prints the bytes recorded in DEMO_DIGESTS.
 """
 
 import ast
@@ -110,6 +110,27 @@ def test_src_has_no_assert():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, found
+
+
+def test_only_the_unit_root_fallback_imports_mpmath():
+    """Every certified value comes from the integer kernel; mpmath is
+    imported only by characters._unit_root, the fallback of the root guard."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {child: node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  for child in ast.walk(node) if child is not node}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                found.append((path.name, scopes.get(node)))
+    assert found == [("characters.py", "_unit_root")]
 
 
 def test_every_module_constant_is_used():
