@@ -1,36 +1,40 @@
 """Certified evaluators for the explicit square-count bounds.
 
-Every right-hand side is returned as a float that is an upper bound of the
-exact expression, so the census suites (suites._bound_row) compare an exact
-integer or rational left-hand side against it and a reported violation is
-never a rounding artifact.  Two kinds of evaluation give that float:
+Every right-hand side, the lemma bounds included, is returned as a float
+that is an upper bound of the exact expression, so the census suites
+(suites._bound_row) and the lemma checks (oracles) compare an exact integer
+or rational left-hand side against it and a reported violation is never a
+rounding artifact.  Two kinds of evaluation give that float:
 
-* The algebraic right-hand sides are placed exactly, by integer roots and
-  exact integer comparisons, with no intervals and no mpmath; each is the
-  smallest float strictly above its exact value (but a Lemma E bound at
-  square q, an integer, is returned as it is).
-  - Theorem A, (d + p sqrt(p - d))^r / 2 sqrt(q), Theorem 1's existence
-    threshold, and the Theorem 2 moment bound (with Lemma 1, its U + V
-    form, and Lemmas D and E in `oracles`) are
-    ((A + B sqrt(q))^(1/n) + shift) / scale with integers A, B, q;
-    `_float_above` places them.  So is Theorem B's power
-    (C(p, t) t sqrt(p))^r / 2, once C(p, t) is a float.
-  - Theorem 1 is a sum of fourth roots of integers; each root is bracketed
-    between integer roots, more finely until no float lies in the bracket.
-* The values that involve pi, logarithms or real exponents (Theorem B's
-  constant C(p, t), Corollary C, the Theorem 2 threshold) run on one integer
-  kernel: pi by Machin's formula, log by the atanh series after reduction
-  by powers of 2, exp and cos/sin by their Taylor series, square roots by
-  isqrt.  Each kernel function takes a scaled integer x (the value
-  x / 2^w) and returns its value times 2^w with an explicit error bound in
-  units of 2^-w.  Ziv's loop (_ziv) brackets the expression at w = 96 bits
-  and doubles w until one float is the smallest float at or above every
-  point of the bracket; that float is returned, so it is the smallest float
-  at or above the exact value.  (mpmath's 136-bit interval gave the same
-  float wherever no float lay inside it.)  corC_hypothesis refines until
-  the bracket decides t >= p^(1/4 + eps), and counts it as not met if the
-  last precision still does not.  characters certifies the magnitudes of
-  cyclotomic sums on the same kernel's pi and cos/sin.
+* One exact placement for single algebraic roots.  A value
+  ((A + B sqrt(q))^(1/n) + shift) / scale with integers A, B, q is placed
+  by `_float_above`, by an integer root and exact integer comparisons, as
+  the smallest float strictly above it.  Theorem A, (d + p sqrt(p - d))^r /
+  2 sqrt(q), Theorem 1's existence threshold, the Theorem 2 moment bound,
+  Theorem B's power (C(p, t) t sqrt(p))^r / 2 once C(p, t) is a float, and
+  the Lemma 1 (the U + V form of the moment bound), Lemma D and Lemma E
+  bounds take this form; a Lemma E bound at square q, an integer, is the
+  float at or above it.
+* One Ziv loop, `_ziv`, for everything else: a root sum and the values
+  with pi, logarithms or real exponents.  bracket(w) places the value in
+  [lo, hi] / den to within a few units of 2^-w; w starts at ZIV_BITS = 96
+  and doubles until one float is the smallest float at or above every
+  point of the bracket, which is then the smallest float at or above the
+  exact value.  If the last precision still leaves a float inside the
+  bracket, the float at or above its upper end is returned, still an
+  upper bound.  The brackets are:
+  - Theorem 1, a sum of fourth roots of integers, each between integer
+    roots;
+  - Theorem B's constant C(p, t), Corollary C and its hypothesis
+    t >= p^(1/4 + eps), and the Theorem 2 threshold, on one integer
+    kernel: pi by Machin's formula, log by the atanh series after
+    reduction by powers of 2, exp and cos/sin by their Taylor series,
+    square roots by isqrt.  Each kernel function takes a scaled integer x
+    (the value x / 2^w) and returns its value times 2^w with an explicit
+    error bound in units of 2^-w.  (mpmath's 136-bit interval gave the
+    same float wherever no float lay inside it.)
+  characters certifies the magnitudes of cyclotomic sums on the same
+  kernel's pi and cos/sin.
 
 Nothing here imports mpmath.  Each evaluator is a pure function of its
 arguments and is memoised: a sweep asks for the same few hundred values
@@ -45,20 +49,18 @@ import operator
 
 from .errors import HypothesisNotMet, InvariantViolation
 
-IV_PREC = 136          # bits of the interval steps characters replays: mpmath's dps_to_prec(40)
 RHS_CACHE_SIZE = 1 << 14
 ROOT_BITS = 70         # bits of the integer root that places _float_above's guess
 ULP_STEPS = 8          # _float_above's guess is at most 2 ulps off
-THM1_BITS = 64         # first scale 2^K of thm1_rhs's fourth-root bracket
-THM1_DOUBLINGS = 8     # thm1_rhs doubles K at most this many times
 GUARD = 24             # guard bits of the cached pi and log 2
-ZIV_BITS = 96          # first precision 2^-w of a Ziv loop
-ZIV_DOUBLINGS = 6      # a Ziv loop tries at most this many precisions, doubling w
+ZIV_BITS = 96          # first precision 2^-w of the Ziv loop
+ZIV_DOUBLINGS = 6      # the Ziv loop tries at most this many precisions, doubling w
 
 
 def _shift(v: int, err: int, g: int) -> tuple[int, int]:
-    """A (value, error bound) pair scaled down by 2^g."""
-    return v >> g, (err >> g) + 1
+    """A (value, error bound) pair scaled down by 2^g: the floor adds below
+    one unit to err / 2^g."""
+    return v >> g, -(-err >> g) + 1
 
 
 def _atan_inv(n: int, w: int) -> tuple[int, int]:
@@ -281,20 +283,6 @@ def _float_above(A: int, B: int, q: int, n: int, scale: int = 1, shift: int = 0)
         f"{ULP_STEPS} ulps of the integer-root guess")
 
 
-def _float_past(lo: int, hi: int, den: int) -> float | None:
-    """The smallest float strictly above hi / den, if no float lies in
-    [lo / den, hi / den]; None if one does.  inf beyond the float range."""
-    try:
-        f = hi / den  # correctly rounded
-    except OverflowError:
-        return math.inf
-    fn, fd = f.as_integer_ratio()
-    if fn * den <= hi * fd:
-        f = math.nextafter(f, math.inf)
-    gn, gd = math.nextafter(f, -math.inf).as_integer_ratio()
-    return f if gn * den < lo * gd else None
-
-
 @_memoised
 def thmA_rhs(p: int, r: int, d: int) -> float:
     """(1 / 2 sqrt(q)) * (d + p * sqrt(p - d))^r, for 2 <= d <= p-1, exactly.
@@ -382,8 +370,10 @@ def thm1_rhs(p: int, r: int, d: int) -> float:
     sqrt(d) (p^{1/4} sqrt(2r-1) d^{r-1} + p^{3/4} r^{3/2} / 4 + sqrt(p)) / 2 + 1/2
     = (4 d^{r-1} a^{1/4} + b^{1/4} + 4 c^{1/4} + 4) / 8, exactly, with
     a = d^2 p (2r-1)^2, b = d^2 p^3 r^6 and c = d^2 p^2.  Each fourth root
-    lies in [L, L + 1) / 2^K with L = floor(root 2^K), an integer root; K
-    doubles from THM1_BITS until that bracket of the sum holds no float.
+    lies in [L, L + 1) / 2^w with L = floor(root 2^w), an integer root, and
+    _ziv refines w.  For a prime p the value is irrational (a^{1/4} =
+    sqrt(d (2r-1)) p^{1/4}, and p^{1/4} lies in no multiquadratic field), so
+    the float at or above it is the float strictly above it.
     """
     p, r, d = map(operator.index, (p, r, d))
     if r < 1:
@@ -392,16 +382,13 @@ def thm1_rhs(p: int, r: int, d: int) -> float:
         raise ValueError("|D| must be positive")
     lead = 4 * d ** (r - 1)
     a, b, c = d * d * p * (2 * r - 1) ** 2, d * d * p ** 3 * r ** 6, d * d * p * p
-    k = THM1_BITS
-    for _ in range(THM1_DOUBLINGS):
-        lo = (lead * _iroot(a << 4 * k, 4) + _iroot(b << 4 * k, 4)
-              + 4 * _iroot(c << 4 * k, 4) + (4 << k))
-        f = _float_past(lo, lo + lead + 1 + 4, 8 << k)  # each root < its floor + 1
-        if f is not None:
-            return f
-        k *= 2
-    raise InvariantViolation(
-        f"thm1_rhs({p}, {r}, {d}): a float still lies in the bracket at 2^-{k // 2}")
+
+    def bracket(w):
+        lo = (lead * _iroot(a << 4 * w, 4) + _iroot(b << 4 * w, 4)
+              + 4 * _iroot(c << 4 * w, 4) + (4 << w))
+        return lo, lo + lead + 5, 8 << w  # each root < its floor + 1
+
+    return _ziv(bracket)
 
 
 @_memoised
@@ -463,6 +450,49 @@ def thm2_best(p: int, r: int, d: int, nu_cap: int | None = None):
     return best
 
 
+@_memoised
+def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
+    """|U|^{1 - 1/2nu} ((2nu)!/nu! |V|^nu q + 4 nu |V|^{2nu} sqrt(q))^{1/2nu}, exactly.
+
+    |U|^{2nu-1} goes under the 2nu-th root, so _float_above places the whole
+    product.
+    """
+    q, nu, size_u, size_v = map(operator.index, (q, nu, size_u, size_v))
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
+    if size_u < 0 or size_v < 0:
+        raise ValueError(f"|U| = {size_u} and |V| = {size_v} must be >= 0")
+    lead = size_u ** (2 * nu - 1)
+    fac = math.factorial(2 * nu) // math.factorial(nu)
+    return _float_above(lead * fac * size_v ** nu * q,
+                        lead * 4 * nu * size_v ** (2 * nu), q, 2 * nu)
+
+
+@_memoised
+def lemmaD_rhs(p: int, r: int) -> float:
+    """(2r - 1) sqrt(p), exactly, for a prime p."""
+    p, r = operator.index(p), operator.index(r)
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+    return _float_above(0, 2 * r - 1, p, 1)
+
+
+@_memoised
+def lemmaE_rhs(q: int, t: int, t0: int) -> float:
+    """(t - t0 - 1) sqrt(q) + t0 + 1, exactly, for t0 < t.
+
+    At square q the value is an integer, returned as the float at or
+    above it (the integer itself below 2^53).
+    """
+    q, t, t0 = map(operator.index, (q, t, t0))
+    if t0 >= t:
+        raise ValueError(f"t0 = {t0} must be below t = {t}")
+    s = math.isqrt(q)
+    if s * s != q:
+        return _float_above(0, t - t0 - 1, q, 1, shift=t0 + 1)
+    return _ceil_float((t - t0 - 1) * s + t0 + 1, 1)
+
+
 def _cr_bracket(r: int, w: int) -> tuple[int, int]:
     """(lo, hi) bracket of C(r) 2^w = exp((4 log r + 8) / r) 2^w."""
     lr, er = _log(r << w, w)
@@ -502,27 +532,25 @@ def thm2_threshold(p: int, r: int) -> float:
 def corC_hypothesis(p: int, t: int, eps: float) -> bool:
     """t >= p^{1/4 + eps}, certified.
 
-    With 1/4 + eps = c / 4b, that is c log p - 4b log t <= 0, bracketed at
-    2^-w for w from ZIV_BITS, doubling until the bracket excludes 0.  False
-    unless certified: where it still holds 0 at the last w (t equal to the
-    power, or within about 2^-3072 of it), the hypothesis counts as not met.
+    With 1/4 + eps = c / 4b, that is c log p - 4b log t <= 0: met when _ziv
+    places that difference at or below 0.  At an exact tie (t equal to the
+    power) every bracket holds 0, so the loop runs to its last precision
+    and returns a float above 0: the hypothesis counts as not met, as it
+    does where the last precision cannot decide.
     """
     p, t = map(operator.index, (p, t))
     if t < 1:
         return False
     a, b = eps.as_integer_ratio()
     c = b + 4 * a
-    w = ZIV_BITS
-    for _ in range(ZIV_DOUBLINGS):
+
+    def bracket(w):
         lp, ep = _log(p << w, w)
         lt, et = _log(t << w, w)
         d, err = c * lp - 4 * b * lt, abs(c) * ep + 4 * b * et
-        if d + err < 0:
-            return True
-        if d - err > 0:
-            return False
-        w *= 2
-    return False
+        return d - err, d + err, 1 << w
+
+    return _ziv(bracket) <= 0
 
 
 @_memoised

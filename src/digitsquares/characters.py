@@ -31,7 +31,7 @@ Sums of character values are held exactly as CycloSum: integer
 multiplicities of the s-th roots of unity.  Whether a sum vanishes is
 decided exactly, by rewriting it in an integral basis of Z[zeta_s], in
 O(s) steps per prime factor of s.  Its magnitude is certified as mpmath's
-interval context computed it at bounds.IV_PREC = 136 bits, bit for bit,
+interval context computed it at IV_PREC = 136 bits, bit for bit,
 without mpmath: every step is replayed as a correctly rounded directed
 operation on integer mantissa-exponent pairs, lower endpoints rounded
 toward -inf and upper ones toward +inf, and the result is rounded outward
@@ -53,12 +53,13 @@ import operator
 
 import numpy as np
 
-from .bounds import IV_PREC, _cos_sin, _pi
-from .boxes import check_budget
+from .bounds import _cos_sin, _pi
+from .boxes import DigitBox, check_budget, poly_blocks
 from .errors import InvariantViolation
 from .fields import (FieldCtx, FieldElem, _mod_p, index_dtype, prime_factors,
-                     vec_decode, vec_encode, vec_from_coords, vec_mul, vec_norm)
+                     vec_decode, vec_encode, vec_mul, vec_norm)
 
+IV_PREC = 136          # bits of mpmath's interval steps replayed here: dps_to_prec(40)
 DLOG_CAP = 1 << 20
 SQUARE_BLOCK = 1 << 15
 ROOT_CACHE_SIZE = 1 << 13
@@ -752,16 +753,17 @@ def eta_tensor(ctx: FieldCtx, budget: int | None = None) -> np.ndarray:
     The one axis convention for eta on F_p^r.  Under the polynomial basis
     the index c_0 + c_1 p + ... puts c_{r-1} on axis 0 of the quad table
     reshaped to p x ... x p, so where table_fits the tensor is that
-    reshape's .T, a view whose .T is the C-contiguous table.  Otherwise
-    quad_char_coords reads every coordinate row, once q fits the budget.
+    reshape's .T, a view whose .T is the C-contiguous table.  Otherwise,
+    once q fits the budget, quad_char_coords reads F_p^r block by block
+    (boxes.poly_blocks, lex order, first axis slowest).
     """
     shape = (ctx.p,) * ctx.r
     if ctx.poly_basis and table_fits(ctx):
         out = quad_table(ctx).reshape(shape).T
     else:
         check_budget(ctx.q, budget, "the quadratic character of every element")
-        coords = np.indices(shape).reshape(ctx.r, -1).T  # lex order, first axis slowest
-        out = quad_char_coords(ctx, vec_from_coords(ctx, coords)).reshape(shape)
+        blocks = poly_blocks(DigitBox.uniform(ctx, range(ctx.p)))
+        out = np.concatenate([quad_char_coords(ctx, poly) for poly in blocks]).reshape(shape)
     out.flags.writeable = False
     return out
 

@@ -3,18 +3,18 @@
 Each check computes its left-hand side exactly (an integer for quadratic
 characters, a CycloSum magnitude interval otherwise) and compares it with a
 certified float upper bound of the right-hand side.  The Lemma 1 moment
-bound and the Lemma D and Lemma E bounds are algebraic and placed exactly by
-integer arithmetic (`bounds._float_above`), with no intervals and no mpmath;
-a Lemma E bound at square q is an integer and is returned as it is.  Each
-check reports holds / slack.  Mathematical preconditions that fail raise
-HypothesisNotMet so sweep drivers can mark the row skipped rather than
-failed.  lemmaD_reports proves the Lemma D hypotheses once for all its
-pairs and yields only instances of the lemma, so its suite skips no pair;
-a walk over the whole field that exceeds the budget is refused once per
-task, before any check runs (see suites).  lemmaE_reports and
-lemma1_pair_reports check all trials of a field first and then evaluate
-them in vectorised chunks; lemmaE_check, lemma1_reports and lemma1_check
-are one-trial calls into them.
+bound and the Lemma D and Lemma E bounds live in bounds, beside every other
+right-hand side, and are placed exactly there by integer arithmetic, with
+no intervals and no mpmath.  Each check reports holds / slack.
+Mathematical preconditions that fail raise HypothesisNotMet so sweep
+drivers can mark the row skipped rather than failed.  lemmaD_reports
+proves the Lemma D hypotheses once for all its pairs and yields only
+instances of the lemma, so its suite skips no pair; a walk over the whole
+field that exceeds the budget is refused once per task, before any check
+runs (see suites).  lemmaE_reports and lemma1_pair_reports check all
+trials of a field first and then evaluate them in vectorised chunks;
+lemmaE_check, lemma1_reports and lemma1_check are one-trial calls into
+them.
 
 Upper bounds that the source results state only up to unspecified constants
 (the multiplicative-energy count, the normalised box sums) are reported as
@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import (BLOCK, DigitBox, IntervalBox, check_budget, coords_blocks,
                     poly_blocks)
-from .bounds import _float_above, _memoised
+from .bounds import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 from .characters import (CycloSum, MultChar, _element_indices, dlog_table, eta_tensor,
                          make_char, quad_char_coords)
 from .errors import HypothesisNotMet, InvariantViolation
@@ -122,15 +121,6 @@ def lemmaD_check(ctx: FieldCtx, alpha: FieldElem, beta: FieldElem,
     for _, _, rep in lemmaD_reports(ctx, [alpha, beta], s, index):
         return rep
     raise HypothesisNotMet("alpha and beta must not be conjugate")
-
-
-@_memoised
-def lemmaD_rhs(p: int, r: int) -> float:
-    """(2r - 1) sqrt(p), exactly, for a prime p."""
-    p, r = operator.index(p), operator.index(r)
-    if r < 1:
-        raise ValueError(f"r = {r} must be >= 1")
-    return _float_above(0, 2 * r - 1, p, 1)
 
 
 def generator_elements(ctx: FieldCtx) -> list[FieldElem]:
@@ -249,44 +239,8 @@ def lemmaE_check(ctx: FieldCtx, chars: list[MultChar], shifts: list[FieldElem]) 
     return next(lemmaE_reports(ctx, [(chars, shifts)]))
 
 
-@_memoised
-def lemmaE_rhs(q: int, t: int, t0: int) -> float:
-    """(t - t0 - 1) sqrt(q) + t0 + 1, exactly, for t0 < t.
-
-    At square q the value is an integer, returned as the float at or
-    above it (the integer itself below 2^53).
-    """
-    q, t, t0 = map(operator.index, (q, t, t0))
-    if t0 >= t:
-        raise ValueError(f"t0 = {t0} must be below t = {t}")
-    s = math.isqrt(q)
-    if s * s != q:
-        return _float_above(0, t - t0 - 1, q, 1, shift=t0 + 1)
-    n = (t - t0 - 1) * s + t0 + 1
-    f = float(n)
-    return f if f >= n else math.nextafter(f, math.inf)
-
-
 # ---------------------------------------------------------------------------
 # bilinear quadratic-character sums over U + V (the lemma1 check)
-
-@_memoised
-def lemma1_rhs(q: int, nu: int, size_u: int, size_v: int) -> float:
-    """|U|^{1 - 1/2nu} ((2nu)!/nu! |V|^nu q + 4 nu |V|^{2nu} sqrt(q))^{1/2nu}, exactly.
-
-    |U|^{2nu-1} goes under the 2nu-th root, so _float_above places the whole
-    product.
-    """
-    q, nu, size_u, size_v = map(operator.index, (q, nu, size_u, size_v))
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if size_u < 0 or size_v < 0:
-        raise ValueError(f"|U| = {size_u} and |V| = {size_v} must be >= 0")
-    lead = size_u ** (2 * nu - 1)
-    fac = math.factorial(2 * nu) // math.factorial(nu)
-    return _float_above(lead * fac * size_v ** nu * q,
-                        lead * 4 * nu * size_v ** (2 * nu), q, 2 * nu)
-
 
 def lemma1_pair_reports(ctx: FieldCtx, pairs, nus):
     """Yield, per (U, V) pair, its reports for each nu in nus:

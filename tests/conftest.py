@@ -12,12 +12,14 @@ import pytest
 
 from digitsquares import (DeltaReport, HypothesisNotMet, IntervalBox, LemmaReport,
                           char_sum, make_field)
-from digitsquares.bounds import IV_PREC
+from digitsquares import bounds
 from digitsquares.boxes import check_budget, index_blocks, poly_blocks
-from digitsquares.characters import (CycloSum, _unit_root, dlog_table, legendre_table,
+from digitsquares.characters import (IV_PREC, CycloSum, _unit_root, dlog_table, legendre_table,
                                      make_char, quad_char_coords)
+from digitsquares.errors import InvariantViolation
 from digitsquares.fields import (FieldElem, conjugates, element_degree, is_irreducible,
-                                 vec_decode, vec_encode, vec_mul, vec_norm, vec_pow)
+                                 vec_decode, vec_encode, vec_from_coords, vec_mul, vec_norm,
+                                 vec_pow)
 from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 
@@ -296,6 +298,70 @@ def global_iv_evaluators():
             "thm1_threshold": _global_thm1_threshold, "thm2_Cr": _global_thm2_Cr,
             "thm2_threshold": _global_thm2_threshold,
             "corC_hypothesis": _global_corC_hypothesis, "corC_rhs": _global_corC_rhs}
+
+
+def _float_past(lo: int, hi: int, den: int) -> float | None:
+    """The smallest float strictly above hi / den, if no float lies in
+    [lo / den, hi / den]; None if one does.  inf beyond the float range."""
+    try:
+        f = hi / den  # correctly rounded
+    except OverflowError:
+        return math.inf
+    fn, fd = f.as_integer_ratio()
+    if fn * den <= hi * fd:
+        f = math.nextafter(f, math.inf)
+    gn, gd = math.nextafter(f, -math.inf).as_integer_ratio()
+    return f if gn * den < lo * gd else None
+
+
+def _thm1_rhs_loop(p, r, d) -> float:
+    """thm1_rhs with its own precision loop: the fourth-root bracket at
+    scale 2^k, k = 64, 128, ..., 8192, until no float lies in it, and the
+    float strictly above it then."""
+    if r < 1:
+        raise ValueError(f"r = {r} must be >= 1")
+    if d < 1:
+        raise ValueError("|D| must be positive")
+    lead = 4 * d ** (r - 1)
+    a, b, c = d * d * p * (2 * r - 1) ** 2, d * d * p ** 3 * r ** 6, d * d * p * p
+    k = 64
+    for _ in range(8):
+        lo = (lead * bounds._iroot(a << 4 * k, 4) + bounds._iroot(b << 4 * k, 4)
+              + 4 * bounds._iroot(c << 4 * k, 4) + (4 << k))
+        f = _float_past(lo, lo + lead + 1 + 4, 8 << k)  # each root < its floor + 1
+        if f is not None:
+            return f
+        k *= 2
+    raise InvariantViolation(
+        f"thm1_rhs({p}, {r}, {d}): a float still lies in the bracket at 2^-{k // 2}")
+
+
+def _corC_hypothesis_loop(p, t, eps) -> bool:
+    """corC_hypothesis with its own precision loop: the bracket of
+    c log p - 4b log t at w = 96, 192, ..., 3072 until it excludes 0, and
+    False if it never does."""
+    if t < 1:
+        return False
+    a, b = eps.as_integer_ratio()
+    c = b + 4 * a
+    w = 96
+    for _ in range(6):
+        lp, ep = bounds._log(p << w, w)
+        lt, et = bounds._log(t << w, w)
+        d, err = c * lp - 4 * b * lt, abs(c) * ep + 4 * b * et
+        if d + err < 0:
+            return True
+        if d - err > 0:
+            return False
+        w *= 2
+    return False
+
+
+@pytest.fixture(scope="session")
+def precision_loops():
+    """Oracles for thm1_rhs and corC_hypothesis, by name: each with the
+    precision-doubling loop of its own that Ziv's loop replaced."""
+    return {"thm1_rhs": _thm1_rhs_loop, "corC_hypothesis": _corC_hypothesis_loop}
 
 
 @pytest.fixture(scope="session")
@@ -608,6 +674,20 @@ def _eta_exponents_by_coords(ctx, idx):
 def eta_exponents_by_coords():
     """Oracle for the order-2 branch of MultChar.exponents_for_indices."""
     return _eta_exponents_by_coords
+
+
+def _eta_tensor_by_indices(ctx) -> np.ndarray:
+    """characters.eta_tensor's evaluation branch as it read eta before the
+    block walk: every coordinate tuple of F_p^r from np.indices at once."""
+    shape = (ctx.p,) * ctx.r
+    coords = np.indices(shape).reshape(ctx.r, -1).T  # lex order, first axis slowest
+    return quad_char_coords(ctx, vec_from_coords(ctx, coords)).reshape(shape)
+
+
+@pytest.fixture(scope="session")
+def eta_tensor_by_indices():
+    """Oracle for characters.eta_tensor: the np.indices evaluation."""
+    return _eta_tensor_by_indices
 
 
 def _sum_intervals_tuples(total: CycloSum):

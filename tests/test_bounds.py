@@ -5,9 +5,10 @@ formulas; the implementation must sit within a hair above (never below) the
 oracle value, because its contract is a certified upper bound.  The exact
 algebraic evaluators (thmA_rhs, thmB_rhs, thm1_rhs, thm1_threshold,
 thm2_rhs, lemma1_rhs, lemmaD_rhs, lemmaE_rhs) must moreover equal, float for
-float, the 40-digit interval evaluation they replaced, and the interval
+float, the 40-digit interval evaluation they replaced, the interval
 evaluators in their private context must equal their bodies in mpmath's
-global interval context (conftest oracles).
+global interval context, and thm1_rhs and corC_hypothesis on Ziv's loop
+must equal them with the precision loops of their own (conftest oracles).
 """
 
 import math
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import mpmath
 from mpmath import iv, mp, mpf
@@ -25,14 +26,16 @@ from digitsquares import (CycloSum, HypothesisNotMet, corC_rhs,
                           thm2_best, thm2_rhs, thm2_threshold,
                           thmA_heuristic_nontrivial, thmA_rhs, thmB_C, thmB_rhs)
 from digitsquares import bounds, oracles
-from digitsquares.bounds import _float_above, _float_past, _iroot, corC_hypothesis
+from digitsquares.bounds import (_float_above, _iroot, corC_hypothesis, lemma1_rhs, lemmaD_rhs,
+                                 lemmaE_rhs)
 from digitsquares.errors import InvariantViolation
-from digitsquares.oracles import lemma1_rhs, lemmaD_rhs, lemmaE_rhs
 
 mp.dps = 60
 
 GRID_PRIMES = (3, 5, 7, 11, 13)
 PRIMES_BELOW_1100 = [n for n in range(2, 1100) if all(n % k for k in range(2, math.isqrt(n) + 1))]
+# t = p^(1/4 + eps) exactly: every bracket of the hypothesis holds 0
+EXACT_TIES = [(16, 2, 0.0), (81, 9, 0.25), (81, 3, 0.0), (256, 4, 0.0), (625, 5, 0.0)]
 
 
 def mp_thmA(p, r, d):
@@ -386,21 +389,18 @@ class TestExactAlgebraicBounds:
         with pytest.raises(ValueError, match="must be"):
             fn.__wrapped__(*args)
 
-    def test_float_past(self):
-        # [1/3, 1/3]: no float inside, so the float above 1/3
-        assert _float_past(1, 1, 3) == math.nextafter(1 / 3, math.inf)
-        assert _float_past(1, 2, 3) is None            # [1/3, 2/3] holds floats
-        assert _float_past(2, 2, 2) is None            # [1, 1] holds the float 1
-        assert _float_past(6, 6, 5) == math.nextafter(1.2, math.inf)  # 6/5 is no float
-        assert _float_past(10 ** 400, 10 ** 400, 1) == math.inf
-
-    def test_thm1_bracket_refinement_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(bounds, "THM1_BITS", 1)
-        monkeypatch.setattr(bounds, "THM1_DOUBLINGS", 2)
-        with pytest.raises(InvariantViolation, match="bracket"):
-            thm1_rhs.__wrapped__(29, 2, 10)
-        monkeypatch.setattr(bounds, "THM1_DOUBLINGS", 8)  # K = 1, 2, ..., 128
-        assert thm1_rhs.__wrapped__(29, 2, 10) == thm1_rhs(29, 2, 10)
+    def test_thm1_matches_its_precision_loop(self, precision_loops):
+        # one bracket, refined by _ziv from 2^-96 and by the oracle's own
+        # loop from 2^-64: the same float, as no float equals the value
+        rng = random.Random(1109)
+        calls = 0
+        for p in PRIMES_BELOW_1100 + [10007, 65537, 1048573]:
+            for r in range(1, 10):
+                for d in {1, 2, p - 1, p, rng.randint(1, p)}:
+                    assert (thm1_rhs.__wrapped__(p, r, d)
+                            == precision_loops["thm1_rhs"](p, r, d)), (p, r, d)
+                    calls += 1
+        assert calls > 7000
 
 
 class TestCorollaryC:
@@ -427,14 +427,32 @@ class TestCorollaryC:
             corC_rhs(101, 2, 3, 0.25, 1.0)  # 3 < 101^{1/2}
 
     def test_undecided_hypothesis_is_not_met(self):
-        # 16^{1/4 + 0} = 2 and 81^{1/4 + 1/4} = 9 exactly: every bracket of
-        # the comparison holds 0, so it is undecided at the last precision
-        # (mpmath's interval >= gave None); the hypothesis must read False
-        assert corC_hypothesis.__wrapped__(16, 2, 0.0) is False
-        assert corC_hypothesis.__wrapped__(81, 9, 0.25) is False
-        assert corC_hypothesis.__wrapped__(16, 3, 0.0) is True
-        assert corC_hypothesis.__wrapped__(16, 1, 0.0) is False
-        assert corC_hypothesis.__wrapped__(81, 10, 0.25) is True
+        # t = p^{1/4 + eps} exactly: every bracket of the comparison holds
+        # 0, so it is undecided at the last precision (mpmath's interval >=
+        # gave None); the hypothesis must read False, and its neighbours are
+        # decided
+        for p, t, eps in EXACT_TIES:
+            assert corC_hypothesis.__wrapped__(p, t, eps) is False, (p, t, eps)
+            assert corC_hypothesis.__wrapped__(p, t + 1, eps) is True, (p, t, eps)
+            assert corC_hypothesis.__wrapped__(p, t - 1, eps) is False, (p, t, eps)
+
+    def test_hypothesis_matches_its_precision_loop(self, precision_loops):
+        # every t in 0..p for p < 400, ties included: _ziv's float at or
+        # below 0 decides as the old loop's sign test did
+        calls = 0
+        for eps in (0.0, 0.05, 0.1, 0.25):
+            for p in PRIMES_BELOW_1100:
+                if p >= 400:
+                    break
+                for t in range(p + 1):
+                    assert (corC_hypothesis.__wrapped__(p, t, eps)
+                            == precision_loops["corC_hypothesis"](p, t, eps)), (p, t, eps)
+                    calls += 1
+        for p, t, eps in EXACT_TIES:
+            for u in (t - 1, t, t + 1):
+                assert (corC_hypothesis.__wrapped__(p, u, eps)
+                        == precision_loops["corC_hypothesis"](p, u, eps)), (p, u, eps)
+        assert calls == 4 * sum(p + 1 for p in PRIMES_BELOW_1100 if p < 400)
 
 
 class TestPrivateIntervalContext:
@@ -527,6 +545,7 @@ class TestKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(frac=st.fractions(-40, 40), w=st.sampled_from([60, 96, 192]))
+    @example(frac=Fraction(-1016, 237), w=96)  # 1.06 units off: err / 2^g must round up
     def test_exp(self, frac, w):
         x = (frac.numerator << w) // frac.denominator
         with mp.workdps(150):
@@ -542,6 +561,28 @@ class TestKernel:
             angle = mpf(x) / mpf(2) ** w
             assert_within((c, err), mp.cos(angle), w)
             assert_within((s, err), mp.sin(angle), w)
+
+    def test_exp_on_seeded_arguments(self):
+        # negative arguments rescale through _shift
+        rng = random.Random(2027)
+        for _ in range(20000):
+            w = rng.choice([96, 136, 192, 384, 400])
+            frac = Fraction(rng.randint(-40000, 40000), rng.randint(1, 1000))
+            frac = frac if abs(frac) <= 40 else frac / 1000
+            x = (frac.numerator << w) // frac.denominator
+            with mp.workdps(w * 3 // 10 + 50):
+                assert_within(bounds._exp(x, w), mp.exp(mpf(x) / mpf(2) ** w), w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.integers(-(1 << 80), 1 << 80), err=st.integers(0, 1 << 40),
+           g=st.integers(1, 64), u=st.fractions(-1, 1))
+    @example(v=3, err=2, g=2, u=Fraction(1))  # 5 / 4 is 1.25 units from 3 >> 2 = 0
+    def test_shift(self, v, err, g, u):
+        # any exact value within err of v, scaled by 2^-g, lies within the bound of v >> g
+        exact = (v + err * u) / 2 ** g
+        value, bound = bounds._shift(v, err, g)
+        assert value == v >> g
+        assert abs(value - exact) <= bound
 
     def test_log_refuses_arguments_below_one_unit(self):
         # the atanh series would never end on a negative z
@@ -579,9 +620,18 @@ class TestKernel:
         monkeypatch.setattr(bounds, "ZIV_DOUBLINGS", 1)
         for fn, args, exact in [(thmB_C, (101, 37), mp_thmB_C(101, 37)),
                                 (thmB_C, (11, 9), mp_thmB_C(11, 9)),
-                                (thm2_Cr, (5,), mp.exp((4 * mp.log(5) + 8) / 5))]:
+                                (thm2_Cr, (5,), mp.exp((4 * mp.log(5) + 8) / 5)),
+                                (thm1_rhs, (29, 2, 10), mp_thm1(29, 2, 10)),
+                                (thm1_rhs, (1048573, 9, 1000), mp_thm1(1048573, 9, 1000))]:
             value = fn.__wrapped__(*args)
             assert exact <= mpf(value) <= exact * (1 + mpf(2) ** -4)
+        # a capped hypothesis is never met where t^(4b) < p^(b + 4a), eps = a / b
+        for eps in (0.0, 0.0625, 0.125, 0.25):
+            a, b = eps.as_integer_ratio()
+            for p in (16, 81, 101, 256, 625):
+                for t in range(1, 30):
+                    if corC_hypothesis.__wrapped__(p, t, eps):
+                        assert t ** (4 * b) >= p ** (b + 4 * a), (p, t, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,31 @@ class TestEtaTensor:
         with pytest.raises(ValueError):
             eta[(0,) * r] = 1
 
+    @pytest.mark.parametrize("p,r,seed", [(13, 3, 5), (13, 3, 6), (1031, 2, None)])
+    def test_block_walk_matches_the_indices_evaluation(self, field, eta_tensor_by_indices,
+                                                       p, r, seed):
+        ctx = field(p, r) if seed is None else random_basis(field(p, r), seed)
+        assert not (ctx.poly_basis and characters.table_fits(ctx))  # the evaluation branch
+        assert np.array_equal(eta_tensor(ctx), eta_tensor_by_indices(ctx))
+
+    def test_evaluation_peak_memory_above_the_cap(self, field):
+        # the tensor itself is q ~ 1 MB of int8; the block walk adds a few
+        # blocks of rows, where all q coordinate rows at once took about 77 MB
+        ctx = field(1031, 2)
+        quad_char_coords(ctx, np.zeros((1, 2), dtype=np.int64))  # the Legendre table
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            eta_tensor(ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_other_bases_are_read_only_and_budgeted(self, field):
         ctx = random_basis(field(5, 3), 3)
         eta = eta_tensor(ctx)
@@ -855,8 +880,7 @@ class TestCycloSum:
         # mpmath's interval context at the bits of 40 decimal digits
         from mpmath.libmp import dps_to_prec
 
-        from digitsquares import bounds
-        assert private_iv.prec == bounds.IV_PREC == characters.IV_PREC == dps_to_prec(40)
+        assert private_iv.prec == characters.IV_PREC == dps_to_prec(40)
 
     def test_magnitude_interval_refuses_counts_beyond_the_precision(self):
         with pytest.raises(ValueError):

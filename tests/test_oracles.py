@@ -882,9 +882,10 @@ class TestDeltaH:
 
         def spy(*args, **kwargs):
             raise AssertionError("delta_H evaluated eta row by row")
-        for module in (characters, oracles):
-            for name in ("quad_char_coords", "vec_from_coords"):
-                monkeypatch.setattr(module, name, spy)
+        for module, name in [(characters, "quad_char_coords"), (characters, "poly_blocks"),
+                             (oracles, "quad_char_coords"), (oracles, "vec_from_coords"),
+                             (boxes, "vec_from_coords")]:
+            monkeypatch.setattr(module, name, spy)
         assert delta_H(ctx, h, chi) == want
 
     def test_large_prime_line_matches_direct_window_sums(self, field):

@@ -11,7 +11,9 @@ constant in src/ is read somewhere in src/, and the full-table cap
 DLOG_CAP only in characters.py; every top-level function and class is
 read elsewhere in src/, exported, or wrapped by the tracer.  The field
 kernels never reduce with numpy's %.  mpmath is imported in src/ only by the
-unit-root fallback.  Every demo prints the bytes recorded in DEMO_DIGESTS.
+unit-root fallback.  Only bounds._ziv reads the Ziv loop's precision
+constants, and only characters imports a private name of bounds.  Every
+demo prints the bytes recorded in DEMO_DIGESTS.
 """
 
 import ast
@@ -131,6 +133,32 @@ def test_only_the_unit_root_fallback_imports_mpmath():
             if any(name.split(".")[0] == "mpmath" for name in names):
                 found.append((path.name, scopes.get(node)))
     assert found == [("characters.py", "_unit_root")]
+
+
+def test_only_ziv_reads_its_precision_constants():
+    """One precision-doubling loop: every bracketed value goes through _ziv."""
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, (ast.Name, ast.Attribute))
+                        and not isinstance(node.ctx, ast.Store)
+                        and getattr(node, "id", getattr(node, "attr", None))
+                        in ("ZIV_BITS", "ZIV_DOUBLINGS")):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found == {("bounds.py", "_ziv")}
+
+
+def test_only_characters_imports_private_names_of_bounds():
+    """Every right-hand side lives in bounds; characters alone borrows its
+    kernel (pi and cos/sin)."""
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "bounds"
+                    and any(alias.name.startswith("_") for alias in node.names)):
+                found.add(path.name)
+    assert found == {"characters.py"}
 
 
 def test_every_module_constant_is_used():
